@@ -1,98 +1,72 @@
-"""Hot kernels for exhaustive cut enumeration over side-assignment masks.
+"""Exhaustive cut enumeration over side-assignment masks.
 
 The brute-force oracle evaluates the cut value of every assignment of the
 non-terminal vertices to the two sides of a bipartition (up to 2**22
 assignments).  With costs scaled to a common denominator the values are
-integers, so when they fit comfortably in int64 the whole sweep runs as a
-vectorized kernel.  Two implementations are provided:
-
-* a numba ``@njit`` loop (default when numba imports), and
-* a pure-numpy fallback.
-
-Selection: set ``MIMICKNET_KERNEL=numpy`` or ``=numba`` to force a path;
-default ``auto`` uses numba when available.  ``benchmarks/bench_oracle.py``
-compares the two.
-
-Exactness guard: callers must check :func:`fits_int64` first and use the
-big-integer path in ``mincut`` otherwise.
+integers, and one exact O(2**p) prefix-doubling kernel computes all of
+them: bit ``j`` set (higher bits still 0) moves the value by a fixed step
+minus twice the cost to each lower neighbour that is already set.  The
+kernel runs on int64 when the scaled costs fit (:func:`fits_int64`) and
+on Python integers (``dtype=object``) otherwise.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_MODE = os.environ.get("MIMICKNET_KERNEL", "auto").strip().lower()
-if _MODE not in ("auto", "numba", "numpy"):
-    raise ValueError(f"MIMICKNET_KERNEL must be auto|numba|numpy, got {_MODE!r}")
-
-# Sum of all scaled costs must stay below this for the int64 kernels.
+# Sum of all scaled costs must stay below this for the int64 dtype.
 INT64_SAFE_LIMIT = 1 << 62
 
-_njit_cut_values = None
-if _MODE in ("auto", "numba"):
-    try:
-        from numba import njit
-
-        @njit(cache=True)
-        def _njit_cut_values(n_masks, base, one_bit, one_flip, one_cost, two_a, two_b, two_cost):  # pragma: no cover - timed separately
-            out = np.empty(n_masks, dtype=np.int64)
-            for m in range(n_masks):
-                v = base
-                for i in range(one_bit.shape[0]):
-                    if ((m >> one_bit[i]) & 1) ^ one_flip[i]:
-                        v += one_cost[i]
-                for i in range(two_a.shape[0]):
-                    if ((m >> two_a[i]) ^ (m >> two_b[i])) & 1:
-                        v += two_cost[i]
-                out[m] = v
-            return out
-
-    except ImportError:
-        if _MODE == "numba":
-            raise
-        _njit_cut_values = None
-
-kernel_backend = "numba" if _njit_cut_values is not None else "numpy"
+# One kernel; the name stays for run metadata that records it.
+kernel_backend = "numpy"
 
 
 def fits_int64(total_scaled_cost: int) -> bool:
     return total_scaled_cost < INT64_SAFE_LIMIT
 
 
-def cut_values_numpy(n_masks, base, one_bit, one_flip, one_cost, two_a, two_b, two_cost):
-    """Vectorized fallback: value of every mask in 0..n_masks-1."""
-    masks = np.arange(n_masks, dtype=np.int64)
-    out = np.full(n_masks, base, dtype=np.int64)
-    for bit, flip, cost in zip(one_bit, one_flip, one_cost):
-        crossing = (masks >> bit) & 1
-        if flip:
-            crossing ^= 1
-        out += crossing * cost
-    for a, b, cost in zip(two_a, two_b, two_cost):
-        out += (((masks >> a) ^ (masks >> b)) & 1) * cost
-    return out
-
-
 def cut_values(n_masks: int, base: int, one_bit, one_flip, one_cost, two_a, two_b, two_cost) -> np.ndarray:
-    """Cut value of every non-terminal side assignment, as int64.
+    """Cut value of every non-terminal side assignment ``0..n_masks-1``.
 
-    ``one_*`` arrays describe edges with exactly one non-terminal endpoint
-    (bit position, flip flag for the terminal side, scaled cost); ``two_*``
-    describe edges between two distinct non-terminals.  ``base`` carries the
-    terminal-terminal crossing edges.
+    ``one_*`` describe edges with exactly one non-terminal endpoint (bit
+    position, side of the terminal end, scaled cost); ``two_*`` describe
+    edges between two distinct non-terminals.  ``base`` carries the
+    terminal-terminal crossing edges.  The result is int64 when the total
+    scaled cost fits, else an object array of Python integers.
     """
-    args = (
-        np.int64(n_masks),
-        np.int64(base),
-        np.asarray(one_bit, dtype=np.int64),
-        np.asarray(one_flip, dtype=np.int64),
-        np.asarray(one_cost, dtype=np.int64),
-        np.asarray(two_a, dtype=np.int64),
-        np.asarray(two_b, dtype=np.int64),
-        np.asarray(two_cost, dtype=np.int64),
-    )
-    if _njit_cut_values is not None:
-        return _njit_cut_values(*args)
-    return cut_values_numpy(*args)
+    p = int(n_masks).bit_length() - 1
+    base = int(base)
+    step = [0] * p
+    lower: list[dict[int, int]] = [{} for _ in range(p)]
+    v0 = base
+    total = base
+    for bit, flip, cost in zip(one_bit, one_flip, one_cost):
+        cost = int(cost)
+        total += cost
+        if flip:
+            v0 += cost
+            step[int(bit)] -= cost
+        else:
+            step[int(bit)] += cost
+    for a, b, cost in zip(two_a, two_b, two_cost):
+        a, b = sorted((int(a), int(b)))
+        cost = int(cost)
+        total += cost
+        step[a] += cost
+        step[b] += cost
+        lower[b][a] = lower[b].get(a, 0) + cost
+
+    # int64 invariant: every value lies in [0, total], and each entry of
+    # ``blk`` only ever holds its final value plus twice the cost to lower
+    # neighbours not yet subtracted, so intermediates stay below
+    # 2 * total < 2**63.
+    dtype = np.int64 if fits_int64(total) else object
+    values = np.empty(1 << p, dtype=dtype)
+    values[0] = v0
+    for j in range(p):
+        half = 1 << j
+        blk = values[half : 2 * half]
+        blk[:] = values[:half] + step[j]
+        for a, w in lower[j].items():
+            blk.reshape(-1, 2 << a)[:, 1 << a :] -= 2 * w
+    return values

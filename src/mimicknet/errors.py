@@ -51,3 +51,7 @@ class InvalidParameterError(MimicknetError):
 
 class ParseError(MimicknetError):
     """Malformed graph or store file."""
+
+
+class InternalError(MimicknetError):
+    """An internal certificate failed (a bug, not bad input)."""

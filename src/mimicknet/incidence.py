@@ -2,7 +2,7 @@
 
 Row ``i`` of the matrix marks the edges of the canonical minimum cut of the
 ``i``-th bipartition (canonical enumeration order); the companion value
-vector holds the exact cut values, and ``A . c = values`` is asserted at
+vector holds the exact cut values, and ``A . c = values`` is checked at
 build time.  Rank is computed fraction-free (Bareiss) over the integers.
 """
 
@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NonUniqueCutsError, ParseError, PerturbationFailedError
+from .errors import InternalError, NonUniqueCutsError, ParseError, PerturbationFailedError
 from .mincut import global_gap, min_separating_cut
 from .network import Network, enumerate_bipartitions
 
@@ -57,7 +57,8 @@ def build_incidence(net: Network) -> IncidenceMatrix:
         values.append(cut.value)
     for i in range(len(bps)):
         row_cost = sum((net.edges[j].cost for j in np.flatnonzero(bits[i])), Fraction(0))
-        assert row_cost == values[i], "incidence row does not reproduce its cut value"
+        if row_cost != values[i]:
+            raise InternalError(f"incidence row {i} costs {row_cost}, cut value is {values[i]}")
     bits.flags.writeable = False
     return IncidenceMatrix(net.k, bits, tuple(values))
 

@@ -7,9 +7,9 @@ terminal 0 is inclusion-minimal, obtained as the residual-reachable set
 from the contracted super-source.
 
 Oracle route: exhaustive sweep over all side assignments of the
-non-terminal vertices (capacity ``n - k <= 22``), vectorized through
-:mod:`mimicknet._kernels` when the scaled costs fit int64 and falling back
-to a Gray-code big-integer walk otherwise.
+non-terminal vertices (capacity ``n - k <= 22``) by the prefix-doubling
+kernel in :mod:`mimicknet._kernels`, on int64 when the scaled costs fit
+and on Python integers otherwise.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import _kernels
-from .errors import InvalidParameterError, OracleCapacityError
+from .errors import InternalError, InvalidParameterError, OracleCapacityError
 from .network import Bipartition, Network, enumerate_bipartitions
 
 ORACLE_CAPACITY = 22
@@ -171,7 +171,8 @@ def _solve_flow(net: Network, sources: Sequence[int], sinks: Sequence[int]) -> _
         eid for eid, e in enumerate(net.edges) if to_t[vmap[e.u]] != to_t[vmap[e.v]]
     )
     cut_cost = sum((net.edges[eid].cost for eid in cutset_src), Fraction(0))
-    assert cut_cost == value, "max-flow/min-cut mismatch (internal error)"
+    if cut_cost != value:
+        raise InternalError(f"max-flow {value} differs from its cut cost {cut_cost}")
     return _FlowSolution(value, side, cutset_src, cutset_snk)
 
 
@@ -279,51 +280,13 @@ def oracle_enumeration(net: Network, bp: Bipartition) -> OracleResult:
     if p > ORACLE_CAPACITY:
         raise OracleCapacityError(f"n - k = {p} exceeds oracle capacity {ORACLE_CAPACITY}")
     nonterms, den, base, ones, twos = _edge_tables(net, bp)
-    total = base + sum(ones[2]) + sum(twos[2])
-    n_masks = 1 << p
-    if _kernels.fits_int64(total):
-        values = _kernels.cut_values(n_masks, base, *ones, *twos)
-        vmin, cutsets, second = _postprocess(values, net, bp, nonterms)
-    else:
-        vmin, min_masks, second = _gray_walk(p, base, ones, twos)
-        cutsets = frozenset(_crossing_cutset(net, bp, nonterms, m) for m in min_masks)
+    values = _kernels.cut_values(1 << p, base, *ones, *twos)
+    vmin, cutsets, second = _postprocess(values, net, bp, nonterms)
     return OracleResult(
         Fraction(vmin, den),
         cutsets,
         Fraction(second, den) if second is not None else None,
     )
-
-
-def _gray_walk(p, base, ones, twos):
-    one_bit, one_flip, one_cost = ones
-    two_a, two_b, two_cost = twos
-    by_bit: list[list[tuple]] = [[] for _ in range(max(p, 1))]
-    for bit, flip, cost in zip(one_bit, one_flip, one_cost):
-        by_bit[bit].append((-1, flip, cost))
-    for a, b, cost in zip(two_a, two_b, two_cost):
-        by_bit[a].append((b, 0, cost))
-        by_bit[b].append((a, 0, cost))
-
-    mask = 0
-    value = base + sum(c for f, c in zip(one_flip, one_cost) if f)
-    vmin, min_masks, second = value, [0], None
-    for i in range(1, 1 << p):
-        j = (i & -i).bit_length() - 1
-        for other, flip, cost in by_bit[j]:
-            if other < 0:
-                crossing = (mask >> j & 1) ^ flip
-            else:
-                crossing = (mask >> j ^ mask >> other) & 1
-            value += -cost if crossing else cost
-        mask ^= 1 << j
-        if value < vmin:
-            second = vmin if second is None or vmin < second else second
-            vmin, min_masks = value, [mask]
-        elif value == vmin:
-            min_masks.append(mask)
-        elif second is None or value < second:
-            second = value
-    return vmin, min_masks, second
 
 
 def min_cut_oracle(net: Network, bp: Bipartition) -> tuple[Fraction, frozenset[frozenset[int]]]:

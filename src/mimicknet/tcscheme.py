@@ -133,14 +133,22 @@ def deserialize(data: bytes) -> TCStore:
     k = int.from_bytes(data[4:8], "little")
     if k < 2:
         raise ParseError(f"bad terminal count {k}")
+    value_bits = int.from_bytes(data[8:12], "little")
     pos = 12
     den, pos = _read_varint(data, pos)
     if den <= 0:
         raise ParseError("denominator must be positive")
+    # every value takes at least one byte: bound k by the payload before
+    # building the 2**(k-1) entry count
+    if k - 1 >= (len(data) - pos + 1).bit_length():
+        raise ParseError(f"terminal count {k} needs more values than {len(data) - pos} payload bytes hold")
     values = []
     for _ in range((1 << (k - 1)) - 1):
         v, pos = _read_varint(data, pos)
         values.append(v)
     if pos != len(data):
         raise ParseError(f"{len(data) - pos} trailing bytes")
-    return TCStore(k, tuple(range(k)), den, tuple(values))
+    store = TCStore(k, tuple(range(k)), den, tuple(values))
+    if store.value_bits != value_bits:
+        raise ParseError(f"header value bits {value_bits} differ from the stored values' {store.value_bits}")
+    return store

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from mimicknet.errors import NonUniqueCutsError
+from mimicknet.errors import InternalError, NonUniqueCutsError
 from mimicknet.generate import random_planar_network, star_network
 from mimicknet.incidence import (
     build_incidence,
@@ -15,7 +15,8 @@ from mimicknet.incidence import (
     rank_bound_experiment,
 )
 from mimicknet.lowerbound import gen_bipartite, gen_grid
-from mimicknet.mincut import global_gap
+from mimicknet import incidence
+from mimicknet.mincut import CutResult, global_gap
 from mimicknet.network import Network
 
 STAR3 = Network(4, [(0, 3, 1), (1, 3, 1), (2, 3, 1)], [0, 1, 2])
@@ -34,6 +35,12 @@ class TestBuild:
         mat = build_incidence(STAR3)
         assert mat.bits.tolist() == [[0, 1, 0], [0, 0, 1], [1, 0, 0]]
         assert mat.values == (Fraction(1), Fraction(1), Fraction(1))
+
+    def test_row_value_mismatch_raises(self, monkeypatch):
+        wrong = CutResult(Fraction(8), frozenset({0}), frozenset({0}))
+        monkeypatch.setattr(incidence, "min_separating_cut", lambda net, bp: wrong)
+        with pytest.raises(InternalError):
+            build_incidence(Network(2, [(0, 1, 7)], [0, 1]))
 
     def test_grid_k4_row_count(self):
         fam = gen_grid(4)

@@ -2,10 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from mimicknet.errors import OracleCapacityError
+from mimicknet.errors import InternalError, OracleCapacityError
 from mimicknet.generate import random_planar_network
 from mimicknet.lowerbound import gen_bipartite, gen_grid
 from mimicknet.mincut import (
+    _Dinic,
     gap,
     global_gap,
     min_cut_between,
@@ -26,6 +27,11 @@ class TestMinSeparatingCut:
         assert cut.value == 3
         assert cut.cutset == frozenset({0})
         assert cut.side == frozenset({0})
+
+    def test_flow_cut_mismatch_raises(self, monkeypatch):
+        monkeypatch.setattr(_Dinic, "max_flow", lambda self, s, t: 1)
+        with pytest.raises(InternalError):
+            min_separating_cut(PATH_35, BP2)
 
     def test_disconnected_terminals(self):
         net = Network(2, [], [0, 1])

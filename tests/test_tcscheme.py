@@ -7,6 +7,7 @@ from mimicknet.generate import random_planar_network
 from mimicknet.mincut import min_separating_cut
 from mimicknet.network import Network, enumerate_bipartitions
 from mimicknet.tcscheme import (
+    MAGIC,
     TCStore,
     deserialize,
     preprocess,
@@ -84,6 +85,18 @@ class TestSerialization:
         blob = serialize(preprocess(net))
         with pytest.raises(ParseError):
             deserialize(blob + b"\x00")
+
+    def test_terminal_count_bounded_by_payload(self):
+        blob = MAGIC + (1 << 31).to_bytes(4, "little") + (1).to_bytes(4, "little") + b"\x01\x00"
+        assert len(blob) == 14
+        with pytest.raises(ParseError, match="payload"):
+            deserialize(blob)
+
+    def test_header_value_bits_checked(self):
+        blob = bytearray(serialize(TCStore(3, (0, 1, 2), 1, (5, 6, 7))))
+        blob[8:12] = (999).to_bytes(4, "little")
+        with pytest.raises(ParseError, match="value bits"):
+            deserialize(bytes(blob))
 
     def test_large_values_varint(self):
         store = TCStore(2, (0, 1), 1, (10**30,))
