@@ -29,8 +29,7 @@ from .lowerbound import (
     verify_grid_lemma,
     verify_rank_bounds,
 )
-from .mimick import build_by_contraction, build_by_signature, verify, verify_generalized
-from .mincut import min_separating_cut
+from .mimick import build_by_contraction, build_by_signature, verify, verify_cuts, verify_generalized
 from .network import enumerate_bipartitions
 from .planar import build_dual, check_component_bounds, faces_of_subgraph
 from .tcscheme import deserialize, preprocess, query, serialize, storage_report
@@ -113,7 +112,7 @@ def _cmd_compress(args) -> int:
     net, _ = load_network(args.input)
     build = build_by_contraction if args.method == "contract" else build_by_signature
     result = build(net)
-    report = verify(net, result.network)
+    report = verify_cuts(result.cuts, result.network)
     comment = f"mimicking network ({result.construction}) of {args.input}"
     _emit(serialize_network(result.network, None, comment=comment), args.out)
     if args.map_out:
@@ -216,7 +215,8 @@ def _experiment_bounds(args, rec: _Records) -> bool:
         raise MimicknetError("bounds experiment needs rotation lines in the input")
     dual = build_dual(emb)
     bps = enumerate_bipartitions(net.k)
-    cutsets = [min_separating_cut(net, bp).cutset for bp in bps]
+    result = build_by_contraction(net)
+    cutsets = [cut.cutset for cut in result.cuts]
     ok = True
     for bp, cutset in zip(bps, cutsets):
         rep = check_component_bounds(emb, dual, cutset)
@@ -241,7 +241,6 @@ def _experiment_bounds(args, rec: _Records) -> bool:
             f"cc={rep.cc_union} meeting={rep.meeting_vertices}",
             rep.ok,
         )
-    result = build_by_contraction(net)
     union = result.cut_union
     from .network import connected_components
 

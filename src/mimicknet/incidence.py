@@ -16,8 +16,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InternalError, NonUniqueCutsError, ParseError, PerturbationFailedError
-from .mincut import global_gap, min_separating_cut
-from .network import Network, enumerate_bipartitions
+from .mimick import terminal_cuts
+from .mincut import global_gap
+from .network import Network
 
 DEFAULT_RESOLUTION = 1 << 40
 
@@ -47,20 +48,18 @@ class IncidenceMatrix:
 
 def build_incidence(net: Network) -> IncidenceMatrix:
     """Incidence matrix and value vector from canonical minimum cuts."""
-    bps = enumerate_bipartitions(net.k)
-    bits = np.zeros((len(bps), net.m), dtype=np.uint8)
-    values = []
-    for i, bp in enumerate(bps):
-        cut = min_separating_cut(net, bp)
-        for eid in cut.cutset:
-            bits[i, eid] = 1
-        values.append(cut.value)
-    for i in range(len(bps)):
-        row_cost = sum((net.edges[j].cost for j in np.flatnonzero(bits[i])), Fraction(0))
-        if row_cost != values[i]:
-            raise InternalError(f"incidence row {i} costs {row_cost}, cut value is {values[i]}")
+    cuts = terminal_cuts(net)
+    bits = np.zeros((len(cuts), net.m), dtype=np.uint8)
+    for i, cut in enumerate(cuts):
+        bits[i, list(cut.cutset)] = 1
+    # A . c = values over the shared denominator, in integers
+    scaled, den = net.scaled_costs, net.cost_denominator
+    for i, cut in enumerate(cuts):
+        row_cost = sum(scaled[j] for j in np.flatnonzero(bits[i]).tolist())
+        if row_cost * cut.value.denominator != cut.value.numerator * den:
+            raise InternalError(f"incidence row {i} costs {Fraction(row_cost, den)}, cut value is {cut.value}")
     bits.flags.writeable = False
-    return IncidenceMatrix(net.k, bits, tuple(values))
+    return IncidenceMatrix(net.k, bits, cuts.values)
 
 
 def integer_rank(rows: Sequence[Sequence[int]]) -> int:

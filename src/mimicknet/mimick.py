@@ -8,14 +8,16 @@ Two constructions:
 * signature merge: vertices that lie on the same side of every canonical
   minimum cut are merged, whether or not they are adjacent.
 
-Both preserve every terminal bipartition cut value exactly; ``verify`` and
-``verify_generalized`` check that by recomputation.
+Both read one :class:`TerminalCuts` table, computed once per network, and
+preserve every terminal bipartition cut value exactly; ``verify`` and
+``verify_generalized`` check that by recomputation on the candidate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 from .errors import InvalidPairError, InvalidTerminalCountError
 from .mincut import CutResult, min_cut_between, min_separating_cut
@@ -29,19 +31,42 @@ from .network import (
 )
 
 
-def terminal_cuts(net: Network) -> list[CutResult]:
+@dataclass(frozen=True)
+class TerminalCuts:
+    """Canonical minimum cut (value, cutset, side) of every terminal
+    bipartition of one network; row ``i`` belongs to
+    ``enumerate_bipartitions(k)[i]``.  Computed once per network, then read
+    by the constructions, verification, the store and the incidence matrix."""
+
+    k: int
+    cuts: tuple[CutResult, ...]
+
+    def __iter__(self) -> Iterator[CutResult]:
+        return iter(self.cuts)
+
+    def __len__(self) -> int:
+        return len(self.cuts)
+
+    @property
+    def values(self) -> tuple[Fraction, ...]:
+        return tuple(cut.value for cut in self.cuts)
+
+    @property
+    def union(self) -> frozenset[int]:
+        """Union of the canonical minimum cutsets over all bipartitions."""
+        return frozenset().union(*(cut.cutset for cut in self.cuts))
+
+
+def terminal_cuts(net: Network) -> TerminalCuts:
     """Canonical minimum cut of every bipartition, in enumeration order."""
     if net.k < 2:
         raise InvalidTerminalCountError(f"need k >= 2 terminals, got {net.k}")
-    return [min_separating_cut(net, bp) for bp in enumerate_bipartitions(net.k)]
+    return TerminalCuts(net.k, tuple(min_separating_cut(net, bp) for bp in enumerate_bipartitions(net.k)))
 
 
 def terminal_cut_union(net: Network) -> frozenset[int]:
     """Union of the canonical minimum cutsets over all bipartitions."""
-    union: set[int] = set()
-    for cut in terminal_cuts(net):
-        union |= cut.cutset
-    return frozenset(union)
+    return terminal_cuts(net).union
 
 
 @dataclass(frozen=True)
@@ -59,8 +84,12 @@ class MimickingResult:
     network: Network
     construction: str
     contraction_map: ContractionMap
-    cut_union: frozenset[int]
     stats: MimickingStats
+    cuts: TerminalCuts  # of the input network
+
+    @property
+    def cut_union(self) -> frozenset[int]:
+        return self.cuts.union
 
 
 def _size_bound(k: int) -> int:
@@ -89,8 +118,8 @@ def build_by_contraction(net: Network) -> MimickingResult:
     canonical minimum cutsets.  Classes are connected, so the result is a
     minor of the input; terminal-free components (only possible when the
     input is disconnected) are dropped."""
-    union = terminal_cut_union(net)
-    classes = connected_components(net, union)
+    cuts = terminal_cuts(net)
+    classes = connected_components(net, cuts.union)
     cmap = ContractionMap(net, classes)
     contracted = contract(net, cmap)
     result, dropped = _drop_isolated_nonterminals(contracted)
@@ -103,7 +132,7 @@ def build_by_contraction(net: Network) -> MimickingResult:
         size_bound=bound,
         within_size_bound=result.n <= bound,
     )
-    return MimickingResult(result, "component-contraction", cmap, union, stats)
+    return MimickingResult(result, "component-contraction", cmap, stats, cuts)
 
 
 def build_by_signature(net: Network) -> MimickingResult:
@@ -117,7 +146,6 @@ def build_by_signature(net: Network) -> MimickingResult:
         groups.setdefault(sig, []).append(v)
     cmap = ContractionMap(net, groups.values())
     contracted = contract(net, cmap)
-    union = frozenset().union(*(cut.cutset for cut in cuts))
     bound = _size_bound(net.k)
     stats = MimickingStats(
         vertices=contracted.n,
@@ -127,7 +155,7 @@ def build_by_signature(net: Network) -> MimickingResult:
         size_bound=bound,
         within_size_bound=contracted.n <= bound,
     )
-    return MimickingResult(contracted, "signature-merge", cmap, union, stats)
+    return MimickingResult(contracted, "signature-merge", cmap, stats, cuts)
 
 
 @dataclass(frozen=True)
@@ -168,15 +196,22 @@ def _check_pair(orig: Network, candidate: Network) -> None:
         raise InvalidTerminalCountError(f"need k >= 2 terminals, got {orig.k}")
 
 
+def verify_cuts(cuts: TerminalCuts, candidate: Network) -> VerificationReport:
+    """Compare every terminal bipartition cut value of ``candidate``, by a
+    fresh flow, with an original network's cut table, exactly."""
+    if cuts.k != candidate.k:
+        raise InvalidPairError(f"terminal counts differ: {cuts.k} vs {candidate.k}")
+    rows = []
+    for bp, cut in zip(enumerate_bipartitions(cuts.k), cuts):
+        b = min_separating_cut(candidate, bp).value
+        rows.append(VerificationRow(bp, cut.value, b, cut.value == b))
+    return VerificationReport(tuple(rows), None)
+
+
 def verify(orig: Network, candidate: Network) -> VerificationReport:
     """Compare every terminal bipartition cut value, exactly."""
     _check_pair(orig, candidate)
-    rows = []
-    for bp in enumerate_bipartitions(orig.k):
-        a = min_separating_cut(orig, bp).value
-        b = min_separating_cut(candidate, bp).value
-        rows.append(VerificationRow(bp, a, b, a == b))
-    return VerificationReport(tuple(rows), None)
+    return verify_cuts(terminal_cuts(orig), candidate)
 
 
 def disjoint_terminal_pairs(k: int) -> list[tuple[int, int]]:

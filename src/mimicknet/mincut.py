@@ -14,10 +14,9 @@ and on Python integers otherwise.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -54,93 +53,119 @@ class GapReport:
 
 
 class _Dinic:
-    __slots__ = ("n", "to", "cap", "adj", "level", "it")
+    """Dinic max flow on an undirected graph with integer capacities.
 
-    def __init__(self, n: int):
-        self.n = n
-        self.to: list[int] = []
-        self.cap: list[int] = []
-        self.adj: list[list[int]] = [[] for _ in range(n)]
+    Arc ``a`` runs to ``to[a]`` with residual capacity ``cap[a]`` (updated
+    in place); ``adj[v]`` lists the arcs leaving v, and arc ``a ^ 1`` is
+    the other direction of the same edge.  Every search is a loop over
+    plain lists (no recursion), so a path of any length fits.
+    """
 
-    def add_undirected(self, u: int, v: int, c: int) -> None:
-        self.adj[u].append(len(self.to))
-        self.to.append(v)
-        self.cap.append(c)
-        self.adj[v].append(len(self.to))
-        self.to.append(u)
-        self.cap.append(c)
+    __slots__ = ("n", "to", "cap", "adj")
 
-    def _bfs(self, s: int, t: int) -> bool:
-        self.level = [-1] * self.n
-        self.level[s] = 0
-        q = deque([s])
-        while q:
-            v = q.popleft()
-            for a in self.adj[v]:
-                if self.cap[a] > 0 and self.level[self.to[a]] < 0:
-                    self.level[self.to[a]] = self.level[v] + 1
-                    q.append(self.to[a])
-        return self.level[t] >= 0
+    def __init__(self, to: list[int], cap: list[int], adj: list[Sequence[int]]):
+        self.n, self.to, self.cap, self.adj = len(adj), to, cap, adj
 
-    def _dfs(self, v: int, t: int, f: int) -> int:
-        if v == t:
-            return f
-        while self.it[v] < len(self.adj[v]):
-            a = self.adj[v][self.it[v]]
-            w = self.to[a]
-            if self.cap[a] > 0 and self.level[w] == self.level[v] + 1:
-                d = self._dfs(w, t, min(f, self.cap[a]))
-                if d > 0:
-                    self.cap[a] -= d
-                    self.cap[a ^ 1] += d
-                    return d
-            self.it[v] += 1
-        return 0
+    def _levels(self, s: int, t: int) -> list[int]:
+        """Residual BFS distance from s (-1 if unreached).  Stops once t is
+        dequeued: every vertex closer than t has been expanded by then."""
+        to, cap, adj = self.to, self.cap, self.adj
+        level = [-1] * self.n
+        level[s] = 0
+        queue = [s]
+        for v in queue:
+            if v == t:
+                break
+            nxt = level[v] + 1
+            for a in adj[v]:
+                w = to[a]
+                if cap[a] and level[w] < 0:
+                    level[w] = nxt
+                    queue.append(w)
+        return level
 
     def max_flow(self, s: int, t: int) -> int:
+        to, cap, adj = self.to, self.cap, self.adj
         flow = 0
-        while self._bfs(s, t):
-            self.it = [0] * self.n
+        while True:
+            level = self._levels(s, t)
+            if level[t] < 0:
+                return flow
+            # blocking flow: ``path`` holds the arcs from s to v, ``it[v]``
+            # is v's current arc; arcs before it lead nowhere this phase
+            it = [0] * self.n
+            path: list[int] = []
+            v = s
             while True:
-                f = self._dfs(s, t, 1 << 300)
-                if f == 0:
+                if v == t:
+                    push = min([cap[a] for a in path])
+                    flow += push
+                    first_full = -1
+                    for i, a in enumerate(path):
+                        cap[a] -= push
+                        cap[a ^ 1] += push
+                        if first_full < 0 and not cap[a]:
+                            first_full = i
+                    # retreat to the tail of the first saturated arc
+                    del path[first_full:]
+                    v = to[path[-1]] if path else s
+                    continue
+                arcs = adj[v]
+                end = len(arcs)
+                i = it[v]
+                nxt = level[v] + 1
+                while i < end:
+                    a = arcs[i]
+                    if cap[a] and level[to[a]] == nxt:
+                        break
+                    i += 1
+                it[v] = i
+                if i < end:
+                    path.append(a)
+                    v = to[a]
+                elif path:
+                    # dead end: drop v from the level graph, back up one arc
+                    level[v] = -1
+                    v = to[path.pop() ^ 1]
+                    it[v] += 1
+                else:
                     break
-                flow += f
-        return flow
 
     def reachable_from(self, s: int) -> list[bool]:
+        """Vertices with a residual path from s."""
+        to, cap, adj = self.to, self.cap, self.adj
         seen = [False] * self.n
         seen[s] = True
-        q = deque([s])
-        while q:
-            v = q.popleft()
-            for a in self.adj[v]:
-                if self.cap[a] > 0 and not seen[self.to[a]]:
-                    seen[self.to[a]] = True
-                    q.append(self.to[a])
+        queue = [s]
+        for v in queue:
+            for a in adj[v]:
+                w = to[a]
+                if cap[a] and not seen[w]:
+                    seen[w] = True
+                    queue.append(w)
         return seen
 
     def reaching(self, t: int) -> list[bool]:
         """Vertices with a residual path into t."""
+        to, cap, adj = self.to, self.cap, self.adj
         seen = [False] * self.n
         seen[t] = True
-        q = deque([t])
-        while q:
-            v = q.popleft()
-            for a in self.adj[v]:
-                # twin arc to[a] -> v has residual capacity cap[a ^ 1]
-                if self.cap[a ^ 1] > 0 and not seen[self.to[a]]:
-                    seen[self.to[a]] = True
-                    q.append(self.to[a])
+        queue = [t]
+        for v in queue:
+            for a in adj[v]:
+                w = to[a]
+                # twin arc w -> v has residual capacity cap[a ^ 1]
+                if cap[a ^ 1] and not seen[w]:
+                    seen[w] = True
+                    queue.append(w)
         return seen
 
 
-@dataclass(frozen=True)
-class _FlowSolution:
-    value: Fraction
-    source_side: frozenset[int]
-    source_cutset: frozenset[int]
-    sink_cutset: frozenset[int]
+class _FlowSolution(NamedTuple):
+    """Canonical cut plus the residual network it was read from."""
+
+    cut: CutResult
+    residual: _Dinic
 
 
 def _solve_flow(net: Network, sources: Sequence[int], sinks: Sequence[int]) -> _FlowSolution:
@@ -149,31 +174,34 @@ def _solve_flow(net: Network, sources: Sequence[int], sinks: Sequence[int]) -> _
         raise InvalidParameterError("source and sink sets must be nonempty")
     if src & snk:
         raise InvalidParameterError(f"source/sink overlap: {sorted(src & snk)}")
+    # contract the sources into s and the sinks into t: their out-arcs
+    # move to s or t, and the arcs into them are redirected
     s, t = net.n, net.n + 1
-    vmap = [s if v in src else t if v in snk else v for v in range(net.n)]
-    d = _Dinic(net.n + 2)
-    den = net.cost_denominator
-    for e in net.edges:
-        a, b = vmap[e.u], vmap[e.v]
-        if a == b:
-            continue
-        d.add_undirected(a, b, e.cost.numerator * (den // e.cost.denominator))
+    head, cap, out = net.arcs()
+    to = list(head)
+    src_arcs = [a for q in src for a in out[q]]
+    snk_arcs = [a for q in snk for a in out[q]]
+    for a in src_arcs:
+        to[a ^ 1] = s
+    for a in snk_arcs:
+        to[a ^ 1] = t
+    d = _Dinic(to, list(cap), [*out, src_arcs, snk_arcs])
     scaled = d.max_flow(s, t)
-    value = Fraction(scaled, den)
 
-    from_s = d.reachable_from(s)
-    side = frozenset(v for v in range(net.n) if from_s[vmap[v]])
-    cutset_src = frozenset(
-        eid for eid, e in enumerate(net.edges) if from_s[vmap[e.u]] != from_s[vmap[e.v]]
-    )
-    to_t = d.reaching(t)
-    cutset_snk = frozenset(
-        eid for eid, e in enumerate(net.edges) if to_t[vmap[e.u]] != to_t[vmap[e.v]]
-    )
-    cut_cost = sum((net.edges[eid].cost for eid in cutset_src), Fraction(0))
-    if cut_cost != value:
-        raise InternalError(f"max-flow {value} differs from its cut cost {cut_cost}")
-    return _FlowSolution(value, side, cutset_src, cutset_snk)
+    in_side = d.reachable_from(s)[: net.n]
+    for q in src:
+        in_side[q] = True
+    # frozenset() of a set sizes its table to fit; from a generator it keeps
+    # the slack of incremental growth, which a table of every cut pays
+    side = frozenset({v for v in range(net.n) if in_side[v]})
+    cutset = frozenset({eid for eid, e in enumerate(net.edges) if in_side[e.u] != in_side[e.v]})
+    cut_cost = sum(net.scaled_costs[eid] for eid in cutset)
+    den = net.cost_denominator
+    if cut_cost != scaled:
+        raise InternalError(
+            f"max-flow {Fraction(scaled, den)} differs from its cut cost {Fraction(cut_cost, den)}"
+        )
+    return _FlowSolution(CutResult(Fraction(scaled, den), cutset, side), d)
 
 
 def min_separating_cut(net: Network, bp: Bipartition) -> CutResult:
@@ -185,8 +213,7 @@ def min_separating_cut(net: Network, bp: Bipartition) -> CutResult:
     """
     if bp.k != net.k:
         raise InvalidParameterError(f"bipartition is for k={bp.k}, network has k={net.k}")
-    sol = _solve_flow(net, bp.coside_vertices(net), bp.side_vertices(net))
-    return CutResult(sol.value, sol.source_cutset, sol.source_side)
+    return _solve_flow(net, bp.coside_vertices(net), bp.side_vertices(net)).cut
 
 
 def min_cut_between(net: Network, source_terminals: Iterable[int], sink_terminals: Iterable[int]) -> CutResult:
@@ -194,8 +221,7 @@ def min_cut_between(net: Network, source_terminals: Iterable[int], sink_terminal
     terminals are unconstrained."""
     src = [net.terminals[i] for i in source_terminals]
     snk = [net.terminals[i] for i in sink_terminals]
-    sol = _solve_flow(net, src, snk)
-    return CutResult(sol.value, sol.source_cutset, sol.source_side)
+    return _solve_flow(net, src, snk).cut
 
 
 def uniqueness_by_flow(net: Network, bp: Bipartition) -> bool:
@@ -204,7 +230,11 @@ def uniqueness_by_flow(net: Network, bp: Bipartition) -> bool:
     if bp.k != net.k:
         raise InvalidParameterError(f"bipartition is for k={bp.k}, network has k={net.k}")
     sol = _solve_flow(net, bp.coside_vertices(net), bp.side_vertices(net))
-    return sol.source_cutset == sol.sink_cutset
+    in_sink = sol.residual.reaching(net.n + 1)[: net.n]
+    for q in bp.side_vertices(net):
+        in_sink[q] = True
+    sink_cutset = frozenset(eid for eid, e in enumerate(net.edges) if in_sink[e.u] != in_sink[e.v])
+    return sol.cut.cutset == sink_cutset
 
 
 # --- exhaustive oracle ------------------------------------------------------
@@ -229,10 +259,9 @@ def _edge_tables(net: Network, bp: Bipartition):
     base = 0
     one_bit, one_flip, one_cost = [], [], []
     two_a, two_b, two_cost = [], [], []
-    for e in net.edges:
+    for e, c in zip(net.edges, net.scaled_costs):
         if e.u == e.v:
             continue
-        c = e.cost.numerator * (den // e.cost.denominator)
         su, sv = term_side.get(e.u), term_side.get(e.v)
         if su is not None and sv is not None:
             if su != sv:

@@ -41,7 +41,7 @@ class Network:
     Immutable after construction; safe to share across threads.
     """
 
-    __slots__ = ("n", "edges", "terminals", "cost_denominator")
+    __slots__ = ("n", "edges", "terminals", "cost_denominator", "scaled_costs", "_arcs")
 
     def __init__(self, n: int, edges: Iterable[tuple], terminals: Sequence[int]):
         if n <= 0:
@@ -61,7 +61,12 @@ class Network:
         self.n = n
         self.edges = tuple(edge_list)
         self.terminals = terms
-        self.cost_denominator = math.lcm(*(e.cost.denominator for e in edge_list)) if edge_list else 1
+        den = math.lcm(*(e.cost.denominator for e in edge_list)) if edge_list else 1
+        self.cost_denominator = den
+        # edge costs times the shared denominator: exact integers for flows,
+        # the oracle and the max-flow = cut-cost certificates
+        self.scaled_costs = tuple(e.cost.numerator * (den // e.cost.denominator) for e in edge_list)
+        self._arcs = None
 
     @property
     def k(self) -> int:
@@ -85,6 +90,23 @@ class Network:
         if len(costs) != self.m:
             raise InvalidParameterError("cost vector length mismatch")
         return Network(self.n, [(e.u, e.v, c) for e, c in zip(self.edges, costs)], self.terminals)
+
+    def arcs(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, ...], ...]]:
+        """Directed view of the multigraph: arc ``2*i`` runs along edge ``i``
+        from ``u`` to ``v`` and arc ``2*i + 1`` back (a self-loop gives two
+        arcs from its vertex to itself).  Returns the head and the scaled
+        cost of every arc, and each vertex's out-arcs in arc order.  Built
+        on first use."""
+        if self._arcs is None:
+            head = [0] * (2 * self.m)
+            out: list[list[int]] = [[] for _ in range(self.n)]
+            for i, e in enumerate(self.edges):
+                head[2 * i], head[2 * i + 1] = e.v, e.u
+                out[e.u].append(2 * i)
+                out[e.v].append(2 * i + 1)
+            cap = tuple(c for c in self.scaled_costs for _ in (0, 1))
+            self._arcs = (tuple(head), cap, tuple(map(tuple, out)))
+        return self._arcs
 
     def adjacency(self, removed_edges: frozenset[int] | set[int] = frozenset()) -> list[list[tuple[int, int]]]:
         """Adjacency lists of (neighbor, edge id), skipping removed edges."""

@@ -15,8 +15,8 @@ from fractions import Fraction
 from typing import Iterable
 
 from .errors import InvalidQueryError, ParseError
-from .mincut import min_separating_cut
-from .network import Network, enumerate_bipartitions
+from .mimick import terminal_cuts
+from .network import Network
 
 MAGIC = b"TCS1"
 WORD_BITS = 64
@@ -43,7 +43,7 @@ class TCStore:
 
 def preprocess(net: Network) -> TCStore:
     """Build the full cut-value table in canonical bipartition order."""
-    values = [min_separating_cut(net, bp).value for bp in enumerate_bipartitions(net.k)]
+    values = terminal_cuts(net).values
     den = math.lcm(*(v.denominator for v in values))
     scaled = tuple(v.numerator * (den // v.denominator) for v in values)
     return TCStore(net.k, tuple(net.terminals), den, scaled)

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from mimicknet import mincut
 from mimicknet.cli import main
 from mimicknet.fileio import load_network, parse_network
 from mimicknet.mincut import min_separating_cut
@@ -128,6 +129,46 @@ class TestExperiments:
     def test_tc_collision_small(self, capsys):
         assert run("experiment", "tc-collision", "--k", 6, "--samples", 5, "--seed", 7) == 0
         assert "PASS" in capsys.readouterr().out
+
+
+class TestFlowCounts:
+    """Each command solves the input network's 2**(k-1) - 1 flows once."""
+
+    @pytest.fixture()
+    def solved(self, monkeypatch):
+        networks = []
+        solve = mincut._solve_flow
+
+        def counting(net, sources, sinks):
+            networks.append(net)
+            return solve(net, sources, sinks)
+
+        monkeypatch.setattr(mincut, "_solve_flow", counting)
+        return networks
+
+    @pytest.fixture()
+    def net_file(self, tmp_path):
+        path = tmp_path / "rp.net"
+        assert run("gen", "random-planar", "--n", 30, "--k", 5, "--seed", 3, "-o", path) == 0
+        return path
+
+    @pytest.mark.parametrize("method", ["contract", "signature"])
+    def test_compress(self, tmp_path, net_file, solved, method):
+        out = tmp_path / "rp.mim"
+        assert run("compress", net_file, "--method", method, "-o", out) == 0
+        orig, _ = load_network(net_file)
+        mim, _ = load_network(out)
+        assert mim.n < orig.n
+        rows = 2 ** (orig.k - 1) - 1
+        assert sum(net == orig for net in solved) == rows
+        assert sum(net == mim for net in solved) == rows  # the verification flows
+        assert len(solved) == 2 * rows
+
+    def test_bounds(self, net_file, solved):
+        assert run("experiment", "bounds", "--input", net_file, "--seed", 0, "--pairs", 10) == 0
+        orig, _ = load_network(net_file)
+        assert len(solved) == 2 ** (orig.k - 1) - 1
+        assert all(net == orig for net in solved)
 
 
 class TestTC:

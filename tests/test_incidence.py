@@ -16,6 +16,7 @@ from mimicknet.incidence import (
 )
 from mimicknet.lowerbound import gen_bipartite, gen_grid
 from mimicknet import incidence
+from mimicknet.mimick import TerminalCuts
 from mimicknet.mincut import CutResult, global_gap
 from mimicknet.network import Network
 
@@ -37,8 +38,8 @@ class TestBuild:
         assert mat.values == (Fraction(1), Fraction(1), Fraction(1))
 
     def test_row_value_mismatch_raises(self, monkeypatch):
-        wrong = CutResult(Fraction(8), frozenset({0}), frozenset({0}))
-        monkeypatch.setattr(incidence, "min_separating_cut", lambda net, bp: wrong)
+        wrong = TerminalCuts(2, (CutResult(Fraction(8), frozenset({0}), frozenset({0})),))
+        monkeypatch.setattr(incidence, "terminal_cuts", lambda net: wrong)
         with pytest.raises(InternalError):
             build_incidence(Network(2, [(0, 1, 7)], [0, 1]))
 

@@ -10,7 +10,9 @@ from mimicknet.mimick import (
     build_by_signature,
     disjoint_terminal_pairs,
     terminal_cut_union,
+    terminal_cuts,
     verify,
+    verify_cuts,
     verify_generalized,
 )
 from mimicknet.mincut import min_separating_cut
@@ -126,6 +128,17 @@ class TestVerify:
         other = Network(3, [(0, 1, 1), (1, 2, 1)], [0, 1, 2])
         with pytest.raises(InvalidPairError):
             verify(PATH_35, other)
+        with pytest.raises(InvalidPairError):
+            verify_cuts(terminal_cuts(PATH_35), other)
+
+    def test_result_carries_the_input_table(self):
+        net, _ = random_planar_network(16, 4, seed=5)
+        table = terminal_cuts(net)
+        assert table.cuts == tuple(min_separating_cut(net, bp) for bp in enumerate_bipartitions(4))
+        for build in (build_by_contraction, build_by_signature):
+            res = build(net)
+            assert res.cuts == table
+            assert verify_cuts(res.cuts, res.network) == verify(net, res.network)
 
     def test_monotone_under_contraction(self):
         # contracting anything can only raise bipartition cut values

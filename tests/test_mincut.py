@@ -1,12 +1,17 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mimicknet import _kernels
 from mimicknet.errors import InternalError, OracleCapacityError
 from mimicknet.generate import random_planar_network
 from mimicknet.lowerbound import gen_bipartite, gen_grid
 from mimicknet.mincut import (
     _Dinic,
+    _edge_tables,
     gap,
     global_gap,
     min_cut_between,
@@ -67,6 +72,12 @@ class TestMinSeparatingCut:
         net = Network(2, [(0, 0, 100), (0, 1, 4)], [0, 1])
         cut = min_separating_cut(net, BP2)
         assert cut.value == 4 and cut.cutset == frozenset({1})
+
+    @pytest.mark.parametrize("n", [3000, 20000])
+    def test_long_path_needs_no_recursion(self, n):
+        net = Network(n, [(i, i + 1, 1) for i in range(n - 1)], [0, n - 1])
+        cut = min_separating_cut(net, BP2)
+        assert cut.value == 1 and cut.side == frozenset({0}) and cut.cutset == frozenset({0})
 
 
 class TestOracle:
@@ -184,3 +195,42 @@ class TestMinCutBetween:
             a = min_separating_cut(net, bp).value
             b = min_cut_between(net, bp.coside_indices(), bp.side_indices()).value
             assert a == b
+
+
+@st.composite
+def oracle_sized_networks(draw):
+    """Small multigraphs (parallel edges and self-loops likely, rational
+    costs on a coarse grid so ties occur) with n - k <= 10."""
+    k = draw(st.integers(2, 4))
+    n = k + draw(st.integers(0, 10))
+    m = draw(st.integers(0, 16))
+    edges = [
+        (
+            draw(st.integers(0, n - 1)),
+            draw(st.integers(0, n - 1)),
+            Fraction(draw(st.integers(1, 12)), draw(st.integers(1, 4))),
+        )
+        for _ in range(m)
+    ]
+    edges += draw(st.lists(st.sampled_from(edges), max_size=3)) if edges else []
+    terminals = draw(st.permutations(range(n)))[:k]
+    return Network(n, edges, terminals)
+
+
+@settings(max_examples=80, deadline=None)
+@given(oracle_sized_networks())
+def test_flow_properties_against_oracle(net):
+    for bp in enumerate_bipartitions(net.k):
+        res = oracle_enumeration(net, bp)
+        cut = min_separating_cut(net, bp)
+        assert cut.value == res.value
+        assert cut.cutset in res.min_cutsets
+        # every minimizing side assignment: a set bit puts that non-terminal
+        # on the bipartition's S side, i.e. the flow's sink side
+        nonterms, _, base, ones, twos = _edge_tables(net, bp)
+        values = _kernels.cut_values(1 << len(nonterms), base, *ones, *twos)
+        for mask in np.flatnonzero(values == values.min()).tolist():
+            source_side = set(bp.coside_vertices(net))
+            source_side.update(v for i, v in enumerate(nonterms) if not mask >> i & 1)
+            assert cut.side <= source_side
+        assert uniqueness_by_flow(net, bp) == (len(res.min_cutsets) == 1)
