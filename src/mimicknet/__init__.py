@@ -15,8 +15,8 @@ from .mincut import (
     CutResult,
     GapReport,
     gap,
+    min_cut_and_uniqueness,
     min_cut_between,
-    min_cut_oracle,
     min_separating_cut,
     uniqueness_by_flow,
 )
@@ -64,8 +64,8 @@ __all__ = [
     "enumerate_bipartitions",
     "faces_of_subgraph",
     "gap",
+    "min_cut_and_uniqueness",
     "min_cut_between",
-    "min_cut_oracle",
     "min_separating_cut",
     "perturb",
     "preprocess",

@@ -139,7 +139,3 @@ def load_network(path) -> tuple[Network, PlaneEmbedding | None]:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_network(fh.read())
 
-
-def save_network(path, net: Network, emb: PlaneEmbedding | None = None, comment: str | None = None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize_network(net, emb, comment))

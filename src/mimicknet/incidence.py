@@ -21,6 +21,7 @@ from .mincut import global_gap
 from .network import Network
 
 DEFAULT_RESOLUTION = 1 << 40
+MAX_RETRIES = 4
 
 
 @dataclass(frozen=True, eq=False)
@@ -38,9 +39,6 @@ class IncidenceMatrix:
     @property
     def cols(self) -> int:
         return self.bits.shape[1]
-
-    def row_cutset(self, i: int) -> frozenset[int]:
-        return frozenset(int(j) for j in np.flatnonzero(self.bits[i]))
 
     def same_bits(self, other: "IncidenceMatrix") -> bool:
         return self.bits.shape == other.bits.shape and bool(np.array_equal(self.bits, other.bits))
@@ -133,12 +131,16 @@ def incidence_from_text(text: str, k: int | None = None) -> IncidenceMatrix:
 
 @dataclass(frozen=True)
 class PerturbedNetwork:
+    """A validated perturbation; ``matrix`` is the perturbed network's
+    incidence matrix, whose bits equal the base network's."""
+
     base: Network
     network: Network
     w: tuple[Fraction, ...]
     seed: int
     gap: Fraction | None
     per_edge_bound: Fraction
+    matrix: IncidenceMatrix
 
 
 def _per_edge_bound(delta: Fraction | None, m: int) -> Fraction:
@@ -160,7 +162,6 @@ def perturb(
     seed: int,
     resolution: int = DEFAULT_RESOLUTION,
     delta=_UNSET,
-    max_retries: int = 4,
 ) -> PerturbedNetwork:
     """Random cost perturbation that provably preserves the incidence matrix.
 
@@ -178,12 +179,13 @@ def perturb(
     bound = _per_edge_bound(delta, net.m)
     base_mat = build_incidence(net)
     rng = random.Random(seed)
-    for _ in range(max_retries):
+    for _ in range(MAX_RETRIES):
         w = tuple(bound * rng.randrange(resolution) / resolution for _ in range(net.m))
         perturbed = net.with_costs([e.cost + we for e, we in zip(net.edges, w)])
-        if build_incidence(perturbed).same_bits(base_mat):
-            return PerturbedNetwork(net, perturbed, w, seed, delta, bound)
-    raise PerturbationFailedError(f"validation failed after {max_retries} resamples")
+        mat = build_incidence(perturbed)
+        if mat.same_bits(base_mat):
+            return PerturbedNetwork(net, perturbed, w, seed, delta, bound, mat)
+    raise PerturbationFailedError(f"validation failed after {MAX_RETRIES} resamples")
 
 
 @dataclass(frozen=True)
@@ -202,15 +204,13 @@ def rank_bound_experiment(net: Network, candidate_edge_count: int | None = None,
     """Perturb the costs and report the rank-based size bound: any network
     matching all terminal cut values of the perturbed instance needs at
     least rank(A) edges."""
-    mat = build_incidence(net)
-    r = rank(mat)
     pert = perturb(net, seed)
-    pert_values = tuple(build_incidence(pert.network).values)
+    r = rank(pert.matrix)
     feasible = None if candidate_edge_count is None else candidate_edge_count >= r
     return RankBoundReport(
         rank=r,
         edge_count=net.m,
-        perturbed_values=pert_values,
+        perturbed_values=pert.matrix.values,
         seed=seed,
         gap=pert.gap,
         candidate_edge_count=candidate_edge_count,

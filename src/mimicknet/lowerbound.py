@@ -26,7 +26,7 @@ from itertools import combinations
 
 from .errors import InvalidParameterError
 from .incidence import IncidenceMatrix, build_incidence, integer_rank
-from .mincut import gap, global_gap, min_separating_cut, oracle_enumeration, uniqueness_by_flow
+from .mincut import gap, global_gap, min_cut_and_uniqueness, oracle_enumeration
 from .network import Bipartition, Network
 from .planar import PlaneEmbedding
 
@@ -115,11 +115,10 @@ def verify_bipartite_lemma(
     for i in indices:
         subset = fam.subsets[i]
         bp = Bipartition.from_indices(fam.k, subset)
-        cut = min_separating_cut(net, bp)
+        cut, unique = min_cut_and_uniqueness(net, bp)
         expected_w = frozenset({fam.u_vertex(i)} | (set(range(fam.k)) - set(subset)))
         side = cut.side if 0 not in subset else frozenset(range(net.n)) - cut.side
         side_ok = side == expected_w
-        unique = uniqueness_by_flow(net, bp)
         sbar = set(range(fam.k)) - set(subset)
         ineq = _u_side_cost(fam, i, subset) < _u_side_cost(fam, i, sbar)
         for j in range(fam.l):
@@ -278,11 +277,10 @@ def verify_grid_lemma(fam: GridFamily, oracle: bool = False) -> GridLemmaReport:
     for i in range(1, fam.k):
         for j in range(1, fam.k):
             bp = Bipartition.from_mask(2 * fam.k, fam.subset_mask(i, j))
-            cut = min_separating_cut(net, bp)
+            cut, unique = min_cut_and_uniqueness(net, bp)
             expected = fam.expected_cut_value(i, j)
             side_ok = cut.side == fam.expected_side(i, j)
             cutset_ok = cut.cutset == fam.expected_cutset(i, j)
-            unique = uniqueness_by_flow(net, bp)
             oracle_ok = None
             if oracle:
                 res = oracle_enumeration(net, bp)
@@ -323,23 +321,21 @@ def verify_rank_bounds(fam: BipartiteFamily | GridFamily) -> RankReport:
     if isinstance(fam, BipartiteFamily):
         return RankReport("bipartite", fam.k, r, fam.l, r >= fam.l, None)
     bound = (fam.k - 1) ** 2
-    sub_ok = True
     rows = [
         Bipartition.from_mask(2 * fam.k, fam.subset_mask(i, j)).row_index
         for i in range(1, fam.k)
         for j in range(1, fam.k)
     ]
     side = fam.k - 1
+    # in this row and column order, the expected entries form a lower
+    # triangle with a unit diagonal
+    sub_ok = True
     for a, row in enumerate(rows):
         i, j = a // side + 1, a % side + 1
         for b in range(side * side):
             ic, jc = b // side + 1, b % side + 1
             expected = 1 if (jc == j and ic <= i) else 0
             if int(mat.bits[row, b]) != expected:
-                sub_ok = False
-            if b == a and int(mat.bits[row, b]) != 1:
-                sub_ok = False
-            if b > a and int(mat.bits[row, b]) != 0:
                 sub_ok = False
     return RankReport("grid", fam.k, r, bound, r >= bound, sub_ok)
 
@@ -390,9 +386,8 @@ def tc_collision_family(fam: BipartiteFamily, sample_count: int, seed: int) -> C
     """
     net = fam.network
     mat = build_incidence(net)
-    subset_rows = [
-        Bipartition.from_indices(fam.k, s).row_index for s in fam.subsets
-    ]
+    subset_bps = [Bipartition.from_indices(fam.k, s) for s in fam.subsets]
+    subset_rows = [bp.row_index for bp in subset_bps]
     columns = _independent_columns(mat, subset_rows, fam.l)
     if len(columns) < fam.l:
         raise InvalidParameterError("could not find enough independent columns")
@@ -400,8 +395,7 @@ def tc_collision_family(fam: BipartiteFamily, sample_count: int, seed: int) -> C
 
     family_gap = global_gap(net) or Fraction(0)
     row_gaps = []
-    for row in subset_rows:
-        bp = Bipartition(fam.k, (row + 1) * 2)
+    for bp in subset_bps:
         delta = gap(net, bp).delta
         if delta is not None:
             row_gaps.append(delta)

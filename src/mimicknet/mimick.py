@@ -64,11 +64,6 @@ def terminal_cuts(net: Network) -> TerminalCuts:
     return TerminalCuts(net.k, tuple(min_separating_cut(net, bp) for bp in enumerate_bipartitions(net.k)))
 
 
-def terminal_cut_union(net: Network) -> frozenset[int]:
-    """Union of the canonical minimum cutsets over all bipartitions."""
-    return terminal_cuts(net).union
-
-
 @dataclass(frozen=True)
 class MimickingStats:
     vertices: int

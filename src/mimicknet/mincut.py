@@ -42,14 +42,12 @@ class GapReport:
     """Gap between the two cheapest distinct cutsets for one bipartition.
 
     ``delta is None`` means no second cutset exists (the bipartition admits
-    a single cut); ``exhaustive`` records whether the numbers came from the
-    oracle or only the flow-based uniqueness test ran.
+    a single cut).
     """
 
     delta: Fraction | None
     second_best: Fraction | None
     unique: bool
-    exhaustive: bool
 
 
 class _Dinic:
@@ -204,6 +202,14 @@ def _solve_flow(net: Network, sources: Sequence[int], sinks: Sequence[int]) -> _
     return _FlowSolution(CutResult(Fraction(scaled, den), cutset, side), d)
 
 
+def _solve_bipartition(net: Network, bp: Bipartition) -> _FlowSolution:
+    """The one flow of a bipartition: its complement side (terminal 0's)
+    is the source, its S side the sink."""
+    if bp.k != net.k:
+        raise InvalidParameterError(f"bipartition is for k={bp.k}, network has k={net.k}")
+    return _solve_flow(net, bp.coside_vertices(net), bp.side_vertices(net))
+
+
 def min_separating_cut(net: Network, bp: Bipartition) -> CutResult:
     """Canonical minimum cut for one terminal bipartition.
 
@@ -211,9 +217,19 @@ def min_separating_cut(net: Network, bp: Bipartition) -> CutResult:
     terminal 0 (the super-source side); its terminal trace is the
     bipartition's complement side.
     """
-    if bp.k != net.k:
-        raise InvalidParameterError(f"bipartition is for k={bp.k}, network has k={net.k}")
-    return _solve_flow(net, bp.coside_vertices(net), bp.side_vertices(net)).cut
+    return _solve_bipartition(net, bp).cut
+
+
+def min_cut_and_uniqueness(net: Network, bp: Bipartition) -> tuple[CutResult, bool]:
+    """Canonical minimum cut plus whether it is the only minimum cut, both
+    read from one flow: the cutset is unique iff the source-minimal and
+    sink-minimal minimum cuts share it."""
+    sol = _solve_bipartition(net, bp)
+    in_sink = sol.residual.reaching(net.n + 1)[: net.n]
+    for q in bp.side_vertices(net):
+        in_sink[q] = True
+    sink_cutset = frozenset(eid for eid, e in enumerate(net.edges) if in_sink[e.u] != in_sink[e.v])
+    return sol.cut, sol.cut.cutset == sink_cutset
 
 
 def min_cut_between(net: Network, source_terminals: Iterable[int], sink_terminals: Iterable[int]) -> CutResult:
@@ -225,16 +241,8 @@ def min_cut_between(net: Network, source_terminals: Iterable[int], sink_terminal
 
 
 def uniqueness_by_flow(net: Network, bp: Bipartition) -> bool:
-    """True iff the source-minimal and sink-minimal minimum cuts share one
-    cutset, which is equivalent to the minimum cutset being unique."""
-    if bp.k != net.k:
-        raise InvalidParameterError(f"bipartition is for k={bp.k}, network has k={net.k}")
-    sol = _solve_flow(net, bp.coside_vertices(net), bp.side_vertices(net))
-    in_sink = sol.residual.reaching(net.n + 1)[: net.n]
-    for q in bp.side_vertices(net):
-        in_sink[q] = True
-    sink_cutset = frozenset(eid for eid, e in enumerate(net.edges) if in_sink[e.u] != in_sink[e.v])
-    return sol.cut.cutset == sink_cutset
+    """True iff the bipartition's minimum cutset is unique."""
+    return min_cut_and_uniqueness(net, bp)[1]
 
 
 # --- exhaustive oracle ------------------------------------------------------
@@ -318,30 +326,15 @@ def oracle_enumeration(net: Network, bp: Bipartition) -> OracleResult:
     )
 
 
-def min_cut_oracle(net: Network, bp: Bipartition) -> tuple[Fraction, frozenset[frozenset[int]]]:
-    """Exact minimum value and the set of ALL minimum cutsets."""
-    res = oracle_enumeration(net, bp)
-    return res.value, res.min_cutsets
-
-
-def gap(net: Network, bp: Bipartition, require_delta: bool = False) -> GapReport:
-    """Gap between the two cheapest distinct cutsets.
-
-    Within oracle capacity the gap is exact; beyond it only the flow-based
-    uniqueness flag is available (``delta`` stays None), unless
-    ``require_delta`` forces an error.
-    """
-    p = net.n - net.k
-    if p > ORACLE_CAPACITY:
-        if require_delta:
-            raise OracleCapacityError(f"n - k = {p} exceeds oracle capacity {ORACLE_CAPACITY}")
-        return GapReport(None, None, uniqueness_by_flow(net, bp), exhaustive=False)
+def gap(net: Network, bp: Bipartition) -> GapReport:
+    """Exact gap between the two cheapest distinct cutsets, from the
+    oracle (so ``OracleCapacityError`` beyond its capacity)."""
     res = oracle_enumeration(net, bp)
     if len(res.min_cutsets) > 1:
-        return GapReport(Fraction(0), res.value, False, exhaustive=True)
+        return GapReport(Fraction(0), res.value, False)
     if res.second_value is None:
-        return GapReport(None, None, True, exhaustive=True)
-    return GapReport(res.second_value - res.value, res.second_value, True, exhaustive=True)
+        return GapReport(None, None, True)
+    return GapReport(res.second_value - res.value, res.second_value, True)
 
 
 def global_gap(net: Network) -> Fraction | None:
@@ -349,7 +342,7 @@ def global_gap(net: Network) -> Fraction | None:
     None when no bipartition has more than one possible cutset)."""
     best: Fraction | None = None
     for bp in enumerate_bipartitions(net.k):
-        rep = gap(net, bp, require_delta=True)
+        rep = gap(net, bp)
         if not rep.unique:
             return Fraction(0)
         if rep.delta is not None and (best is None or rep.delta < best):

@@ -76,12 +76,6 @@ class Network:
     def m(self) -> int:
         return len(self.edges)
 
-    def terminal_index(self, vertex: int) -> int | None:
-        try:
-            return self.terminals.index(vertex)
-        except ValueError:
-            return None
-
     def total_cost(self) -> Fraction:
         return sum((e.cost for e in self.edges), Fraction(0))
 

@@ -16,7 +16,7 @@ from typing import Iterable
 
 from .errors import InvalidQueryError, ParseError
 from .mimick import terminal_cuts
-from .network import Network
+from .network import Bipartition, Network
 
 MAGIC = b"TCS1"
 WORD_BITS = 64
@@ -25,7 +25,6 @@ WORD_BITS = 64
 @dataclass(frozen=True)
 class TCStore:
     k: int
-    terminal_labels: tuple[int, ...]
     denominator: int
     scaled_values: tuple[int, ...]
 
@@ -46,7 +45,7 @@ def preprocess(net: Network) -> TCStore:
     values = terminal_cuts(net).values
     den = math.lcm(*(v.denominator for v in values))
     scaled = tuple(v.numerator * (den // v.denominator) for v in values)
-    return TCStore(net.k, tuple(net.terminals), den, scaled)
+    return TCStore(net.k, den, scaled)
 
 
 def query(store: TCStore, subset: Iterable[int]) -> Fraction:
@@ -61,9 +60,7 @@ def query(store: TCStore, subset: Iterable[int]) -> Fraction:
     full = (1 << store.k) - 1
     if mask == 0 or mask == full:
         raise InvalidQueryError("subset must be nonempty and proper")
-    if mask & 1:
-        mask ^= full
-    return store.value(mask // 2 - 1)
+    return store.value(Bipartition.from_mask(store.k, mask).row_index)
 
 
 @dataclass(frozen=True)
@@ -148,7 +145,7 @@ def deserialize(data: bytes) -> TCStore:
         values.append(v)
     if pos != len(data):
         raise ParseError(f"{len(data) - pos} trailing bytes")
-    store = TCStore(k, tuple(range(k)), den, tuple(values))
+    store = TCStore(k, den, tuple(values))
     if store.value_bits != value_bits:
         raise ParseError(f"header value bits {value_bits} differ from the stored values' {store.value_bits}")
     return store

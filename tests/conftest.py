@@ -1,5 +1,6 @@
 import pytest
 
+from mimicknet import mincut
 from mimicknet.generate import random_planar_network
 
 CAMPAIGN_SIZE = 200
@@ -25,3 +26,17 @@ def campaign():
         net, emb = random_planar_network(n, k, seed)
         instances.append((net, emb))
     return instances
+
+
+@pytest.fixture()
+def solved(monkeypatch):
+    """Every network handed to ``mincut._solve_flow``, one entry per flow."""
+    networks = []
+    solve = mincut._solve_flow
+
+    def counting(net, sources, sinks):
+        networks.append(net)
+        return solve(net, sources, sinks)
+
+    monkeypatch.setattr(mincut, "_solve_flow", counting)
+    return networks

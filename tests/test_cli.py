@@ -2,7 +2,6 @@ from fractions import Fraction
 
 import pytest
 
-from mimicknet import mincut
 from mimicknet.cli import main
 from mimicknet.fileio import load_network, parse_network
 from mimicknet.mincut import min_separating_cut
@@ -135,18 +134,6 @@ class TestFlowCounts:
     """Each command solves the input network's 2**(k-1) - 1 flows once."""
 
     @pytest.fixture()
-    def solved(self, monkeypatch):
-        networks = []
-        solve = mincut._solve_flow
-
-        def counting(net, sources, sinks):
-            networks.append(net)
-            return solve(net, sources, sinks)
-
-        monkeypatch.setattr(mincut, "_solve_flow", counting)
-        return networks
-
-    @pytest.fixture()
     def net_file(self, tmp_path):
         path = tmp_path / "rp.net"
         assert run("gen", "random-planar", "--n", 30, "--k", 5, "--seed", 3, "-o", path) == 0
@@ -169,6 +156,11 @@ class TestFlowCounts:
         orig, _ = load_network(net_file)
         assert len(solved) == 2 ** (orig.k - 1) - 1
         assert all(net == orig for net in solved)
+
+    def test_grid_lemma(self, solved):
+        # one flow per staircase cut, uniqueness read from the same residual
+        assert run("experiment", "grid-lemma", "--k", 4) == 0
+        assert len(solved) == 9
 
 
 class TestTC:

@@ -115,6 +115,7 @@ class TestPerturb:
             pert = perturb(net, seed=seed)
             mat = build_incidence(pert.network)
             assert mat.bits.tolist() == [[1, 0]]
+            assert pert.matrix.same_bits(mat) and pert.matrix.values == mat.values
 
     def test_deterministic_given_seed(self):
         net = Network(3, [(0, 1, 3), (1, 2, 5)], [0, 2])
@@ -169,6 +170,13 @@ class TestRankBoundExperiment:
         net, _ = star_network(4)  # pair splits tie at 2 vs 2
         with pytest.raises(NonUniqueCutsError):
             rank_bound_experiment(net, seed=6)
+
+    def test_one_flow_per_row_and_network(self, solved):
+        # the base matrix and the validated perturbed matrix, nothing more
+        net, _ = star_network(5)
+        rep = rank_bound_experiment(net, seed=0)
+        assert rep.rank == 5 and len(rep.perturbed_values) == 15
+        assert len(solved) == 30
 
     def test_bipartite_refused_nonunique(self):
         # the family's odd-size splits tie, so the uniqueness precondition fails

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from mimicknet import lowerbound
 from mimicknet.errors import InvalidParameterError
 from mimicknet.fileio import serialize_network
 from mimicknet.lowerbound import (
@@ -12,7 +13,7 @@ from mimicknet.lowerbound import (
     verify_grid_lemma,
     verify_rank_bounds,
 )
-from mimicknet.incidence import build_incidence
+from mimicknet.incidence import IncidenceMatrix, build_incidence
 from mimicknet.mincut import global_gap, min_separating_cut
 from mimicknet.network import Bipartition
 
@@ -120,6 +121,10 @@ class TestBipartiteLemma:
         assert len(rep.checked) == 10
         assert rep.ok
 
+    def test_one_flow_per_subset(self, solved):
+        assert verify_bipartite_lemma(gen_bipartite(6)).ok
+        assert len(solved) == 15
+
 
 class TestGridLemma:
     def test_k3_with_oracle(self):
@@ -133,6 +138,10 @@ class TestGridLemma:
         by_ij = {(r.i, r.j): r.value for r in rep.checked}
         assert by_ij[(2, 3)] == Fraction(637, 128)
         assert by_ij[(1, 1)] == Fraction(511, 256)
+
+    def test_one_flow_per_cut(self, solved):
+        assert verify_grid_lemma(gen_grid(5)).ok
+        assert len(solved) == 16
 
     def test_cutset_shape(self):
         fam = gen_grid(4)
@@ -157,6 +166,18 @@ class TestRankBounds:
         assert rep.rank >= bound
         assert rep.submatrix_ok
         assert rep.ok
+
+    @pytest.mark.parametrize("ic", [1, 2, 3])  # below, on and above the diagonal
+    def test_flipped_staircase_entry_fails(self, monkeypatch, ic):
+        fam = gen_grid(4)
+        mat = build_incidence(fam.network)
+        bits = mat.bits.copy()
+        row = Bipartition.from_mask(8, fam.subset_mask(2, 3)).row_index
+        bits[row, fam.horizontal_edge_id(ic, 3)] ^= 1
+        flipped = IncidenceMatrix(mat.k, bits, mat.values)
+        monkeypatch.setattr(lowerbound, "build_incidence", lambda net: flipped)
+        rep = verify_rank_bounds(fam)
+        assert rep.submatrix_ok is False and not rep.ok
 
 
 @pytest.fixture(scope="module")

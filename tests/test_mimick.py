@@ -9,7 +9,6 @@ from mimicknet.mimick import (
     build_by_contraction,
     build_by_signature,
     disjoint_terminal_pairs,
-    terminal_cut_union,
     terminal_cuts,
     verify,
     verify_cuts,
@@ -30,14 +29,14 @@ SINGLE = Network(2, [(0, 1, 3)], [0, 1])
 
 class TestCutUnion:
     def test_single_edge(self):
-        assert terminal_cut_union(SINGLE) == frozenset({0})
+        assert terminal_cuts(SINGLE).union == frozenset({0})
 
     def test_star3_all_edges(self):
         net = Network(4, [(0, 3, 1), (1, 3, 1), (2, 3, 1)], [0, 1, 2])
-        assert terminal_cut_union(net) == frozenset({0, 1, 2})
+        assert terminal_cuts(net).union == frozenset({0, 1, 2})
 
     def test_path_min_edge_only(self):
-        assert terminal_cut_union(PATH_35) == frozenset({0})
+        assert terminal_cuts(PATH_35).union == frozenset({0})
 
 
 class TestContractionBuild:

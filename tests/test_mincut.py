@@ -14,8 +14,8 @@ from mimicknet.mincut import (
     _edge_tables,
     gap,
     global_gap,
+    min_cut_and_uniqueness,
     min_cut_between,
-    min_cut_oracle,
     min_separating_cut,
     oracle_enumeration,
     uniqueness_by_flow,
@@ -82,14 +82,14 @@ class TestMinSeparatingCut:
 
 class TestOracle:
     def test_path(self):
-        value, cutsets = min_cut_oracle(PATH_35, BP2)
-        assert value == 3 and cutsets == frozenset({frozenset({0})})
+        res = oracle_enumeration(PATH_35, BP2)
+        assert res.value == 3 and res.min_cutsets == frozenset({frozenset({0})})
 
     def test_symmetric_cycle_lists_all(self):
         net = Network(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 0, 1)], [0, 2])
-        value, cutsets = min_cut_oracle(net, BP2)
-        assert value == 2
-        assert cutsets == frozenset(
+        res = oracle_enumeration(net, BP2)
+        assert res.value == 2
+        assert res.min_cutsets == frozenset(
             {frozenset({0, 3}), frozenset({1, 3}), frozenset({0, 2}), frozenset({1, 2})}
         )
 
@@ -97,26 +97,25 @@ class TestOracle:
         fam = gen_bipartite(6)
         subset = fam.subsets[2]
         bp = Bipartition.from_indices(6, subset)
-        value, cutsets = min_cut_oracle(fam.network, bp)
-        assert len(cutsets) == 1
+        res = oracle_enumeration(fam.network, bp)
+        assert len(res.min_cutsets) == 1
         expected_w = {fam.u_vertex(2)} | (set(range(6)) - set(subset))
         expected_cutset = frozenset(
             eid
             for eid, e in enumerate(fam.network.edges)
             if (e.u in expected_w) != (e.v in expected_w)
         )
-        assert cutsets == frozenset({expected_cutset})
-        assert min_separating_cut(fam.network, bp).value == value
+        assert res.min_cutsets == frozenset({expected_cutset})
+        assert min_separating_cut(fam.network, bp).value == res.value
 
     def test_capacity_limit(self):
         n = 26  # n - k = 24 > 22
         net = Network(n, [(i, i + 1, 1) for i in range(n - 1)], [0, n - 1])
         with pytest.raises(OracleCapacityError):
-            min_cut_oracle(net, BP2)
+            oracle_enumeration(net, BP2)
         with pytest.raises(OracleCapacityError):
-            gap(net, BP2, require_delta=True)
-        rep = gap(net, BP2)
-        assert rep.delta is None and rep.exhaustive is False and rep.unique is False
+            gap(net, BP2)
+        assert uniqueness_by_flow(net, BP2) is False
 
     @pytest.mark.parametrize("seed", range(8))
     def test_flow_agrees_with_oracle(self, seed):
@@ -136,9 +135,9 @@ class TestOracle:
             [(0, 1, huge), (1, 2, huge + 7), (1, 3, 3), (3, 2, huge - 1)],
             [0, 2],
         )
-        value, cutsets = min_cut_oracle(net, BP2)
-        assert value == huge  # cheapest: cut (0,1)
-        assert min_separating_cut(net, BP2).value == value
+        res = oracle_enumeration(net, BP2)
+        assert res.value == huge  # cheapest: cut (0,1)
+        assert min_separating_cut(net, BP2).value == res.value
         rep = gap(net, BP2)
         assert rep.unique and rep.delta == 10  # second best: {(1,2),(1,3)} = huge + 10
 
@@ -233,4 +232,6 @@ def test_flow_properties_against_oracle(net):
             source_side = set(bp.coside_vertices(net))
             source_side.update(v for i, v in enumerate(nonterms) if not mask >> i & 1)
             assert cut.side <= source_side
-        assert uniqueness_by_flow(net, bp) == (len(res.min_cutsets) == 1)
+        unique = len(res.min_cutsets) == 1
+        assert min_cut_and_uniqueness(net, bp) == (cut, unique)
+        assert uniqueness_by_flow(net, bp) == unique

@@ -5,7 +5,7 @@ import pytest
 from mimicknet.errors import InvalidEmbeddingError, NotACircuitError
 from mimicknet.generate import random_planar_network
 from mimicknet.lowerbound import gen_grid
-from mimicknet.mimick import terminal_cut_union
+from mimicknet.mimick import terminal_cuts
 from mimicknet.mincut import min_separating_cut
 from mimicknet.network import Network, connected_components, enumerate_bipartitions
 from mimicknet.planar import (
@@ -140,7 +140,7 @@ class TestFacesOfSubgraph:
     def test_component_correspondence_on_cut_unions(self, seed):
         net, emb = random_planar_network(13, 3, seed=500 + seed)
         dual = build_dual(emb)
-        union = terminal_cut_union(net)
+        union = terminal_cuts(net).union
         assert faces_of_subgraph(dual.embedding, union) == len(connected_components(net, union))
         one_cut = min_separating_cut(net, enumerate_bipartitions(3)[0]).cutset
         assert faces_of_subgraph(dual.embedding, one_cut) == len(connected_components(net, one_cut))

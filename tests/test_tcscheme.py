@@ -93,13 +93,13 @@ class TestSerialization:
             deserialize(blob)
 
     def test_header_value_bits_checked(self):
-        blob = bytearray(serialize(TCStore(3, (0, 1, 2), 1, (5, 6, 7))))
+        blob = bytearray(serialize(TCStore(3, 1, (5, 6, 7))))
         blob[8:12] = (999).to_bytes(4, "little")
         with pytest.raises(ParseError, match="value bits"):
             deserialize(bytes(blob))
 
     def test_large_values_varint(self):
-        store = TCStore(2, (0, 1), 1, (10**30,))
+        store = TCStore(2, 1, (10**30,))
         assert deserialize(serialize(store)).scaled_values == (10**30,)
 
 
@@ -109,17 +109,17 @@ class TestStorage:
         assert rep.entries == 1 and rep.words == 1 and rep.within_bound
 
     def test_k6_entry_count(self):
-        store = TCStore(6, tuple(range(6)), 1, tuple(range(1, 32)))
+        store = TCStore(6, 1, tuple(range(1, 32)))
         rep = storage_report(store)
         assert rep.entries == 31 and rep.words == 31 and rep.bound_words == 64
 
     def test_k10_entry_count(self):
-        store = TCStore(10, tuple(range(10)), 1, tuple(range(1, 512)))
+        store = TCStore(10, 1, tuple(range(1, 512)))
         rep = storage_report(store)
         assert rep.entries == 511 and rep.words == 511
         assert rep.within_bound  # 511 <= 1024
 
     def test_wide_values_word_accounting(self):
-        store = TCStore(2, (0, 1), 1, (1 << 100,))
+        store = TCStore(2, 1, (1 << 100,))
         rep = storage_report(store)
         assert rep.value_bits == 101 and rep.words == 2
