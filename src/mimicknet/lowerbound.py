@@ -19,6 +19,7 @@ small cost functions keep distinct cut-value vectors (the injectivity a
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,8 +27,8 @@ from itertools import combinations
 
 from .errors import InvalidParameterError
 from .incidence import IncidenceMatrix, build_incidence, integer_rank
-from .mincut import gap, global_gap, min_cut_and_uniqueness, oracle_enumeration
-from .network import Bipartition, Network
+from .mincut import _min_gap, gap, min_cut_and_uniqueness, oracle_enumeration
+from .network import Bipartition, Network, enumerate_bipartitions
 from .planar import PlaneEmbedding
 
 
@@ -393,13 +394,10 @@ def tc_collision_family(fam: BipartiteFamily, sample_count: int, seed: int) -> C
         raise InvalidParameterError("could not find enough independent columns")
     first_l = columns == list(range(fam.l))
 
-    family_gap = global_gap(net) or Fraction(0)
-    row_gaps = []
-    for bp in subset_bps:
-        delta = gap(net, bp).delta
-        if delta is not None:
-            row_gaps.append(delta)
-    min_row_gap = min(row_gaps)
+    # one oracle sweep per bipartition, shared by the global and row gaps
+    report = functools.cache(functools.partial(gap, net))
+    family_gap = _min_gap(map(report, enumerate_bipartitions(fam.k))) or Fraction(0)
+    min_row_gap = min(d for d in (report(bp).delta for bp in subset_bps) if d is not None)
     step = Fraction(1, 6 * fam.k * fam.k * fam.l)
     mass_ok = fam.l * step < min_row_gap
 

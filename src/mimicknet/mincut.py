@@ -166,7 +166,19 @@ class _FlowSolution(NamedTuple):
     residual: _Dinic
 
 
-def _solve_flow(net: Network, sources: Sequence[int], sinks: Sequence[int]) -> _FlowSolution:
+def _solve_flow(
+    net: Network,
+    sources: Sequence[int],
+    sinks: Sequence[int],
+    start: Sequence[int] | None = None,
+) -> _FlowSolution:
+    """Maximum flow from the sources to the sinks and its canonical cut.
+
+    ``start`` is the residual of an earlier flow on the same network (its
+    ``_Dinic.cap``); the default is the zero flow.  Residuals are indexed
+    by the network's own arcs, so any earlier flow stays feasible when
+    only the choice of sources and sinks changes, and Dinic augments from
+    it to a maximum flow."""
     src, snk = set(sources), set(sinks)
     if not src or not snk:
         raise InvalidParameterError("source and sink sets must be nonempty")
@@ -183,8 +195,11 @@ def _solve_flow(net: Network, sources: Sequence[int], sinks: Sequence[int]) -> _
         to[a ^ 1] = s
     for a in snk_arcs:
         to[a ^ 1] = t
-    d = _Dinic(to, list(cap), [*out, src_arcs, snk_arcs])
-    scaled = d.max_flow(s, t)
+    d = _Dinic(to, list(cap if start is None else start), [*out, src_arcs, snk_arcs])
+    # value of the start flow: arc a carries (cap[a ^ 1] - cap[a]) / 2, an
+    # integer; arcs between two sources (self-loops too) cancel in pairs
+    scaled = sum(d.cap[a ^ 1] - d.cap[a] for a in src_arcs) // 2
+    scaled += d.max_flow(s, t)
 
     in_side = d.reachable_from(s)[: net.n]
     for q in src:
@@ -340,9 +355,13 @@ def gap(net: Network, bp: Bipartition) -> GapReport:
 def global_gap(net: Network) -> Fraction | None:
     """Minimum gap over all bipartitions (0 when some minimum cut is tied;
     None when no bipartition has more than one possible cutset)."""
+    return _min_gap(gap(net, bp) for bp in enumerate_bipartitions(net.k))
+
+
+def _min_gap(reports: Iterable[GapReport]) -> Fraction | None:
+    """``global_gap`` of a sequence of reports; stops at the first tie."""
     best: Fraction | None = None
-    for bp in enumerate_bipartitions(net.k):
-        rep = gap(net, bp)
+    for rep in reports:
         if not rep.unique:
             return Fraction(0)
         if rep.delta is not None and (best is None or rep.delta < best):

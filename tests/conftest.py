@@ -34,9 +34,9 @@ def solved(monkeypatch):
     networks = []
     solve = mincut._solve_flow
 
-    def counting(net, sources, sinks):
+    def counting(net, sources, sinks, start=None):
         networks.append(net)
-        return solve(net, sources, sinks)
+        return solve(net, sources, sinks, start)
 
     monkeypatch.setattr(mincut, "_solve_flow", counting)
     return networks

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from mimicknet import lowerbound
+from mimicknet import lowerbound, mincut
 from mimicknet.errors import InvalidParameterError
 from mimicknet.fileio import serialize_network
 from mimicknet.lowerbound import (
@@ -202,6 +202,18 @@ class TestCollision:
         rep = tc_collision_family(fam, 5, seed=1)
         assert rep.gap == 0
         assert rep.min_subset_row_gap == Fraction(1, 3)
+
+    def test_one_oracle_sweep_per_bipartition(self, fam, monkeypatch):
+        swept = []
+        oracle = mincut.oracle_enumeration
+
+        def counting(net, bp):
+            swept.append(bp)
+            return oracle(net, bp)
+
+        monkeypatch.setattr(mincut, "oracle_enumeration", counting)
+        tc_collision_family(fam, 5, seed=1)
+        assert len(swept) == len(set(swept)) == 19
 
     def test_single_bit_functions_differ(self, fam):
         mat = build_incidence(fam.network)

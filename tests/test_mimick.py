@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from mimicknet.errors import InvalidPairError
+from mimicknet.errors import InternalError, InvalidPairError
 from mimicknet.generate import random_planar_network, star_network
+from mimicknet.lowerbound import gen_bipartite, gen_grid
 from mimicknet.mimick import (
     build_by_contraction,
     build_by_signature,
@@ -14,7 +15,7 @@ from mimicknet.mimick import (
     verify_cuts,
     verify_generalized,
 )
-from mimicknet.mincut import min_separating_cut
+from mimicknet.mincut import _Dinic, min_separating_cut
 from mimicknet.network import (
     ContractionMap,
     Network,
@@ -25,6 +26,30 @@ from mimicknet.network import (
 
 PATH_35 = Network(3, [(0, 1, 3), (1, 2, 5)], [0, 2])
 SINGLE = Network(2, [(0, 1, 3)], [0, 1])
+
+
+class TestTerminalCuts:
+    def test_walk_equals_cold_flows(self, campaign):
+        nets = [net for net, _ in campaign] + [gen_grid(4).network, gen_bipartite(6).network]
+        for net in nets:
+            cold = tuple(min_separating_cut(net, bp) for bp in enumerate_bipartitions(net.k))
+            assert terminal_cuts(net).cuts == cold
+
+    def test_warm_flow_value_mismatch_raises(self, monkeypatch):
+        # the first flow starts cold; every later one starts from the
+        # previous residual, and its value bookkeeping is certified too
+        max_flow = _Dinic.max_flow
+        calls = []
+
+        def off_by_one_when_warm(self, s, t):
+            calls.append((s, t))
+            return max_flow(self, s, t) + (len(calls) > 1)
+
+        monkeypatch.setattr(_Dinic, "max_flow", off_by_one_when_warm)
+        net, _ = random_planar_network(12, 3, seed=2)
+        with pytest.raises(InternalError):
+            terminal_cuts(net)
+        assert len(calls) == 2
 
 
 class TestCutUnion:

@@ -9,6 +9,7 @@ from mimicknet import _kernels
 from mimicknet.errors import InternalError, OracleCapacityError
 from mimicknet.generate import random_planar_network
 from mimicknet.lowerbound import gen_bipartite, gen_grid
+from mimicknet.mimick import terminal_cuts
 from mimicknet.mincut import (
     _Dinic,
     _edge_tables,
@@ -198,9 +199,10 @@ class TestMinCutBetween:
 
 @st.composite
 def oracle_sized_networks(draw):
-    """Small multigraphs (parallel edges and self-loops likely, rational
-    costs on a coarse grid so ties occur) with n - k <= 10."""
-    k = draw(st.integers(2, 4))
+    """Small multigraphs (parallel edges, self-loops, terminal-terminal
+    edges and disconnected pieces likely, rational costs on a coarse grid
+    so ties occur) with k <= 6 and n - k <= 10."""
+    k = draw(st.integers(2, 6))
     n = k + draw(st.integers(0, 10))
     m = draw(st.integers(0, 16))
     edges = [
@@ -235,3 +237,12 @@ def test_flow_properties_against_oracle(net):
         unique = len(res.min_cutsets) == 1
         assert min_cut_and_uniqueness(net, bp) == (cut, unique)
         assert uniqueness_by_flow(net, bp) == unique
+
+
+@settings(max_examples=150, deadline=None)
+@given(oracle_sized_networks())
+def test_terminal_cuts_equal_cold_flows(net):
+    # the warm-started Gray walk against one from-scratch flow per row
+    table = terminal_cuts(net)
+    for i, bp in enumerate(enumerate_bipartitions(net.k)):
+        assert table.cuts[i] == min_separating_cut(net, bp)
