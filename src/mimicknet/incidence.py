@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InternalError, NonUniqueCutsError, ParseError, PerturbationFailedError
+from .errors import InternalError, NonUniqueCutsError, PerturbationFailedError
 from .mimick import terminal_cuts
 from .mincut import global_gap
 from .network import Network
@@ -62,10 +62,17 @@ def build_incidence(net: Network) -> IncidenceMatrix:
 
 def integer_rank(rows: Sequence[Sequence[int]]) -> int:
     """Exact rank of an integer matrix via fraction-free elimination."""
+    return len(_pivot_columns(rows))
+
+
+def _pivot_columns(rows: Sequence[Sequence[int]]) -> list[int]:
+    """Pivot columns of a left-to-right fraction-free (Bareiss) elimination:
+    the lexicographically first set of linearly independent columns."""
     m = [list(int(x) for x in row) for row in rows]
     if not m or not m[0]:
-        return 0
+        return []
     nr, nc = len(m), len(m[0])
+    pivots: list[int] = []
     rank = 0
     prev = 1
     for col in range(nc):
@@ -74,6 +81,7 @@ def integer_rank(rows: Sequence[Sequence[int]]) -> int:
         piv = next((r for r in range(rank, nr) if m[r][col] != 0), None)
         if piv is None:
             continue
+        pivots.append(col)
         m[rank], m[piv] = m[piv], m[rank]
         pivot = m[rank][col]
         for r in range(rank + 1, nr):
@@ -85,45 +93,12 @@ def integer_rank(rows: Sequence[Sequence[int]]) -> int:
                 row_r[c] = (row_r[c] * pivot - factor * row_p[c]) // prev
         prev = pivot
         rank += 1
-    return rank
+    return pivots
 
 
 def rank(mat: IncidenceMatrix) -> int:
     """Exact rank of the incidence matrix over the rationals."""
     return integer_rank(mat.bits.tolist())
-
-
-# --- text export ------------------------------------------------------------
-
-
-def incidence_to_text(mat: IncidenceMatrix) -> str:
-    """Plain-text export: ``m ncols`` header, m rows of 0/1 digits, then m
-    ``num/den`` value lines."""
-    lines = [f"{mat.rows} {mat.cols}"]
-    for i in range(mat.rows):
-        lines.append("".join(str(int(b)) for b in mat.bits[i]))
-    for v in mat.values:
-        lines.append(f"{v.numerator}/{v.denominator}")
-    return "\n".join(lines) + "\n"
-
-
-def incidence_from_text(text: str, k: int | None = None) -> IncidenceMatrix:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    try:
-        m, ncols = map(int, lines[0].split())
-        bits = np.array(
-            [[int(ch) for ch in lines[1 + i]] for i in range(m)], dtype=np.uint8
-        ).reshape(m, ncols)
-        values = []
-        for i in range(m):
-            num, den = lines[1 + m + i].split("/")
-            values.append(Fraction(int(num), int(den)))
-    except (ValueError, IndexError) as exc:
-        raise ParseError(f"malformed incidence text: {exc}") from exc
-    if k is None:
-        k = (m + 1).bit_length()  # m = 2**(k-1) - 1
-    bits.flags.writeable = False
-    return IncidenceMatrix(k, bits, tuple(values))
 
 
 # --- perturbation -----------------------------------------------------------

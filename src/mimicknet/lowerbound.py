@@ -26,7 +26,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import InvalidParameterError
-from .incidence import IncidenceMatrix, build_incidence, integer_rank
+from .incidence import IncidenceMatrix, _pivot_columns, build_incidence, integer_rank
 from .mincut import _min_gap, gap, min_cut_and_uniqueness, oracle_enumeration
 from .network import Bipartition, Network, enumerate_bipartitions
 from .planar import PlaneEmbedding
@@ -365,15 +365,9 @@ class CollisionReport:
 
 
 def _independent_columns(mat: IncidenceMatrix, row_indices: list[int], count: int) -> list[int]:
-    selected: list[int] = []
-    for col in range(mat.cols):
-        cand = selected + [col]
-        rows = [[int(mat.bits[r, c]) for c in cand] for r in row_indices]
-        if integer_rank(rows) == len(cand):
-            selected.append(col)
-            if len(selected) == count:
-                break
-    return selected
+    """The first ``count`` columns, left to right, that are independent on
+    the given rows."""
+    return _pivot_columns(mat.bits[row_indices].tolist())[:count]
 
 
 def tc_collision_family(fam: BipartiteFamily, sample_count: int, seed: int) -> CollisionReport:
@@ -417,31 +411,18 @@ def tc_collision_family(fam: BipartiteFamily, sample_count: int, seed: int) -> C
         full_equal = pmat.same_bits(mat)
         return pmat.values, stable, full_equal
 
-    cache: dict[int, tuple] = {}
-
-    def lookup(bits: int):
-        if bits not in cache:
-            cache[bits] = values_for(bits)
-        return cache[bits]
-
+    # one result per distinct sampled pattern
+    results: dict[int, tuple[tuple[Fraction, ...], bool, bool]] = {}
     collisions = []
-    stable = True
-    full_changes = 0
-    seen_full: set[int] = set()
     for _ in range(sample_count):
         a = rng.randrange(space)
         b = rng.randrange(space)
         while b == a:
             b = rng.randrange(space)
-        va, sa, fa = lookup(a)
-        vb, sb, fb = lookup(b)
-        stable = stable and sa and sb
-        for bits, full_equal in ((a, fa), (b, fb)):
-            if bits not in seen_full:
-                seen_full.add(bits)
-                if not full_equal:
-                    full_changes += 1
-        if va == vb:
+        for bits in (a, b):
+            if bits not in results:
+                results[bits] = values_for(bits)
+        if results[a][0] == results[b][0]:
             collisions.append((a, b))
     return CollisionReport(
         k=fam.k,
@@ -454,6 +435,6 @@ def tc_collision_family(fam: BipartiteFamily, sample_count: int, seed: int) -> C
         total_mass_below_gap=mass_ok,
         pairs_checked=sample_count,
         collisions=tuple(collisions),
-        subset_rows_stable=stable,
-        full_matrix_changes=full_changes,
+        subset_rows_stable=all(stable for _, stable, _ in results.values()),
+        full_matrix_changes=sum(not full_equal for _, _, full_equal in results.values()),
     )

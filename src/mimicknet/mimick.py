@@ -129,20 +129,9 @@ def build_by_contraction(net: Network) -> MimickingResult:
     minor of the input; terminal-free components (only possible when the
     input is disconnected) are dropped."""
     cuts = terminal_cuts(net)
-    classes = connected_components(net, cuts.union)
-    cmap = ContractionMap(net, classes)
-    contracted = contract(net, cmap)
-    result, dropped = _drop_isolated_nonterminals(contracted)
-    bound = _size_bound(net.k)
-    stats = MimickingStats(
-        vertices=result.n,
-        edges=result.m,
-        class_count=len(classes),
-        dropped_classes=dropped,
-        size_bound=bound,
-        within_size_bound=result.n <= bound,
-    )
-    return MimickingResult(result, "component-contraction", cmap, stats, cuts)
+    cmap = ContractionMap(net, connected_components(net, cuts.union))
+    result, dropped = _drop_isolated_nonterminals(contract(net, cmap))
+    return _mimicking(net, cuts, "component-contraction", cmap, result, dropped)
 
 
 def build_by_signature(net: Network) -> MimickingResult:
@@ -155,17 +144,23 @@ def build_by_signature(net: Network) -> MimickingResult:
         sig = tuple(v in cut.side for cut in cuts)
         groups.setdefault(sig, []).append(v)
     cmap = ContractionMap(net, groups.values())
-    contracted = contract(net, cmap)
+    return _mimicking(net, cuts, "signature-merge", cmap, contract(net, cmap), 0)
+
+
+def _mimicking(
+    net: Network, cuts: TerminalCuts, construction: str, cmap: ContractionMap, result: Network, dropped: int
+) -> MimickingResult:
+    """A construction's output network with its stats."""
     bound = _size_bound(net.k)
     stats = MimickingStats(
-        vertices=contracted.n,
-        edges=contracted.m,
-        class_count=len(groups),
-        dropped_classes=0,
+        vertices=result.n,
+        edges=result.m,
+        class_count=len(cmap),
+        dropped_classes=dropped,
         size_bound=bound,
-        within_size_bound=contracted.n <= bound,
+        within_size_bound=result.n <= bound,
     )
-    return MimickingResult(contracted, "signature-merge", cmap, stats, cuts)
+    return MimickingResult(result, construction, cmap, stats, cuts)
 
 
 @dataclass(frozen=True)

@@ -129,31 +129,19 @@ class _Dinic:
                 else:
                     break
 
-    def reachable_from(self, s: int) -> list[bool]:
-        """Vertices with a residual path from s."""
+    def reach(self, root: int, into: bool = False) -> list[bool]:
+        """Vertices with a residual path from root, or into root when
+        ``into``."""
         to, cap, adj = self.to, self.cap, self.adj
+        # arc a runs v -> w; its twin a ^ 1 runs w -> v
+        flip = 1 if into else 0
         seen = [False] * self.n
-        seen[s] = True
-        queue = [s]
+        seen[root] = True
+        queue = [root]
         for v in queue:
             for a in adj[v]:
                 w = to[a]
-                if cap[a] and not seen[w]:
-                    seen[w] = True
-                    queue.append(w)
-        return seen
-
-    def reaching(self, t: int) -> list[bool]:
-        """Vertices with a residual path into t."""
-        to, cap, adj = self.to, self.cap, self.adj
-        seen = [False] * self.n
-        seen[t] = True
-        queue = [t]
-        for v in queue:
-            for a in adj[v]:
-                w = to[a]
-                # twin arc w -> v has residual capacity cap[a ^ 1]
-                if cap[a ^ 1] and not seen[w]:
+                if cap[a ^ flip] and not seen[w]:
                     seen[w] = True
                     queue.append(w)
         return seen
@@ -201,13 +189,13 @@ def _solve_flow(
     scaled = sum(d.cap[a ^ 1] - d.cap[a] for a in src_arcs) // 2
     scaled += d.max_flow(s, t)
 
-    in_side = d.reachable_from(s)[: net.n]
+    in_side = d.reach(s)[: net.n]
     for q in src:
         in_side[q] = True
     # frozenset() of a set sizes its table to fit; from a generator it keeps
     # the slack of incremental growth, which a table of every cut pays
     side = frozenset({v for v in range(net.n) if in_side[v]})
-    cutset = frozenset({eid for eid, e in enumerate(net.edges) if in_side[e.u] != in_side[e.v]})
+    cutset = _cutset(net, in_side)
     cut_cost = sum(net.scaled_costs[eid] for eid in cutset)
     den = net.cost_denominator
     if cut_cost != scaled:
@@ -215,6 +203,11 @@ def _solve_flow(
             f"max-flow {Fraction(scaled, den)} differs from its cut cost {Fraction(cut_cost, den)}"
         )
     return _FlowSolution(CutResult(Fraction(scaled, den), cutset, side), d)
+
+
+def _cutset(net: Network, in_side: Sequence[bool]) -> frozenset[int]:
+    """Ids of the edges with exactly one end on the side."""
+    return frozenset({eid for eid, e in enumerate(net.edges) if in_side[e.u] != in_side[e.v]})
 
 
 def _solve_bipartition(net: Network, bp: Bipartition) -> _FlowSolution:
@@ -240,11 +233,10 @@ def min_cut_and_uniqueness(net: Network, bp: Bipartition) -> tuple[CutResult, bo
     read from one flow: the cutset is unique iff the source-minimal and
     sink-minimal minimum cuts share it."""
     sol = _solve_bipartition(net, bp)
-    in_sink = sol.residual.reaching(net.n + 1)[: net.n]
+    in_sink = sol.residual.reach(net.n + 1, into=True)[: net.n]
     for q in bp.side_vertices(net):
         in_sink[q] = True
-    sink_cutset = frozenset(eid for eid, e in enumerate(net.edges) if in_sink[e.u] != in_sink[e.v])
-    return sol.cut, sol.cut.cutset == sink_cutset
+    return sol.cut, sol.cut.cutset == _cutset(net, in_sink)
 
 
 def min_cut_between(net: Network, source_terminals: Iterable[int], sink_terminals: Iterable[int]) -> CutResult:
@@ -303,16 +295,12 @@ def _edge_tables(net: Network, bp: Bipartition):
 
 
 def _crossing_cutset(net: Network, bp: Bipartition, nonterms: Sequence[int], mask: int) -> frozenset[int]:
-    bit_of = {v: i for i, v in enumerate(nonterms)}
-    side = set(bp.side_indices())
-    in_s = {}
+    in_s = [False] * net.n
     for i, t in enumerate(net.terminals):
-        in_s[t] = i in side
-    for v in nonterms:
-        in_s[v] = bool(mask >> bit_of[v] & 1)
-    return frozenset(
-        eid for eid, e in enumerate(net.edges) if e.u != e.v and in_s[e.u] != in_s[e.v]
-    )
+        in_s[t] = bool(bp.mask >> i & 1)
+    for i, v in enumerate(nonterms):
+        in_s[v] = bool(mask >> i & 1)
+    return _cutset(net, in_s)
 
 
 def _postprocess(values, net, bp, nonterms):

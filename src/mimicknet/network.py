@@ -92,29 +92,17 @@ class Network:
         cost of every arc, and each vertex's out-arcs in arc order.  Built
         on first use."""
         if self._arcs is None:
-            head = [0] * (2 * self.m)
+            # slice assignments: every new plane network in the generator
+            # builds these once
+            head, tail, cap = [0] * (2 * self.m), [0] * (2 * self.m), [0] * (2 * self.m)
+            head[1::2] = tail[0::2] = [e.u for e in self.edges]
+            head[0::2] = tail[1::2] = [e.v for e in self.edges]
+            cap[0::2] = cap[1::2] = self.scaled_costs
             out: list[list[int]] = [[] for _ in range(self.n)]
-            for i, e in enumerate(self.edges):
-                head[2 * i], head[2 * i + 1] = e.v, e.u
-                out[e.u].append(2 * i)
-                out[e.v].append(2 * i + 1)
-            cap = tuple(c for c in self.scaled_costs for _ in (0, 1))
-            self._arcs = (tuple(head), cap, tuple(map(tuple, out)))
+            for a, v in enumerate(tail):
+                out[v].append(a)
+            self._arcs = (tuple(head), tuple(cap), tuple(map(tuple, out)))
         return self._arcs
-
-    def adjacency(self, removed_edges: frozenset[int] | set[int] = frozenset()) -> list[list[tuple[int, int]]]:
-        """Adjacency lists of (neighbor, edge id), skipping removed edges."""
-        for eid in removed_edges:
-            if not (0 <= eid < self.m):
-                raise InvalidEdgeError(f"unknown edge id {eid}")
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
-        for eid, e in enumerate(self.edges):
-            if eid in removed_edges:
-                continue
-            adj[e.u].append((e.v, eid))
-            if e.u != e.v:
-                adj[e.v].append((e.u, eid))
-        return adj
 
     def __repr__(self) -> str:
         return f"Network(n={self.n}, m={self.m}, k={self.k})"
@@ -202,25 +190,25 @@ def enumerate_bipartitions(k: int) -> list[Bipartition]:
 def connected_components(net: Network, removed_edges: frozenset[int] | set[int] = frozenset()) -> list[frozenset[int]]:
     """Vertex sets of the maximal connected pieces of ``net`` minus the
     given edge ids.  Every vertex appears (isolated ones as singletons);
-    components are sorted by smallest member."""
-    adj = net.adjacency(removed_edges)
+    components are in order of smallest member."""
+    for eid in removed_edges:
+        if not (0 <= eid < net.m):
+            raise InvalidEdgeError(f"unknown edge id {eid}")
+    head, _, out = net.arcs()
     seen = [False] * net.n
     comps: list[frozenset[int]] = []
     for start in range(net.n):
         if seen[start]:
             continue
         seen[start] = True
-        stack = [start]
         comp = [start]
-        while stack:
-            v = stack.pop()
-            for w, _ in adj[v]:
-                if not seen[w]:
+        for v in comp:
+            for a in out[v]:
+                w = head[a]
+                if not seen[w] and a >> 1 not in removed_edges:
                     seen[w] = True
                     comp.append(w)
-                    stack.append(w)
         comps.append(frozenset(comp))
-    comps.sort(key=min)
     return comps
 
 

@@ -23,7 +23,7 @@ from .network import Network, connected_components
 class PlaneEmbedding:
     """Immutable rotation-system embedding of a network, validated genus 0."""
 
-    __slots__ = ("net", "rotations", "rotation_next", "faces", "face_of_dart")
+    __slots__ = ("net", "rotations", "rotation_next", "faces", "face_of_dart", "components")
 
     def __init__(self, net: Network, rotations: Sequence[Sequence[int]]):
         if len(rotations) != net.n:
@@ -58,6 +58,7 @@ class PlaneEmbedding:
             for d in orbit:
                 face_of[d] = f
         self.face_of_dart = tuple(face_of)
+        self.components = connected_components(net)
         self._check_genus()
 
     def _trace_faces(self) -> tuple[tuple[int, ...], ...]:
@@ -77,7 +78,8 @@ class PlaneEmbedding:
         return tuple(orbits)
 
     def _check_genus(self) -> None:
-        comps = connected_components(self.net)
+        """The Euler certificate: V - E + F = 2 on every component."""
+        comps = self.components
         comp_of = {}
         for ci, comp in enumerate(comps):
             for v in comp:
@@ -100,7 +102,7 @@ class PlaneEmbedding:
     def face_count(self) -> int:
         """Face count satisfying |V| - |E| + |F| = 1 + |CC| (outer faces of
         separate components merged)."""
-        return 1 + len(connected_components(self.net)) - self.net.n + self.net.m
+        return 1 + len(self.components) - self.net.n + self.net.m
 
     def __repr__(self) -> str:
         return f"PlaneEmbedding({self.net!r}, faces={self.face_count})"
@@ -131,7 +133,7 @@ class DualGraph:
 
 
 def build_dual(emb: PlaneEmbedding) -> DualGraph:
-    if len(connected_components(emb.net)) != 1:
+    if len(emb.components) != 1:
         raise InvalidEmbeddingError("dual construction needs a connected primal")
     face_of = emb.face_of_dart
     n_faces = max(len(emb.faces), 1)
@@ -146,83 +148,36 @@ def build_dual(emb: PlaneEmbedding) -> DualGraph:
     return DualGraph(emb, dual_net, dual_emb, face_of)
 
 
-def faces_of_subgraph(emb: PlaneEmbedding, edge_subset: Iterable[int]) -> int:
-    """Face count of the plane subgraph on the given edge ids (inherited
-    rotations, untouched vertices dropped, outer faces of the subgraph's
-    components merged).  Cross-checked against the Euler formula per
-    component; the empty subset reports one face by convention."""
-    subset = frozenset(edge_subset)
-    for eid in subset:
+def _subembedding(emb: PlaneEmbedding, edge_subset: Iterable[int]) -> PlaneEmbedding:
+    """The plane subgraph on the given edge ids: every vertex kept, the
+    kept edges renumbered in id order, rotations inherited.  It is
+    validated like any embedding, so its genus check certifies its faces."""
+    kept = sorted(set(edge_subset))
+    for eid in kept:
         if not (0 <= eid < emb.net.m):
             raise InvalidEdgeError(f"unknown edge id {eid}")
-    if not subset:
-        return 1
-
-    kept = lambda d: (d >> 1) in subset
-    sub_rot_next: dict[int, int] = {}
-    touched: list[int] = []
-    for v, rot in enumerate(emb.rotations):
-        sub = [d for d in rot if kept(d)]
-        if sub:
-            touched.append(v)
-            for i, d in enumerate(sub):
-                sub_rot_next[d] = sub[(i + 1) % len(sub)]
-
-    visited: set[int] = set()
-    orbits = []
-    for e in sorted(subset):
-        for start in (2 * e, 2 * e + 1):
-            if start in visited:
-                continue
-            orbit = []
-            d = start
-            while d not in visited:
-                visited.add(d)
-                orbit.append(d)
-                d = sub_rot_next[d ^ 1]
-            orbits.append(orbit)
-
-    comp_of = _subgraph_components(emb.net, subset, touched)
-    n_comps = max(comp_of.values()) + 1
-    v_count = [0] * n_comps
-    e_count = [0] * n_comps
-    f_count = [0] * n_comps
-    for v in touched:
-        v_count[comp_of[v]] += 1
-    for eid in subset:
-        e_count[comp_of[emb.net.edges[eid].u]] += 1
-    for orbit in orbits:
-        f_count[comp_of[dart_tail(emb.net, orbit[0])]] += 1
-    for ci in range(n_comps):
-        if v_count[ci] - e_count[ci] + f_count[ci] != 2:
-            raise InvalidEmbeddingError(
-                "face tracing disagrees with Euler formula "
-                f"(component {ci}: V={v_count[ci]} E={e_count[ci]} F={f_count[ci]})"
-            )
-    return len(orbits) - (n_comps - 1)
+    new_id = {eid: i for i, eid in enumerate(kept)}
+    sub = Network(emb.net.n, [emb.net.edges[eid] for eid in kept], terminals=())
+    rotations = [[2 * new_id[d >> 1] + (d & 1) for d in rot if d >> 1 in new_id] for rot in emb.rotations]
+    return PlaneEmbedding(sub, rotations)
 
 
-def _subgraph_components(net: Network, subset: frozenset[int], touched: Sequence[int]) -> dict[int, int]:
-    adj: dict[int, list[int]] = {v: [] for v in touched}
-    for eid in subset:
-        e = net.edges[eid]
-        adj[e.u].append(e.v)
-        adj[e.v].append(e.u)
-    comp_of: dict[int, int] = {}
-    ci = 0
-    for start in touched:
-        if start in comp_of:
-            continue
-        stack = [start]
-        comp_of[start] = ci
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w not in comp_of:
-                    comp_of[w] = ci
-                    stack.append(w)
-        ci += 1
-    return comp_of
+def faces_of_subgraph(emb: PlaneEmbedding, edge_subset: Iterable[int]) -> int:
+    """Face count of the plane subgraph on the given edge ids (inherited
+    rotations, outer faces of the subgraph's components merged); the empty
+    subset reports one face."""
+    return _subembedding(emb, edge_subset).face_count
+
+
+def _dual_degrees(dual: DualGraph, edge_ids: Iterable[int]) -> dict[int, int]:
+    """Degree of each dual vertex in the dual subgraph on the given edge ids
+    (vertices it does not touch are left out)."""
+    degrees: dict[int, int] = {}
+    for eid in edge_ids:
+        e = dual.dual.edges[eid]
+        degrees[e.u] = degrees.get(e.u, 0) + 1
+        degrees[e.v] = degrees.get(e.v, 0) + 1
+    return degrees
 
 
 @dataclass(frozen=True)
@@ -239,22 +194,15 @@ def dual_circuit_check(dual: DualGraph, primal_cutset: Iterable[int]) -> Circuit
     incident dual vertex has degree >= 2); degree-1 vertices signal a
     non-minimal cutset or an embedding bug."""
     subset = frozenset(primal_cutset)
-    for eid in subset:
-        if not (0 <= eid < dual.dual.m):
-            raise InvalidEdgeError(f"unknown edge id {eid}")
-    degrees: dict[int, int] = {}
-    for eid in subset:
-        e = dual.dual.edges[eid]
-        degrees[e.u] = degrees.get(e.u, 0) + 1
-        degrees[e.v] = degrees.get(e.v, 0) + 1
+    sub = _subembedding(dual.embedding, subset)
+    degrees = _dual_degrees(dual, subset)
     bad = [v for v, d in degrees.items() if d < 2]
     if bad:
         raise NotACircuitError(f"dual vertices of degree < 2: {sorted(bad)}")
     meeting = frozenset(v for v, d in degrees.items() if d > 2)
-    face_count = faces_of_subgraph(dual.embedding, subset) if subset else 1
-    comp_of = _subgraph_components(dual.dual, subset, sorted(degrees)) if subset else {}
-    n_comps = (max(comp_of.values()) + 1) if comp_of else 0
-    return CircuitReport(subset, degrees, meeting, face_count, n_comps)
+    # components of the subgraph, not counting the vertices it leaves bare
+    n_comps = len(sub.components) - (sub.net.n - len(degrees))
+    return CircuitReport(subset, degrees, meeting, sub.face_count, n_comps)
 
 
 @dataclass(frozen=True)
@@ -292,12 +240,7 @@ def check_component_bounds(
         union = es | et
         cc_union = len(connected_components(emb.net, union))
         union_ok = cc_union <= singles[0] + singles[1] + k
-        degrees: dict[int, int] = {}
-        for eid in union:
-            e = dual.dual.edges[eid]
-            degrees[e.u] = degrees.get(e.u, 0) + 1
-            degrees[e.v] = degrees.get(e.v, 0) + 1
-        meeting = sum(1 for d in degrees.values() if d > 2)
+        meeting = sum(1 for d in _dual_degrees(dual, union).values() if d > 2)
         meeting_ok = meeting <= 6 * k
     return BoundReport(
         k=k,

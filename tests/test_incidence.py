@@ -7,8 +7,6 @@ from mimicknet.errors import InternalError, NonUniqueCutsError
 from mimicknet.generate import random_planar_network, star_network
 from mimicknet.incidence import (
     build_incidence,
-    incidence_from_text,
-    incidence_to_text,
     integer_rank,
     perturb,
     rank,
@@ -85,19 +83,6 @@ class TestRank:
         assert integer_rank([[0, 0], [0, 0]]) == 0
         assert integer_rank([[2, 3, 5], [7, 11, 13], [9, 14, 19]]) == 3
         assert integer_rank([[1, 1, 0], [0, 0, 1], [1, 1, 1]]) == 2
-
-
-class TestExport:
-    def test_round_trip(self):
-        mat = build_incidence(gen_grid(3).network)
-        text = incidence_to_text(mat)
-        back = incidence_from_text(text)
-        assert back.same_bits(mat) and back.values == mat.values
-
-    def test_format_shape(self):
-        net = Network(2, [(0, 1, Fraction(7, 2))], [0, 1])
-        text = incidence_to_text(build_incidence(net))
-        assert text.splitlines() == ["1 1", "1", "7/2"]
 
 
 class TestPerturb:

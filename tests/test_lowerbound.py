@@ -1,5 +1,7 @@
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from mimicknet import lowerbound, mincut
@@ -229,3 +231,54 @@ class TestCollision:
             )
             new_values = build_incidence(w_net).values
             assert new_values != base_values
+
+
+def _fraction_rank(rows: list[list[int]]) -> int:
+    """Rank by Gauss-Jordan elimination over the rationals."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    r = 0
+    for c in range(len(m[0]) if m else 0):
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c] / m[r][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        r += 1
+    return r
+
+
+def _greedy_columns(bits: np.ndarray, rows: list[int], count: int) -> list[int]:
+    """Add each column, left to right, that raises the rank on the rows."""
+    selected: list[int] = []
+    for col in range(bits.shape[1]):
+        cand = selected + [col]
+        if _fraction_rank(bits[rows][:, cand].tolist()) == len(cand):
+            selected.append(col)
+            if len(selected) == count:
+                break
+    return selected
+
+
+class TestIndependentColumns:
+    def test_bipartite_subset_rows(self, fam):
+        mat = build_incidence(fam.network)
+        rows = [Bipartition.from_indices(fam.k, s).row_index for s in fam.subsets]
+        expected = _greedy_columns(mat.bits, rows, fam.l)
+        assert lowerbound._independent_columns(mat, rows, fam.l) == expected
+        assert len(expected) == fam.l
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_matrices(self, seed):
+        rng = random.Random(seed)
+        n_rows, n_cols = rng.randint(1, 9), rng.randint(1, 12)
+        density = rng.choice([0.2, 0.5, 0.8])
+        bits = np.array(
+            [[int(rng.random() < density) for _ in range(n_cols)] for _ in range(n_rows)], dtype=np.uint8
+        )
+        mat = IncidenceMatrix(2, bits, ())
+        rows = sorted(rng.sample(range(n_rows), rng.randint(1, n_rows)))
+        count = rng.randint(1, n_cols)
+        assert lowerbound._independent_columns(mat, rows, count) == _greedy_columns(bits, rows, count)

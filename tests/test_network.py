@@ -107,6 +107,21 @@ class TestConnectedComponents:
         comps = connected_components(net, removed)
         everything = [v for comp in comps for v in comp]
         assert sorted(everything) == list(range(net.n))
+        # union-find reference: same pieces, in order of smallest member
+        parent = list(range(net.n))
+
+        def find(v):
+            while parent[v] != v:
+                v = parent[v]
+            return v
+
+        for eid, e in enumerate(net.edges):
+            if eid not in removed:
+                parent[find(e.u)] = find(e.v)
+        pieces: dict[int, set[int]] = {}
+        for v in range(net.n):
+            pieces.setdefault(find(v), set()).add(v)
+        assert comps == sorted(map(frozenset, pieces.values()), key=min)
 
 
 class TestContract:

@@ -1,8 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from mimicknet.errors import InvalidEmbeddingError, NotACircuitError
+from mimicknet.errors import InvalidEdgeError, InvalidEmbeddingError, NotACircuitError
 from mimicknet.generate import random_planar_network
 from mimicknet.lowerbound import gen_grid
 from mimicknet.mimick import terminal_cuts
@@ -144,6 +145,20 @@ class TestFacesOfSubgraph:
         assert faces_of_subgraph(dual.embedding, union) == len(connected_components(net, union))
         one_cut = min_separating_cut(net, enumerate_bipartitions(3)[0]).cutset
         assert faces_of_subgraph(dual.embedding, one_cut) == len(connected_components(net, one_cut))
+        # the duality holds for every edge subset, not only cut unions
+        rng = random.Random(seed)
+        for _ in range(40):
+            density = rng.random()
+            subset = {e for e in range(net.m) if rng.random() < density}
+            assert faces_of_subgraph(dual.embedding, subset) == len(connected_components(net, subset))
+
+    def test_unknown_edge_id_raises(self):
+        _, emb = triangle()
+        for bad in ([3], [-1], [0, 7]):
+            with pytest.raises(InvalidEdgeError):
+                faces_of_subgraph(emb, bad)
+            with pytest.raises(InvalidEdgeError):
+                dual_circuit_check(build_dual(emb), bad)
 
 
 class TestCircuits:
