@@ -32,7 +32,7 @@ from .lowerbound import (
 )
 from .mimick import build_by_contraction, build_by_signature, verify, verify_cuts, verify_generalized
 from .network import enumerate_bipartitions
-from .planar import build_dual, check_component_bounds, faces_of_subgraph
+from .planar import _pair_bounds, build_dual, check_component_bounds, faces_of_subgraph
 from .tcscheme import deserialize, preprocess, query, serialize, storage_report
 
 FORMAT_VERSION = 1
@@ -217,8 +217,10 @@ def _experiment_bounds(args, rec: _Records) -> bool:
     result = build_by_contraction(net)
     cutsets = [cut.cutset for cut in result.cuts]
     ok = True
+    singles = []
     for bp, cutset in zip(bps, cutsets):
         rep = check_component_bounds(emb, dual, cutset)
+        singles.append(rep.cc_single[0])
         ok &= rep.ok
         rec.add(
             "single-cutset-components",
@@ -231,7 +233,7 @@ def _experiment_bounds(args, rec: _Records) -> bool:
     for _ in range(args.pairs):
         a = rng.randrange(len(bps))
         b = rng.randrange(len(bps))
-        rep = check_component_bounds(emb, dual, cutsets[a], cutsets[b])
+        rep = _pair_bounds(emb, dual, cutsets[a], cutsets[b], singles[a], singles[b])
         ok &= rep.ok
         rec.add(
             "two-cutset-components-and-meeting-vertices",

@@ -3,7 +3,8 @@
 Row ``i`` of the matrix marks the edges of the canonical minimum cut of the
 ``i``-th bipartition (canonical enumeration order); the companion value
 vector holds the exact cut values, and ``A . c = values`` is checked at
-build time.  Rank is computed fraction-free (Bareiss) over the integers.
+build time.  The exact rank comes from a modular elimination whose answer
+is certified over the integers (see ``_pivot_columns``).
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, isqrt, lcm, log2
 from typing import Sequence
 
 import numpy as np
@@ -61,44 +63,165 @@ def build_incidence(net: Network) -> IncidenceMatrix:
 
 
 def integer_rank(rows: Sequence[Sequence[int]]) -> int:
-    """Exact rank of an integer matrix via fraction-free elimination."""
+    """Exact rank of an integer matrix (certified modular elimination)."""
     return len(_pivot_columns(rows))
-
-
-def _pivot_columns(rows: Sequence[Sequence[int]]) -> list[int]:
-    """Pivot columns of a left-to-right fraction-free (Bareiss) elimination:
-    the lexicographically first set of linearly independent columns."""
-    m = [list(int(x) for x in row) for row in rows]
-    if not m or not m[0]:
-        return []
-    nr, nc = len(m), len(m[0])
-    pivots: list[int] = []
-    rank = 0
-    prev = 1
-    for col in range(nc):
-        if rank >= nr:
-            break
-        piv = next((r for r in range(rank, nr) if m[r][col] != 0), None)
-        if piv is None:
-            continue
-        pivots.append(col)
-        m[rank], m[piv] = m[piv], m[rank]
-        pivot = m[rank][col]
-        for r in range(rank + 1, nr):
-            factor = m[r][col]
-            if factor == 0 and pivot == prev:
-                continue
-            row_r, row_p = m[r], m[rank]
-            for c in range(col, nc):
-                row_r[c] = (row_r[c] * pivot - factor * row_p[c]) // prev
-        prev = pivot
-        rank += 1
-    return pivots
 
 
 def rank(mat: IncidenceMatrix) -> int:
     """Exact rank of the incidence matrix over the rationals."""
-    return integer_rank(mat.bits.tolist())
+    return integer_rank(mat.bits)
+
+
+# --- certified modular elimination -------------------------------------------
+
+# Primes below 2**31 keep residues in int32 and their products below 2**62.
+_FIRST_PRIME = (1 << 31) - 1
+# entries per temporary array in the elimination and the check, so the
+# peak memory stays a small multiple of the matrix
+_BLOCK = 1 << 14
+
+
+def _primes():
+    """The primes between 2**30 and 2**31, descending; the first one, a
+    Mersenne prime, is not tested (trial division would cost more than
+    eliminating a small matrix)."""
+    yield _FIRST_PRIME
+    for n in range(_FIRST_PRIME - 2, 1 << 30, -2):
+        if all(n % d for d in range(3, isqrt(n) + 1, 2)):
+            yield n
+
+
+def _integer_matrix(rows) -> np.ndarray:
+    """``rows`` as a 2-D integer array.  An ndarray is kept as it is when
+    int64 holds its dtype; anything else becomes int64, or an object array
+    of Python integers when some entry does not fit."""
+    if isinstance(rows, np.ndarray):
+        return rows if np.can_cast(rows.dtype, np.int64) else rows.astype(object)
+    try:
+        return np.array(rows, dtype=np.int64)
+    except OverflowError:
+        return np.array([[int(x) for x in row] for row in rows], dtype=object)
+
+
+def _rref_mod(a: np.ndarray, p: int) -> tuple[list[int], list[int], np.ndarray]:
+    """Pivot columns, non-pivot columns, and the nonzero rows of the reduced
+    row echelon form of ``a`` modulo the prime ``p`` restricted to its
+    non-pivot columns."""
+    # residues are stored in int32 and multiplied in int64; wider entries,
+    # Python integers among them, are reduced before they are narrowed
+    m = (a if np.can_cast(a.dtype, np.int32) else a % p).astype(np.int32)
+    m %= p
+    n_rows, n_cols = m.shape
+    pivots: list[int] = []
+    for col in range(n_cols):
+        r = len(pivots)
+        if r == n_rows:
+            break
+        nonzero = np.flatnonzero(m[r:, col])
+        if nonzero.size == 0:
+            continue
+        if nonzero[0]:
+            m[[r, r + nonzero[0]]] = m[[r + nonzero[0], r]]
+        # rows at and below r are zero left of col, so only col.. changes
+        pivot_row = m[r, col:].astype(np.int64) * pow(int(m[r, col]), -1, p) % p
+        m[r, col:] = pivot_row
+        others = np.flatnonzero(m[:, col])
+        others = others[others != r]
+        step = max(1, _BLOCK // (n_cols - col))
+        for start in range(0, others.size, step):
+            rows = others[start : start + step]
+            m[rows, col:] = (m[rows, col:] - m[rows, col, None].astype(np.int64) * pivot_row) % p
+        pivots.append(col)
+    free = sorted(set(range(n_cols)) - set(pivots))
+    return pivots, free, m[: len(pivots)][:, free]
+
+
+def _rational(u: int, modulus: int) -> tuple[int, int] | None:
+    """The fraction n/d with |n|, d <= sqrt(modulus/2) and n = u*d mod
+    modulus (Wang's rational reconstruction), or None; 0 maps to 0/1."""
+    bound = isqrt(modulus // 2)
+    r0, r1, t0, t1 = modulus, u, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    if t1 == 0 or abs(t1) > bound or gcd(r1, t1) != 1:
+        return None
+    return (r1, t1) if t1 > 0 else (-r1, -t1)
+
+
+def _certify(a: np.ndarray, pivots: list[int], free: list[int], residues: np.ndarray, modulus: int) -> bool:
+    """Lift ``residues`` (the RREF's non-pivot columns mod ``modulus``) to
+    integers Z over a common denominator d and check
+    ``a[:, free] * d == a[:, pivots] @ Z`` exactly: in int64 when a bound on
+    the entries rules out overflow, in Python integers otherwise."""
+    # sorted distinct residues; np.unique would import numpy.ma, about
+    # 1.3 MB of resident memory
+    flat = np.sort(residues, axis=None)
+    keep = np.ones(flat.size, dtype=bool)
+    keep[1:] = flat[1:] != flat[:-1]
+    values = flat[keep]
+    fractions = [_rational(int(v), modulus) for v in values]
+    if None in fractions:
+        return False
+    d = lcm(1, *(den for _, den in fractions))
+    scaled = [num * (d // den) for num, den in fractions]
+    a_max = max(int(a.max()), -int(a.min()))
+    z_max = max((abs(x) for x in scaled), default=0)
+    dtype = np.int64 if a_max * max(d, z_max * len(pivots)) < 1 << 63 else object
+    scaled = np.array(scaled, dtype=dtype)
+    a_pivots = a[:, pivots].astype(dtype)
+    step = max(1, _BLOCK // a.shape[0])
+    for s in range(0, len(free), step):
+        z = scaled[np.searchsorted(values, residues[:, s : s + step])]
+        if not np.array_equal(a[:, free[s : s + step]].astype(dtype) * d, a_pivots.dot(z)):
+            return False
+    return True
+
+
+def _prime_budget(a: np.ndarray) -> int:
+    """Primes after which the certificate must have passed.  Every RREF
+    entry is a ratio of minors of ``a``, each at most the Hadamard bound
+    H = prod max(1, |column|).  Primes above 2**30 that change the pivots
+    divide one such minor, so there are at most log2(H)/30 of them, and
+    reconstruction is exact once the good primes multiply past 2 H**2."""
+    sq = (a.astype(object) ** 2).sum(axis=0)
+    bits = sum(log2(s) / 2 for s in sq.tolist() if s > 1)
+    return 3 + int(3 * bits / 30)
+
+
+def _pivot_columns(rows: Sequence[Sequence[int]]) -> list[int]:
+    """Pivot columns of the rational RREF: the lexicographically first set
+    of linearly independent columns.
+
+    The RREF is computed modulo a 31-bit prime.  Its pivot minor is nonzero
+    mod p, hence nonzero over the integers, so the pivot columns P are
+    independent.  Its non-pivot columns N are lifted to rationals Z/d and
+    ``A[:, N] * d == A[:, P] @ Z`` is checked exactly; lifting keeps the
+    RREF's zeros, so each non-pivot column is certified to lie in the span
+    of the pivots to its left.  Together this proves that the rank is |P|
+    and that P is the greedy left-to-right basis.  If lifting or the check
+    fails, further primes with the best pivots (highest rank, then
+    lexicographically first) are combined by CRT until it passes.
+    """
+    a = _integer_matrix(rows)
+    if a.ndim != 2 or 0 in a.shape:
+        return []
+    best = residues = modulus = budget = None
+    for tried, p in enumerate(_primes(), start=1):
+        pivots, free, rref_free = _rref_mod(a, p)
+        if best is None or (-len(pivots), pivots) < (-len(best), best):
+            best, residues, modulus = pivots, rref_free, p
+        elif pivots == best:
+            # CRT: the residues mod modulus * p that agree with both
+            old = residues.astype(object)
+            step = (rref_free.astype(object) - old) * pow(modulus, -1, p) % p
+            residues, modulus = old + modulus * step, modulus * p
+        if pivots == best and _certify(a, best, free, residues, modulus):
+            return best
+        budget = budget or _prime_budget(a)
+        if tried >= budget:
+            raise InternalError(f"rank certificate failed after {tried} primes")
 
 
 # --- perturbation -----------------------------------------------------------

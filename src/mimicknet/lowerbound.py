@@ -25,8 +25,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
+
 from .errors import InvalidParameterError
-from .incidence import IncidenceMatrix, _pivot_columns, build_incidence, integer_rank
+from .incidence import IncidenceMatrix, _pivot_columns, build_incidence, rank
 from .mincut import _min_gap, gap, min_cut_and_uniqueness, oracle_enumeration
 from .network import Bipartition, Network, enumerate_bipartitions
 from .planar import PlaneEmbedding
@@ -318,7 +320,7 @@ def verify_rank_bounds(fam: BipartiteFamily | GridFamily) -> RankReport:
     (k-1)^2 staircase-rows x interior-horizontal-columns submatrix is also
     verified entrywise to be lower triangular with unit diagonal."""
     mat = build_incidence(fam.network)
-    r = integer_rank(mat.bits.tolist())
+    r = rank(mat)
     if isinstance(fam, BipartiteFamily):
         return RankReport("bipartite", fam.k, r, fam.l, r >= fam.l, None)
     bound = (fam.k - 1) ** 2
@@ -328,16 +330,11 @@ def verify_rank_bounds(fam: BipartiteFamily | GridFamily) -> RankReport:
         for j in range(1, fam.k)
     ]
     side = fam.k - 1
-    # in this row and column order, the expected entries form a lower
-    # triangle with a unit diagonal
-    sub_ok = True
-    for a, row in enumerate(rows):
-        i, j = a // side + 1, a % side + 1
-        for b in range(side * side):
-            ic, jc = b // side + 1, b % side + 1
-            expected = 1 if (jc == j and ic <= i) else 0
-            if int(mat.bits[row, b]) != expected:
-                sub_ok = False
+    # row (i, j) against column (ic, jc), both in row-major order, is 1
+    # exactly when jc == j and ic <= i: blocks eye(side) on and below the
+    # block diagonal, a lower triangle with a unit diagonal
+    expected = np.kron(np.tril(np.ones((side, side))), np.eye(side))
+    sub_ok = np.array_equal(mat.bits[rows][:, : side * side], expected)
     return RankReport("grid", fam.k, r, bound, r >= bound, sub_ok)
 
 
@@ -367,7 +364,7 @@ class CollisionReport:
 def _independent_columns(mat: IncidenceMatrix, row_indices: list[int], count: int) -> list[int]:
     """The first ``count`` columns, left to right, that are independent on
     the given rows."""
-    return _pivot_columns(mat.bits[row_indices].tolist())[:count]
+    return _pivot_columns(mat.bits[row_indices])[:count]
 
 
 def tc_collision_family(fam: BipartiteFamily, sample_count: int, seed: int) -> CollisionReport:

@@ -231,23 +231,28 @@ def check_component_bounds(
     at most 6k meeting vertices in the dual subgraph of the union."""
     k = emb.net.k
     es = frozenset(cutset_s)
-    singles = [len(connected_components(emb.net, es))]
-    cc_union = meeting = None
-    union_ok = meeting_ok = None
-    if cutset_t is not None:
-        et = frozenset(cutset_t)
-        singles.append(len(connected_components(emb.net, et)))
-        union = es | et
-        cc_union = len(connected_components(emb.net, union))
-        union_ok = cc_union <= singles[0] + singles[1] + k
-        meeting = sum(1 for d in _dual_degrees(dual, union).values() if d > 2)
-        meeting_ok = meeting <= 6 * k
+    cc_s = len(connected_components(emb.net, es))
+    if cutset_t is None:
+        return BoundReport(k, (cc_s,), None, None, cc_s <= k, None, None)
+    et = frozenset(cutset_t)
+    return _pair_bounds(emb, dual, es, et, cc_s, len(connected_components(emb.net, et)))
+
+
+def _pair_bounds(
+    emb: PlaneEmbedding, dual: DualGraph, es: frozenset[int], et: frozenset[int], cc_s: int, cc_t: int
+) -> BoundReport:
+    """``check_component_bounds`` for two cutsets whose own component
+    counts are already known: one search, on the union."""
+    k = emb.net.k
+    union = es | et
+    cc_union = len(connected_components(emb.net, union))
+    meeting = sum(1 for d in _dual_degrees(dual, union).values() if d > 2)
     return BoundReport(
         k=k,
-        cc_single=tuple(singles),
+        cc_single=(cc_s, cc_t),
         cc_union=cc_union,
         meeting_vertices=meeting,
-        single_ok=all(c <= k for c in singles),
-        union_ok=union_ok,
-        meeting_ok=meeting_ok,
+        single_ok=cc_s <= k and cc_t <= k,
+        union_ok=cc_union <= cc_s + cc_t + k,
+        meeting_ok=meeting <= 6 * k,
     )

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from mimicknet import planar
 from mimicknet.cli import main
 from mimicknet.fileio import load_network, parse_network
 from mimicknet.mincut import min_separating_cut
@@ -119,6 +120,23 @@ class TestExperiments:
         net_file = tmp_path / "rp.net"
         assert run("gen", "random-planar", "--n", 16, "--k", 3, "--seed", 2, "-o", net_file) == 0
         assert run("experiment", "bounds", "--input", net_file, "--seed", 0, "--pairs", 10) == 0
+
+    @pytest.mark.parametrize("pairs", [0, 30])
+    def test_bounds_one_search_per_cutset_and_pair(self, tmp_path, monkeypatch, pairs):
+        # searches with edges removed: one per cutset, then one per pair (the union)
+        net_file = tmp_path / "rp.net"
+        assert run("gen", "random-planar", "--n", 30, "--k", 5, "--seed", 3, "-o", net_file) == 0
+        searches = []
+        components = planar.connected_components
+
+        def counting(net, removed_edges=frozenset()):
+            if removed_edges:
+                searches.append(removed_edges)
+            return components(net, removed_edges)
+
+        monkeypatch.setattr(planar, "connected_components", counting)
+        assert run("experiment", "bounds", "--input", net_file, "--seed", 0, "--pairs", pairs) == 0
+        assert len(searches) == 2 ** (5 - 1) - 1 + pairs
 
     def test_bounds_needs_seed(self, tmp_path):
         net_file = tmp_path / "rp.net"

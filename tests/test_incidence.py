@@ -1,11 +1,17 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from _bareiss import bareiss_pivot_columns
 
 from mimicknet.errors import InternalError, NonUniqueCutsError
 from mimicknet.generate import random_planar_network, star_network
 from mimicknet.incidence import (
+    _pivot_columns,
     build_incidence,
     integer_rank,
     perturb,
@@ -83,6 +89,91 @@ class TestRank:
         assert integer_rank([[0, 0], [0, 0]]) == 0
         assert integer_rank([[2, 3, 5], [7, 11, 13], [9, 14, 19]]) == 3
         assert integer_rank([[1, 1, 0], [0, 0, 1], [1, 1, 1]]) == 2
+
+
+PRIME = (1 << 31) - 1  # the first prime of the modular elimination
+BIG_PRIME = (1 << 31) + 11  # a prime above every prime it uses
+
+# entries from 0/1 up to well past int64, negative ones included
+ENTRIES = st.one_of(
+    st.integers(0, 1),
+    st.integers(-3, 3),
+    st.integers(-(1 << 70), 1 << 70),
+    st.sampled_from([PRIME, -PRIME, BIG_PRIME, 1 << 63, -(1 << 63), (1 << 64) + 1]),
+)
+
+
+@st.composite
+def integer_matrices(draw):
+    """Tall, wide, empty and 0-column matrices; half of them are products
+    through an inner dimension below min(rows, cols), so rank-deficient."""
+    n_rows, n_cols = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    if n_rows and n_cols and draw(st.booleans()):
+        inner = draw(st.integers(0, min(n_rows, n_cols) - 1))
+        left = draw(st.lists(st.lists(st.integers(-3, 3), min_size=inner, max_size=inner), min_size=n_rows, max_size=n_rows))
+        right = draw(st.lists(st.lists(ENTRIES, min_size=n_cols, max_size=n_cols), min_size=inner, max_size=inner))
+        return [[sum(x * r[j] for x, r in zip(row, right)) for j in range(n_cols)] for row in left]
+    return draw(st.lists(st.lists(ENTRIES, min_size=n_cols, max_size=n_cols), min_size=n_rows, max_size=n_rows))
+
+
+class TestCertifiedRank:
+    """The modular elimination against the Bareiss reference."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(integer_matrices())
+    def test_matches_bareiss(self, rows):
+        expected = bareiss_pivot_columns(rows)
+        assert _pivot_columns(rows) == expected
+        assert integer_rank(rows) == len(expected)
+
+    @pytest.mark.parametrize(
+        "rows, pivots",
+        [
+            ([[PRIME]], [0]),  # vanishes mod the first prime
+            ([[PRIME, 1]], [0]),  # pivot {1} mod the first prime, {0} over Q
+            ([[BIG_PRIME, 1]], [0]),  # the RREF entry 1/BIG_PRIME needs CRT
+            ([[PRIME, 1], [2 * PRIME, 2]], [0]),
+            ([[PRIME, 0], [0, PRIME]], [0, 1]),
+            ([[1, 2], [2, 4]], [0]),
+            ([[0, 0], [0, 0]], []),
+            ([], []),
+            ([[]], []),
+            ([[], []], []),
+        ],
+    )
+    def test_known_pivots(self, rows, pivots):
+        assert bareiss_pivot_columns(rows) == pivots
+        assert _pivot_columns(rows) == pivots
+
+    def test_numpy_input(self):
+        bits = np.array([[1, 1, 0], [0, 0, 1], [1, 1, 1]], dtype=np.uint8)
+        assert _pivot_columns(bits) == [0, 2]
+        assert _pivot_columns(np.zeros((0, 4), dtype=np.uint8)) == []
+        assert _pivot_columns(np.array([[1 << 63]], dtype=np.uint64)) == [0]
+
+    @pytest.mark.parametrize(
+        "family, k", [("bipartite", 6), ("bipartite", 9)] + [("grid", k) for k in range(3, 8)]
+    )
+    def test_family_matrices(self, family, k):
+        fam = gen_bipartite(k) if family == "bipartite" else gen_grid(k)
+        mat = build_incidence(fam.network)
+        expected = bareiss_pivot_columns(mat.bits.tolist())
+        assert _pivot_columns(mat.bits) == expected
+        assert rank(mat) == len(expected)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_perturbed_matrices(self, seed):
+        net = gen_grid(3).network if seed == 3 else random_planar_network(10, 4, seed=500 + seed)[0]
+        pert = perturb(net, seed=seed)
+        expected = bareiss_pivot_columns(pert.matrix.bits.tolist())
+        assert _pivot_columns(pert.matrix.bits) == expected
+        assert rank(pert.matrix) == len(expected)
+
+    def test_rank_certificate_mismatch_raises(self, monkeypatch):
+        # a check that never passes must end in InternalError, not a rank
+        monkeypatch.setattr(incidence, "_certify", lambda *args: False)
+        with pytest.raises(InternalError):
+            integer_rank([[1, 2], [3, 4]])
 
 
 class TestPerturb:
