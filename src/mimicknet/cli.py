@@ -19,7 +19,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .errors import InvalidEmbeddingError, MimicknetError, ParseError
+from .errors import MimicknetError
 from .fileio import load_network, serialize_network
 from .generate import random_planar_network, star_network
 from .lowerbound import (
@@ -409,6 +409,8 @@ def _validate(args) -> None:
                 raise MimicknetError("experiment bounds requires --input")
             if args.seed is None:
                 raise MimicknetError("experiment bounds requires --seed")
+            if args.pairs < 0:
+                raise MimicknetError(f"--pairs must be >= 0, got {args.pairs}")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -417,10 +419,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _validate(args)
         return args.func(args)
-    except (ParseError, InvalidEmbeddingError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except MimicknetError as exc:
+    except (MimicknetError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

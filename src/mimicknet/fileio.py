@@ -38,7 +38,6 @@ def parse_network(text: str) -> tuple[Network, PlaneEmbedding | None]:
     terminals: list[int] | None = None
     edges: list[tuple[int, int, Fraction]] = []
     rotations: dict[int, list[int]] = {}
-    n_edges_declared = 0
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -55,7 +54,6 @@ def parse_network(text: str) -> tuple[Network, PlaneEmbedding | None]:
                 header = tuple(int(x) for x in fields[2:5])
             except ValueError as exc:
                 raise ParseError(f"line {lineno}: bad header numbers") from exc
-            n_edges_declared = header[1]
         elif tag == "t":
             if header is None:
                 raise ParseError(f"line {lineno}: 't' before header")
@@ -111,9 +109,7 @@ def parse_network(text: str) -> tuple[Network, PlaneEmbedding | None]:
 
     if not rotations:
         return net, None
-    rotation_lists = []
-    for v in range(n):
-        rotation_lists.append(rotations.pop(v, []))
+    rotation_lists = [rotations.pop(v, []) for v in range(n)]
     if rotations:
         raise ParseError(f"rotation lines for unknown vertices {sorted(rotations)}")
     return net, PlaneEmbedding(net, rotation_lists)

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .errors import InvalidParameterError
 from .network import Network
-from .planar import PlaneEmbedding, dart_head
+from .planar import PlaneEmbedding
 
 
 def _random_cost(rng: random.Random) -> Fraction:
@@ -38,6 +38,8 @@ def random_planar_network(
         raise InvalidParameterError(f"need n >= 2, got {n}")
     if not (2 <= k <= n):
         raise InvalidParameterError(f"need 2 <= k <= n, got k={k}, n={n}")
+    if extra_edges is not None and extra_edges < 0:
+        raise InvalidParameterError(f"need extra_edges >= 0, got {extra_edges}")
     rng = random.Random(seed)
 
     edges: list[tuple[int, int, Fraction]] = []
@@ -64,8 +66,8 @@ def random_planar_network(
             a = b = rng.randrange(len(orbit))
         else:
             a, b = rng.sample(range(len(orbit)), 2)
-        u = dart_head(net, orbit[a])
-        w = dart_head(net, orbit[b])
+        head = net.arcs()[0]
+        u, w = head[orbit[a]], head[orbit[b]]
         eid = len(edges)
         edges.append((u, w, _random_cost(rng)))
         rotations = [list(rot) for rot in emb.rotations]

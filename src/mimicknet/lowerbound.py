@@ -110,6 +110,8 @@ def verify_bipartite_lemma(
     minimum cut isolates exactly that subset's non-terminal with the
     complement terminals, uniquely, and that the proof's per-non-terminal
     cost comparisons hold numerically."""
+    if spot_check is not None and spot_check < 0:
+        raise InvalidParameterError(f"spot-check size must be >= 0, got {spot_check}")
     net = fam.network
     indices = list(range(fam.l))
     if spot_check is not None and spot_check < fam.l:
@@ -123,12 +125,9 @@ def verify_bipartite_lemma(
         side = cut.side if 0 not in subset else frozenset(range(net.n)) - cut.side
         side_ok = side == expected_w
         sbar = set(range(fam.k)) - set(subset)
-        ineq = _u_side_cost(fam, i, subset) < _u_side_cost(fam, i, sbar)
-        for j in range(fam.l):
-            if j == i:
-                continue
-            if not _u_side_cost(fam, j, subset) > _u_side_cost(fam, j, sbar):
-                ineq = False
+        ineq = _u_side_cost(fam, i, subset) < _u_side_cost(fam, i, sbar) and all(
+            _u_side_cost(fam, j, subset) > _u_side_cost(fam, j, sbar) for j in range(fam.l) if j != i
+        )
         records.append(BipartiteCutRecord(subset, cut.value, side_ok, unique, ineq))
     return BipartiteLemmaReport(fam.k, tuple(records))
 
@@ -376,6 +375,8 @@ def tc_collision_family(fam: BipartiteFamily, sample_count: int, seed: int) -> C
     perturbation mass) keep their cutsets; the full matrix may legitimately
     change at rows with tied minimum cuts, which this family has.
     """
+    if sample_count < 0:
+        raise InvalidParameterError(f"sample count must be >= 0, got {sample_count}")
     net = fam.network
     mat = build_incidence(net)
     subset_bps = [Bipartition.from_indices(fam.k, s) for s in fam.subsets]

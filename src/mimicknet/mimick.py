@@ -10,7 +10,7 @@ Two constructions:
 
 Both read one :class:`TerminalCuts` table, computed once per network, and
 preserve every terminal bipartition cut value exactly; ``verify`` and
-``verify_generalized`` check that by recomputation on the candidate.
+``verify_generalized`` check that against the candidate's own table.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Iterator
 
 from . import mincut
 from .errors import InvalidPairError, InvalidTerminalCountError
-from .mincut import CutResult, min_cut_between
+from .mincut import CutResult
 from .network import (
     Bipartition,
     ContractionMap,
@@ -187,35 +187,30 @@ class VerificationReport:
 
     @property
     def all_equal(self) -> bool:
-        if any(not r.equal for r in self.rows):
-            return False
-        if self.generalized is not None and any(not r.equal for r in self.generalized):
-            return False
-        return True
+        return all(r.equal for r in self.rows + (self.generalized or ()))
 
 
-def _check_pair(orig: Network, candidate: Network) -> None:
-    if orig.k != candidate.k:
-        raise InvalidPairError(f"terminal counts differ: {orig.k} vs {candidate.k}")
-    if orig.k < 2:
-        raise InvalidTerminalCountError(f"need k >= 2 terminals, got {orig.k}")
+def _check_pair(k: int, candidate: Network) -> None:
+    # k < 2 is rejected by terminal_cuts
+    if k != candidate.k:
+        raise InvalidPairError(f"terminal counts differ: {k} vs {candidate.k}")
+
+
+def _rows(k: int, orig: tuple[Fraction, ...], cand: tuple[Fraction, ...]) -> tuple[VerificationRow, ...]:
+    return tuple(VerificationRow(bp, a, b, a == b) for bp, a, b in zip(enumerate_bipartitions(k), orig, cand))
 
 
 def verify_cuts(cuts: TerminalCuts, candidate: Network) -> VerificationReport:
     """Compare every terminal bipartition cut value of ``candidate``, from
     its own freshly computed table, with an original network's cut table,
     exactly."""
-    if cuts.k != candidate.k:
-        raise InvalidPairError(f"terminal counts differ: {cuts.k} vs {candidate.k}")
-    rows = []
-    for bp, a, b in zip(enumerate_bipartitions(cuts.k), cuts.values, terminal_cuts(candidate).values):
-        rows.append(VerificationRow(bp, a, b, a == b))
-    return VerificationReport(tuple(rows), None)
+    _check_pair(cuts.k, candidate)
+    return VerificationReport(_rows(cuts.k, cuts.values, terminal_cuts(candidate).values), None)
 
 
 def verify(orig: Network, candidate: Network) -> VerificationReport:
     """Compare every terminal bipartition cut value, exactly."""
-    _check_pair(orig, candidate)
+    _check_pair(orig.k, candidate)
     return verify_cuts(terminal_cuts(orig), candidate)
 
 
@@ -223,24 +218,36 @@ def disjoint_terminal_pairs(k: int) -> list[tuple[int, int]]:
     """Unordered pairs of disjoint nonempty terminal-index masks whose union
     is not the whole terminal set (those coincide with plain bipartitions)."""
     full = (1 << k) - 1
-    pairs = []
-    for s in range(1, full):
-        for t in range(s + 1, full + 1):
-            if s & t or (s | t) == full:
-                continue
-            pairs.append((s, t))
-    return pairs
+    return [(s, t) for s in range(1, full) for t in range(s + 1, full) if not s & t and s | t != full]
+
+
+def _pair_value(k: int, values: tuple[Fraction, ...], s_mask: int, t_mask: int) -> Fraction:
+    """The least table value over the bipartitions that extend (S, T): the
+    free terminals' submasks ``sub`` join S, and each extension's row is its
+    canonical mask // 2 - 1."""
+    full = (1 << k) - 1
+    free = full & ~(s_mask | t_mask)
+    best, sub = None, free
+    while True:
+        mask = s_mask | sub
+        value = values[(mask ^ full if mask & 1 else mask) // 2 - 1]
+        if best is None or value < best:
+            best = value
+        if not sub:
+            return best
+        sub = (sub - 1) & free
 
 
 def verify_generalized(orig: Network, candidate: Network) -> VerificationReport:
     """Bipartition check plus minimum cuts separating every unordered pair
-    of disjoint terminal subsets (remaining terminals unconstrained)."""
-    base = verify(orig, candidate)
+    of disjoint terminal subsets (remaining terminals unconstrained), read
+    from the two tables with no flow per pair.  A pair's value is the least
+    value over its extensions to bipartitions: every S-T cut cuts one
+    extension, and each extension's minimum cut separates S from T."""
+    _check_pair(orig.k, candidate)
+    a, b = terminal_cuts(orig).values, terminal_cuts(candidate).values
     gen_rows = []
     for s_mask, t_mask in disjoint_terminal_pairs(orig.k):
-        s_idx = [i for i in range(orig.k) if s_mask >> i & 1]
-        t_idx = [i for i in range(orig.k) if t_mask >> i & 1]
-        a = min_cut_between(orig, s_idx, t_idx).value
-        b = min_cut_between(candidate, s_idx, t_idx).value
-        gen_rows.append(GeneralizedRow(s_mask, t_mask, a, b, a == b))
-    return VerificationReport(base.rows, tuple(gen_rows))
+        x, y = _pair_value(orig.k, a, s_mask, t_mask), _pair_value(orig.k, b, s_mask, t_mask)
+        gen_rows.append(GeneralizedRow(s_mask, t_mask, x, y, x == y))
+    return VerificationReport(_rows(orig.k, a, b), tuple(gen_rows))

@@ -45,6 +45,9 @@ class TestGen:
     def test_bad_params_exit_2(self):
         assert run("gen", "bipartite", "--k", 5) == 2
 
+    def test_negative_extra_edges_exit_2(self):
+        assert run("gen", "random-planar", "--n", 10, "--k", 3, "--seed", 1, "--extra-edges", -4) == 2
+
 
 class TestCompressVerify:
     @pytest.fixture()
@@ -143,6 +146,17 @@ class TestExperiments:
         run("gen", "random-planar", "--n", 10, "--k", 3, "--seed", 2, "-o", net_file)
         assert run("experiment", "bounds", "--input", net_file) == 2
 
+    def test_bounds_negative_pairs_exit_2(self, tmp_path):
+        net_file = tmp_path / "rp.net"
+        run("gen", "random-planar", "--n", 10, "--k", 3, "--seed", 2, "-o", net_file)
+        assert run("experiment", "bounds", "--input", net_file, "--seed", 0, "--pairs", -3) == 2
+
+    def test_negative_spot_check_exit_2(self):
+        assert run("experiment", "bipartite-lemma", "--k", 6, "--spot-check", -1, "--seed", 1) == 2
+
+    def test_negative_samples_exit_2(self):
+        assert run("experiment", "tc-collision", "--k", 6, "--samples", -1, "--seed", 7) == 2
+
     def test_tc_collision_small(self, capsys):
         assert run("experiment", "tc-collision", "--k", 6, "--samples", 5, "--seed", 7) == 0
         assert "PASS" in capsys.readouterr().out
@@ -174,6 +188,19 @@ class TestFlowCounts:
         orig, _ = load_network(net_file)
         assert len(solved) == 2 ** (orig.k - 1) - 1
         assert all(net == orig for net in solved)
+
+    def test_verify_generalized(self, tmp_path, net_file, solved):
+        # pair values come from the two tables, with no flow per pair
+        out = tmp_path / "rp.mim"
+        assert run("compress", net_file, "-o", out) == 0
+        solved.clear()
+        assert run("verify", net_file, out, "--generalized") == 0
+        orig, _ = load_network(net_file)
+        mim, _ = load_network(out)
+        rows = 2 ** (orig.k - 1) - 1
+        assert sum(net == orig for net in solved) == rows
+        assert sum(net == mim for net in solved) == rows
+        assert len(solved) == 2 * rows
 
     def test_grid_lemma(self, solved):
         # one flow per staircase cut, uniqueness read from the same residual

@@ -1,5 +1,7 @@
+import itertools
 import random
 from fractions import Fraction
+from math import isqrt
 
 import numpy as np
 import pytest
@@ -144,6 +146,15 @@ class TestCertifiedRank:
     def test_known_pivots(self, rows, pivots):
         assert bareiss_pivot_columns(rows) == pivots
         assert _pivot_columns(rows) == pivots
+
+    def test_primes_match_trial_division(self):
+        expected = []
+        for n in range((1 << 31) - 1, 1 << 30, -2):
+            if all(n % d for d in range(3, isqrt(n) + 1, 2)):
+                expected.append(n)
+                if len(expected) == 50:
+                    break
+        assert list(itertools.islice(incidence._primes(), 50)) == expected
 
     def test_numpy_input(self):
         bits = np.array([[1, 1, 0], [0, 0, 1], [1, 1, 1]], dtype=np.uint8)

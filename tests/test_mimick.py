@@ -210,6 +210,13 @@ class TestVerifyGeneralized:
         res = build_by_contraction(net)
         assert verify_generalized(net, res.network).all_equal
 
+    def test_one_table_per_network(self, solved):
+        net, _ = random_planar_network(14, 5, seed=1200)
+        res = build_by_contraction(net)
+        solved.clear()
+        assert verify_generalized(net, res.network).all_equal
+        assert len(solved) == 2 * 15
+
     def test_detects_generalized_mismatch(self):
         # triangle of terminals with a bonus vertex: candidate missing capacity
         net = Network(4, [(0, 1, 2), (1, 2, 2), (2, 0, 2), (0, 3, 1)], [0, 1, 2])

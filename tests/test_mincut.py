@@ -9,7 +9,7 @@ from mimicknet import _kernels
 from mimicknet.errors import InternalError, OracleCapacityError
 from mimicknet.generate import random_planar_network
 from mimicknet.lowerbound import gen_bipartite, gen_grid
-from mimicknet.mimick import terminal_cuts
+from mimicknet.mimick import terminal_cuts, verify_generalized
 from mimicknet.mincut import (
     _Dinic,
     _edge_tables,
@@ -198,11 +198,11 @@ class TestMinCutBetween:
 
 
 @st.composite
-def oracle_sized_networks(draw):
+def oracle_sized_networks(draw, k=None):
     """Small multigraphs (parallel edges, self-loops, terminal-terminal
     edges and disconnected pieces likely, rational costs on a coarse grid
-    so ties occur) with k <= 6 and n - k <= 10."""
-    k = draw(st.integers(2, 6))
+    so ties occur) with k <= 6, or the given k, and n - k <= 10."""
+    k = k or draw(st.integers(2, 6))
     n = k + draw(st.integers(0, 10))
     m = draw(st.integers(0, 16))
     edges = [
@@ -246,3 +246,15 @@ def test_terminal_cuts_equal_cold_flows(net):
     table = terminal_cuts(net)
     for i, bp in enumerate(enumerate_bipartitions(net.k)):
         assert table.cuts[i] == min_separating_cut(net, bp)
+
+
+@settings(max_examples=100, deadline=None)
+@given(oracle_sized_networks(), st.data())
+def test_generalized_rows_equal_cold_flows(net, data):
+    # pair values read from the two tables against one flow per pair
+    other = data.draw(oracle_sized_networks(net.k))
+    for row in verify_generalized(net, other).generalized:
+        s_idx = [i for i in range(net.k) if row.source_mask >> i & 1]
+        t_idx = [i for i in range(net.k) if row.sink_mask >> i & 1]
+        assert row.value_original == min_cut_between(net, s_idx, t_idx).value
+        assert row.value_candidate == min_cut_between(other, s_idx, t_idx).value

@@ -39,6 +39,11 @@ class TestEmbedding:
         with pytest.raises(InvalidEmbeddingError):
             PlaneEmbedding(net, [[0, 0], [1]])
 
+    def test_dart_out_of_range_rejected(self):
+        net = Network(2, [(0, 1, 1)], [0, 1])
+        with pytest.raises(InvalidEmbeddingError, match="vertex 1"):
+            PlaneEmbedding(net, [[0], [1, 2]])
+
     def test_missing_dart_rejected(self):
         net = Network(2, [(0, 1, 1)], [0, 1])
         with pytest.raises(InvalidEmbeddingError):
