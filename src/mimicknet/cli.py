@@ -397,8 +397,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _validate(args) -> None:
     if args.command == "gen":
-        if args.family == "random-planar" and args.n is None:
-            raise MimicknetError("gen random-planar requires --n")
+        if args.family == "random-planar":
+            if args.n is None:
+                raise MimicknetError("gen random-planar requires --n")
+        else:
+            for flag in ("n", "seed", "extra_edges"):
+                if getattr(args, flag) is not None:
+                    raise MimicknetError(f"gen {args.family} does not take --{flag.replace('_', '-')}")
     if args.command == "experiment":
         if args.name in ("bipartite-lemma", "grid-lemma", "rank", "tc-collision") and args.k is None:
             raise MimicknetError(f"experiment {args.name} requires --k")

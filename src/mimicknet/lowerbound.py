@@ -110,8 +110,8 @@ def verify_bipartite_lemma(
     minimum cut isolates exactly that subset's non-terminal with the
     complement terminals, uniquely, and that the proof's per-non-terminal
     cost comparisons hold numerically."""
-    if spot_check is not None and spot_check < 0:
-        raise InvalidParameterError(f"spot-check size must be >= 0, got {spot_check}")
+    if spot_check is not None and spot_check < 1:
+        raise InvalidParameterError(f"spot-check size must be >= 1, got {spot_check}")
     net = fam.network
     indices = list(range(fam.l))
     if spot_check is not None and spot_check < fam.l:
@@ -375,8 +375,8 @@ def tc_collision_family(fam: BipartiteFamily, sample_count: int, seed: int) -> C
     perturbation mass) keep their cutsets; the full matrix may legitimately
     change at rows with tied minimum cuts, which this family has.
     """
-    if sample_count < 0:
-        raise InvalidParameterError(f"sample count must be >= 0, got {sample_count}")
+    if sample_count < 1:
+        raise InvalidParameterError(f"sample count must be >= 1, got {sample_count}")
     net = fam.network
     mat = build_incidence(net)
     subset_bps = [Bipartition.from_indices(fam.k, s) for s in fam.subsets]

@@ -7,9 +7,12 @@ terminal 0 is inclusion-minimal, obtained as the residual-reachable set
 from the contracted super-source.
 
 Oracle route: exhaustive sweep over all side assignments of the
-non-terminal vertices (capacity ``n - k <= 22``) by the prefix-doubling
-kernel in :mod:`mimicknet._kernels`, on int64 when the scaled costs fit
-and on Python integers otherwise.
+non-terminal vertices (capacity ``n - k <= 22``) by the blocked kernel in
+:mod:`mimicknet._kernels`, on int64 when the scaled costs fit and on
+Python integers otherwise.  Each cache-sized block is reduced as it is
+made to the running minimum, its masks and the second distinct value, so
+no array of all 2**p values is built; cutsets are read only for the
+minimizing masks.
 """
 
 from __future__ import annotations
@@ -17,8 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
-
-import numpy as np
 
 from . import _kernels
 from .errors import InternalError, InvalidParameterError, OracleCapacityError
@@ -303,15 +304,6 @@ def _crossing_cutset(net: Network, bp: Bipartition, nonterms: Sequence[int], mas
     return _cutset(net, in_s)
 
 
-def _postprocess(values, net, bp, nonterms):
-    vmin = int(values.min())
-    min_masks = np.flatnonzero(values == vmin)
-    cutsets = frozenset(_crossing_cutset(net, bp, nonterms, int(m)) for m in min_masks)
-    above = values[values > vmin]
-    second = int(above.min()) if above.size else None
-    return vmin, cutsets, second
-
-
 def oracle_enumeration(net: Network, bp: Bipartition) -> OracleResult:
     """Exhaustive sweep over all 2**(n-k) consistent vertex bipartitions."""
     if bp.k != net.k:
@@ -320,11 +312,10 @@ def oracle_enumeration(net: Network, bp: Bipartition) -> OracleResult:
     if p > ORACLE_CAPACITY:
         raise OracleCapacityError(f"n - k = {p} exceeds oracle capacity {ORACLE_CAPACITY}")
     nonterms, den, base, ones, twos = _edge_tables(net, bp)
-    values = _kernels.cut_values(1 << p, base, *ones, *twos)
-    vmin, cutsets, second = _postprocess(values, net, bp, nonterms)
+    vmin, masks, second = _kernels.minimum(1 << p, base, *ones, *twos)
     return OracleResult(
         Fraction(vmin, den),
-        cutsets,
+        frozenset(_crossing_cutset(net, bp, nonterms, m) for m in masks),
         Fraction(second, den) if second is not None else None,
     )
 

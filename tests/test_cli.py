@@ -48,6 +48,14 @@ class TestGen:
     def test_negative_extra_edges_exit_2(self):
         assert run("gen", "random-planar", "--n", 10, "--k", 3, "--seed", 1, "--extra-edges", -4) == 2
 
+    @pytest.mark.parametrize(
+        "family, k, flag",
+        [("bipartite", 6, "--extra-edges"), ("grid", 3, "--n"), ("star", 4, "--seed")],
+    )
+    def test_random_planar_flags_rejected_for_fixed_families(self, capsys, family, k, flag):
+        assert run("gen", family, "--k", k, flag, 4) == 2
+        assert flag in capsys.readouterr().err
+
 
 class TestCompressVerify:
     @pytest.fixture()
@@ -156,6 +164,12 @@ class TestExperiments:
 
     def test_negative_samples_exit_2(self):
         assert run("experiment", "tc-collision", "--k", 6, "--samples", -1, "--seed", 7) == 2
+
+    def test_zero_spot_check_exit_2(self):
+        assert run("experiment", "bipartite-lemma", "--k", 6, "--spot-check", 0, "--seed", 1) == 2
+
+    def test_zero_samples_exit_2(self):
+        assert run("experiment", "tc-collision", "--k", 6, "--samples", 0, "--seed", 7) == 2
 
     def test_tc_collision_small(self, capsys):
         assert run("experiment", "tc-collision", "--k", 6, "--samples", 5, "--seed", 7) == 0
