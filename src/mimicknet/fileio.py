@@ -12,6 +12,12 @@ Edge ids are assigned in file order (0-based); dart end 0 is the first
 endpoint of the ``e`` line.  Rotation lines, when present, must cover every
 dart exactly once and describe a genus-zero embedding.  Serialization is
 canonical, so ``parse(serialize(x)) == x`` byte for byte.
+
+Parsing costs time and memory linear in the input: a header that declares
+more vertices than the input has bytes (UTF-8) raises ``ParseError``
+before anything is built for them.  A valid file names each vertex that
+has an edge, so this refuses only files of mostly isolated vertices, such
+as a 52-byte one whose header reads ``p mimick 200000 1 2``.
 """
 
 from __future__ import annotations
@@ -54,6 +60,8 @@ def parse_network(text: str) -> tuple[Network, PlaneEmbedding | None]:
                 header = tuple(int(x) for x in fields[2:5])
             except ValueError as exc:
                 raise ParseError(f"line {lineno}: bad header numbers") from exc
+            if header[0] > len(text) and header[0] > len(text.encode("utf-8")):
+                raise ParseError(f"line {lineno}: header declares n={header[0]}, more than the input's bytes")
         elif tag == "t":
             if header is None:
                 raise ParseError(f"line {lineno}: 't' before header")

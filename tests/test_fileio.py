@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from mimicknet.errors import InvalidEmbeddingError, ParseError
-from mimicknet.fileio import parse_network, serialize_network
+from mimicknet.fileio import load_network, parse_network, serialize_network
 from mimicknet.generate import random_planar_network, star_network
 from mimicknet.lowerbound import gen_bipartite, gen_grid
 
@@ -79,6 +79,24 @@ class TestErrors:
             parse_network(
                 "p mimick 2 1 2\nt 0 1\ne 0 1 1/1\nr 0 0:0\nr 0 0:1\n"
             )
+
+    def test_header_larger_than_input_raises(self, tmp_path):
+        path = tmp_path / "hostile.net"
+        path.write_bytes(b"p mimick 200000 1 2\nt 0 1\ne 0 1 1/1\nr 0 0:0\nr 1 0:1\n")
+        assert path.stat().st_size == 52
+        with pytest.raises(ParseError, match="n=200000"):
+            load_network(path)
+
+    def test_header_bound_is_the_input_length_in_bytes(self):
+        text = "p mimick 32 1 2\nt 0 1\ne 0 1 1/1\n"
+        assert len(text) == 32
+        net, _ = parse_network(text)
+        assert net.n == 32
+        with pytest.raises(ParseError):
+            parse_network(text.replace("32", "33"))
+        # two characters, four bytes: n may reach the byte count
+        net, _ = parse_network("c \u00e9\u00e9\n" + text.replace("32", "38"))
+        assert net.n == 38
 
 
 class TestDartConvention:
