@@ -66,14 +66,18 @@ def terminal_cuts(net: Network) -> TerminalCuts:
     from the previous one's residual (the reuse of Gallo, Grigoriadis and
     Tarjan's parametric max flow).  The canonical side is the set reachable
     from the source in the residual of any maximum flow, so the table
-    equals the one from-scratch flows would give."""
+    equals the one from-scratch flows would give.  The walk runs on the
+    exactly reduced graph (loops dropped, bundles merged, pendant trees
+    peeled), and each row is mapped back to the input's vertex and edge
+    ids with its cost certified."""
     if net.k < 2:
         raise InvalidTerminalCountError(f"need k >= 2 terminals, got {net.k}")
+    graph = mincut._reduce(net)
     cuts: list[CutResult | None] = [None] * ((1 << (net.k - 1)) - 1)
     residual = None
     for i in range(1, 1 << (net.k - 1)):
         bp = Bipartition(net.k, (i ^ (i >> 1)) << 1)
-        sol = mincut._solve_flow(net, bp.coside_vertices(net), bp.side_vertices(net), residual)
+        sol = mincut._solve_flow(graph, bp.coside_vertices(graph), bp.side_vertices(graph), residual)
         cuts[bp.row_index] = sol.cut
         residual = sol.residual.cap
     return TerminalCuts(net.k, tuple(cuts))

@@ -4,7 +4,8 @@ Flow route: Dinic over integer-scaled capacities (costs share a common
 denominator, so arithmetic is exact Python integers end to end).  The
 canonical minimum cut for a bipartition is the one whose side containing
 terminal 0 is inclusion-minimal, obtained as the residual-reachable set
-from the contracted super-source.
+from the contracted super-source.  A terminal-cut table is solved on the
+exactly reduced graph of :func:`_reduce` and mapped back row by row.
 
 Oracle route: exhaustive sweep over all side assignments of the
 non-terminal vertices (capacity ``n - k <= 22``) by the blocked kernel in
@@ -60,10 +61,11 @@ class _Dinic:
     plain lists (no recursion), so a path of any length fits.
     """
 
-    __slots__ = ("n", "to", "cap", "adj")
+    __slots__ = ("n", "to", "cap", "adj", "level")
 
     def __init__(self, to: list[int], cap: list[int], adj: list[Sequence[int]]):
         self.n, self.to, self.cap, self.adj = len(adj), to, cap, adj
+        self.level: list[int] = []
 
     def _levels(self, s: int, t: int) -> list[int]:
         """Residual BFS distance from s (-1 if unreached).  Stops once t is
@@ -84,10 +86,13 @@ class _Dinic:
         return level
 
     def max_flow(self, s: int, t: int) -> int:
+        """Augments to a maximum flow and returns the value it added.  The
+        last level BFS, which found t unreachable, stays in ``level``: it
+        holds every vertex residual-reachable from s."""
         to, cap, adj = self.to, self.cap, self.adj
         flow = 0
         while True:
-            level = self._levels(s, t)
+            self.level = level = self._levels(s, t)
             if level[t] < 0:
                 return flow
             # blocking flow: ``path`` holds the arcs from s to v, ``it[v]``
@@ -130,22 +135,131 @@ class _Dinic:
                 else:
                     break
 
-    def reach(self, root: int, into: bool = False) -> list[bool]:
-        """Vertices with a residual path from root, or into root when
-        ``into``."""
+    def reach(self, root: int) -> list[bool]:
+        """Vertices with a residual path into root: with root the sink, the
+        side of the sink-minimal minimum cut."""
         to, cap, adj = self.to, self.cap, self.adj
-        # arc a runs v -> w; its twin a ^ 1 runs w -> v
-        flip = 1 if into else 0
         seen = [False] * self.n
         seen[root] = True
         queue = [root]
         for v in queue:
             for a in adj[v]:
                 w = to[a]
-                if cap[a ^ flip] and not seen[w]:
+                # arc a runs v -> w; its twin a ^ 1 runs w -> v
+                if cap[a ^ 1] and not seen[w]:
                     seen[w] = True
                     queue.append(w)
         return seen
+
+
+class _Reduced:
+    """A network with what no minimum cut can use taken out: self-loops
+    dropped, each parallel bundle merged into one edge whose capacity is
+    the bundle's summed scaled cost, and pendant non-terminal trees peeled
+    into the vertex they hang from.  Vertex ``r`` stands for the input
+    vertices ``groups[r]`` and edge ``j`` for the input edges
+    ``bundles[j]``; ``arcs()`` has the layout of :meth:`Network.arcs`."""
+
+    __slots__ = ("net", "n", "terminals", "cost_denominator", "groups", "bundles", "_arcs")
+
+    def __init__(self, net: Network, terminals: tuple[int, ...], groups: list[list[int]], bundles, arcs):
+        self.net, self.n, self.terminals = net, len(groups), terminals
+        self.cost_denominator = net.cost_denominator
+        self.groups, self.bundles, self._arcs = groups, bundles, arcs
+
+    def arcs(self):
+        return self._arcs
+
+    def lift(self, scaled: int, side: Iterable[int], crossing: Iterable[int]) -> CutResult:
+        """The input network's cut for a reduced side and its crossing
+        arcs, certified by the input's own costs."""
+        groups, bundles = self.groups, self.bundles
+        cutset = frozenset({eid for a in crossing for eid in bundles[a >> 1]})
+        cost = sum(self.net.scaled_costs[eid] for eid in cutset)
+        den = self.cost_denominator
+        if cost != scaled:
+            raise InternalError(
+                f"reduced cut {Fraction(scaled, den)} maps back to cost {Fraction(cost, den)}"
+            )
+        return CutResult(Fraction(scaled, den), cutset, frozenset({v for r in side for v in groups[r]}))
+
+
+def _reduce(net: Network) -> Network | _Reduced:
+    """The graph a terminal-cut table is solved on.  Costs are positive, so in every minimum cut a self-loop
+    is uncut, a parallel bundle is cut whole or not at all, and a
+    non-terminal with one neighbour lies on that neighbour's side (moving
+    it would save the edge between them).  Peeling repeats that last rule
+    to a fixpoint; a vertex left with no neighbour is in a terminal-free
+    tree, which no source reaches, and is dropped with the tree.  Every
+    minimum cut of the input is thus the lift of one of the result's, the
+    source-minimal one included.  Returns ``net`` itself, after one pass
+    over its edges, when nothing reduces."""
+    n = net.n
+    terminal = [False] * n
+    for q in net.terminals:
+        terminal[q] = True
+    # nothing reduces when the edges join distinct pairs of distinct ends
+    # and every non-terminal has two of them (the grid and bipartite
+    # families); the walk then uses the input's own arcs
+    if len({(u, v) if u < v else (v, u) for u, v, _ in net.edges if u != v}) == net.m:
+        out = net.arcs()[2]
+        if all(terminal[v] or len(out[v]) > 1 for v in range(n)):
+            return net
+    bundle_of: dict[tuple[int, int], list[int]] = {}
+    for eid, (u, v, _) in enumerate(net.edges):
+        if u != v:
+            bundle_of.setdefault((u, v) if u < v else (v, u), []).append(eid)
+    # distinct neighbours: the count, and the XOR of their ids, which is
+    # the neighbour itself once the count is 1
+    degree, nbr = [0] * n, [0] * n
+    for u, v in bundle_of:
+        degree[u] += 1
+        degree[v] += 1
+        nbr[u] ^= v
+        nbr[v] ^= u
+    peel = [v for v in range(n) if degree[v] < 2 and not terminal[v]]
+    # a peeled vertex's parent, -1 for a dropped one, until resolved below
+    root = list(range(n))
+    for v in peel:  # grows while it is walked
+        if degree[v]:
+            u = root[v] = nbr[v]
+            degree[v] = 0
+            degree[u] -= 1
+            nbr[u] ^= v
+            if degree[u] == 1 and not terminal[u]:
+                peel.append(u)
+        else:
+            root[v] = -1
+    # a peeled vertex's parent is peeled later or kept, so this order
+    # resolves the parent's root first
+    for v in reversed(peel):
+        if root[v] >= 0:
+            root[v] = root[root[v]]
+    rid = [-1] * n
+    groups: list[list[int]] = []
+    for v in range(n):
+        if root[v] == v:
+            rid[v] = len(groups)
+            groups.append([])
+    for v in range(n):
+        if root[v] >= 0:
+            groups[rid[root[v]]].append(v)
+    scaled = net.scaled_costs
+    head: list[int] = []
+    cap: list[int] = []
+    out: list[list[int]] = [[] for _ in groups]
+    bundles: list[tuple[int, ...]] = []
+    for (u, v), eids in bundle_of.items():
+        ru, rv = rid[u], rid[v]
+        if ru >= 0 and rv >= 0:
+            c = sum(scaled[eid] for eid in eids)
+            out[ru].append(len(head))
+            out[rv].append(len(head) + 1)
+            head += (rv, ru)
+            cap += (c, c)
+            bundles.append(tuple(eids))
+    terminals = tuple(rid[q] for q in net.terminals)
+    return _Reduced(net, terminals, groups, bundles, (tuple(head), tuple(cap), tuple(map(tuple, out))))
 
 
 class _FlowSolution(NamedTuple):
@@ -156,18 +270,19 @@ class _FlowSolution(NamedTuple):
 
 
 def _solve_flow(
-    net: Network,
+    graph: Network | _Reduced,
     sources: Sequence[int],
     sinks: Sequence[int],
     start: Sequence[int] | None = None,
 ) -> _FlowSolution:
-    """Maximum flow from the sources to the sinks and its canonical cut.
+    """Maximum flow from the sources to the sinks and its canonical cut,
+    on the input network or a reduced one (whose cut is lifted back).
 
-    ``start`` is the residual of an earlier flow on the same network (its
+    ``start`` is the residual of an earlier flow on the same graph (its
     ``_Dinic.cap``); the default is the zero flow.  Residuals are indexed
-    by the network's own arcs, so any earlier flow stays feasible when
-    only the choice of sources and sinks changes, and Dinic augments from
-    it to a maximum flow."""
+    by the graph's own arcs, so any earlier flow stays feasible when only
+    the choice of sources and sinks changes, and Dinic augments from it to
+    a maximum flow."""
     src, snk = set(sources), set(sinks)
     if not src or not snk:
         raise InvalidParameterError("source and sink sets must be nonempty")
@@ -175,8 +290,9 @@ def _solve_flow(
         raise InvalidParameterError(f"source/sink overlap: {sorted(src & snk)}")
     # contract the sources into s and the sinks into t: their out-arcs
     # move to s or t, and the arcs into them are redirected
-    s, t = net.n, net.n + 1
-    head, cap, out = net.arcs()
+    n = graph.n
+    s, t = n, n + 1
+    head, cap, out = graph.arcs()
     to = list(head)
     src_arcs = [a for q in src for a in out[q]]
     snk_arcs = [a for q in snk for a in out[q]]
@@ -187,23 +303,29 @@ def _solve_flow(
     d = _Dinic(to, list(cap if start is None else start), [*out, src_arcs, snk_arcs])
     # value of the start flow: arc a carries (cap[a ^ 1] - cap[a]) / 2, an
     # integer; arcs between two sources (self-loops too) cancel in pairs
-    scaled = sum(d.cap[a ^ 1] - d.cap[a] for a in src_arcs) // 2
+    res = d.cap
+    scaled = sum([res[a ^ 1] - res[a] for a in src_arcs]) // 2
     scaled += d.max_flow(s, t)
 
-    in_side = d.reach(s)[: net.n]
-    for q in src:
-        in_side[q] = True
-    # frozenset() of a set sizes its table to fit; from a generator it keeps
-    # the slack of incremental growth, which a table of every cut pays
-    side = frozenset({v for v in range(net.n) if in_side[v]})
-    cutset = _cutset(net, in_side)
-    cut_cost = sum(net.scaled_costs[eid] for eid in cutset)
-    den = net.cost_denominator
+    # the side is what the last level BFS reached, plus the sources (the
+    # arcs into them run to s); an arc leaves it iff its redirected head
+    # is unreached
+    level = d.level
+    side = {v for v in range(n) if level[v] >= 0}
+    side |= src
+    crossing = [a for v in side for a in out[v] if level[to[a]] < 0]
+    cut_cost = sum([cap[a] for a in crossing])
+    den = graph.cost_denominator
     if cut_cost != scaled:
         raise InternalError(
             f"max-flow {Fraction(scaled, den)} differs from its cut cost {Fraction(cut_cost, den)}"
         )
-    return _FlowSolution(CutResult(Fraction(scaled, den), cutset, side), d)
+    if isinstance(graph, _Reduced):
+        return _FlowSolution(graph.lift(scaled, side, crossing), d)
+    # frozenset() of a set sizes its table to fit; from a generator it keeps
+    # the slack of incremental growth, which a table of every cut pays
+    cutset = frozenset({a >> 1 for a in crossing})
+    return _FlowSolution(CutResult(Fraction(scaled, den), cutset, frozenset(side)), d)
 
 
 def _cutset(net: Network, in_side: Sequence[bool]) -> frozenset[int]:
@@ -234,7 +356,7 @@ def min_cut_and_uniqueness(net: Network, bp: Bipartition) -> tuple[CutResult, bo
     read from one flow: the cutset is unique iff the source-minimal and
     sink-minimal minimum cuts share it."""
     sol = _solve_bipartition(net, bp)
-    in_sink = sol.residual.reach(net.n + 1, into=True)[: net.n]
+    in_sink = sol.residual.reach(net.n + 1)[: net.n]
     for q in bp.side_vertices(net):
         in_sink[q] = True
     return sol.cut, sol.cut.cutset == _cutset(net, in_sink)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from mimicknet import mincut
 from mimicknet.errors import InternalError, InvalidPairError
 from mimicknet.generate import random_planar_network, star_network
 from mimicknet.lowerbound import gen_bipartite, gen_grid
@@ -34,6 +35,21 @@ class TestTerminalCuts:
         for net in nets:
             cold = tuple(min_separating_cut(net, bp) for bp in enumerate_bipartitions(net.k))
             assert terminal_cuts(net).cuts == cold
+
+    def test_lifted_cost_mismatch_raises(self, monkeypatch):
+        # a bundle map that lost an edge: the flow on the reduced graph
+        # still certifies, its mapped-back cutset does not
+        net = Network(3, [(0, 1, 2), (0, 1, 3), (1, 2, 7), (2, 2, 1)], [0, 1])
+        reduce = mincut._reduce
+
+        def lossy(net):
+            red = reduce(net)
+            red.bundles[0] = red.bundles[0][:1]
+            return red
+
+        monkeypatch.setattr(mincut, "_reduce", lossy)
+        with pytest.raises(InternalError):
+            terminal_cuts(net)
 
     def test_warm_flow_value_mismatch_raises(self, monkeypatch):
         # the first flow starts cold; every later one starts from the

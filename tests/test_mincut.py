@@ -13,6 +13,8 @@ from mimicknet.mimick import terminal_cuts, verify_generalized
 from mimicknet.mincut import (
     _Dinic,
     _edge_tables,
+    _reduce,
+    _Reduced,
     gap,
     global_gap,
     min_cut_and_uniqueness,
@@ -35,7 +37,10 @@ class TestMinSeparatingCut:
         assert cut.side == frozenset({0})
 
     def test_flow_cut_mismatch_raises(self, monkeypatch):
-        monkeypatch.setattr(_Dinic, "max_flow", lambda self, s, t: 1)
+        # the real flow runs (its last level BFS gives the side), and its
+        # reported value is off by one
+        max_flow = _Dinic.max_flow
+        monkeypatch.setattr(_Dinic, "max_flow", lambda self, s, t: max_flow(self, s, t) + 1)
         with pytest.raises(InternalError):
             min_separating_cut(PATH_35, BP2)
 
@@ -79,6 +84,34 @@ class TestMinSeparatingCut:
         net = Network(n, [(i, i + 1, 1) for i in range(n - 1)], [0, n - 1])
         cut = min_separating_cut(net, BP2)
         assert cut.value == 1 and cut.side == frozenset({0}) and cut.cutset == frozenset({0})
+
+
+class TestReduce:
+    def test_loops_bundles_and_pendant_tree(self):
+        # 2-3-4 hangs off terminal 1 (4 also has a loop); 5-6 is a
+        # terminal-free tree; 0-1 is a bundle of two edges, 0-1-7 a cycle
+        edges = [(0, 1, 2), (1, 0, 3), (1, 2, 1), (2, 3, 1), (2, 4, 1), (4, 4, 9), (5, 6, 1), (1, 7, 1), (7, 0, 1)]
+        red = _reduce(Network(8, edges, [0, 1]))
+        assert isinstance(red, _Reduced)
+        assert red.groups == [[0], [1, 2, 3, 4], [7]]
+        assert red.bundles == [(0, 1), (7,), (8,)]
+        assert red.terminals == (0, 1)
+        head, cap, _ = red.arcs()
+        assert cap == (5, 5, 1, 1, 1, 1) and len(head) == 6
+
+    def test_loops_and_bundles_alone(self):
+        red = _reduce(Network(2, [(0, 1, 1), (0, 0, 3), (1, 0, 2)], [0, 1]))
+        assert red.groups == [[0], [1]] and red.bundles == [(0, 2)]
+        assert red.arcs() == ((1, 0), (3, 3), ((0,), (1,)))
+
+    def test_degree_one_terminals_kept(self):
+        # only the non-terminal 3 is peeled; 1 keeps two neighbours
+        red = _reduce(Network(4, [(0, 1, 1), (1, 2, 1), (1, 3, 1)], [2, 0]))
+        assert red.groups == [[0], [1, 3], [2]] and red.terminals == (2, 0)
+
+    @pytest.mark.parametrize("family", [gen_grid(3), gen_bipartite(6)])
+    def test_nothing_reduces_returns_input(self, family):
+        assert _reduce(family.network) is family.network
 
 
 class TestOracle:
@@ -246,6 +279,44 @@ def test_terminal_cuts_equal_cold_flows(net):
     table = terminal_cuts(net)
     for i, bp in enumerate(enumerate_bipartitions(net.k)):
         assert table.cuts[i] == min_separating_cut(net, bp)
+
+
+@st.composite
+def reducible_networks(draw):
+    """Multigraphs with what the table's reduction removes: self-loops,
+    parallel bundles, pendant chains hanging off any vertex, a
+    terminal-free piece and isolated vertices; terminals are drawn from
+    every vertex, so chains may end at one and terminals may have degree
+    1.  Costs are coarse rationals, so ties occur."""
+    cost = st.builds(Fraction, st.integers(1, 6), st.integers(1, 3))
+    core = draw(st.integers(2, 6))
+    end = st.integers(0, core - 1)
+    edges = [(draw(end), draw(end), draw(cost)) for _ in range(draw(st.integers(1, 10)))]
+    edges += [(u, v, draw(cost)) for u, v, _ in draw(st.lists(st.sampled_from(edges), max_size=3))]
+    n = core
+    for _ in range(draw(st.integers(0, 3))):
+        length = draw(st.integers(1, 4))
+        path = [draw(st.integers(0, n - 1)), *range(n, n + length)]
+        edges += [(u, v, draw(cost)) for u, v in zip(path, path[1:])]
+        n += length
+    free = draw(st.integers(0, 3))
+    edges += [(n + draw(st.integers(0, i)), n + i + 1, draw(cost)) for i in range(free - 1)]
+    n += free + draw(st.integers(0, 2))
+    edges += [(v, v, draw(cost)) for v in draw(st.lists(st.integers(0, n - 1), max_size=3))]
+    # relabel, so a peeled vertex's id is no guide to its root's
+    label = draw(st.permutations(range(n)))
+    edges = draw(st.permutations([(label[u], label[v], c) for u, v, c in edges]))
+    k = draw(st.integers(2, min(5, n)))
+    return Network(n, edges, draw(st.permutations(range(n)))[:k])
+
+
+@settings(max_examples=200, deadline=None)
+@given(reducible_networks())
+def test_reduced_table_equals_cold_flows(net):
+    # the walk on the reduced graph, mapped back, against one flow per row
+    # on the input itself
+    cold = tuple(min_separating_cut(net, bp) for bp in enumerate_bipartitions(net.k))
+    assert terminal_cuts(net).cuts == cold
 
 
 @settings(max_examples=100, deadline=None)
