@@ -67,18 +67,21 @@ def terminal_cuts(net: Network) -> TerminalCuts:
     Tarjan's parametric max flow).  The canonical side is the set reachable
     from the source in the residual of any maximum flow, so the table
     equals the one from-scratch flows would give.  The walk runs on the
-    exactly reduced graph (loops dropped, bundles merged, pendant trees
-    peeled), and each row is mapped back to the input's vertex and edge
-    ids with its cost certified."""
+    core of the exactly reduced graph (loops dropped, bundles merged,
+    pendant trees peeled, satellites set aside), and each row is mapped
+    back to the input's vertex and edge ids, with the satellites' part in
+    closed form and its cost certified."""
     if net.k < 2:
         raise InvalidTerminalCountError(f"need k >= 2 terminals, got {net.k}")
     graph = mincut._reduce(net)
-    cuts: list[CutResult | None] = [None] * ((1 << (net.k - 1)) - 1)
+    masks = [(i ^ (i >> 1)) << 1 for i in range(1, 1 << (net.k - 1))]
+    parts = None if graph is net else graph.satellite_parts(masks)
+    cuts: list[CutResult | None] = [None] * len(masks)
     residual = None
-    for i in range(1, 1 << (net.k - 1)):
-        bp = Bipartition(net.k, (i ^ (i >> 1)) << 1)
+    for mask in masks:
+        bp = Bipartition(net.k, mask)
         sol = mincut._solve_flow(graph, bp.coside_vertices(graph), bp.side_vertices(graph), residual)
-        cuts[bp.row_index] = sol.cut
+        cuts[bp.row_index] = sol.cut if parts is None else graph.lift(sol, next(parts))
         residual = sol.residual.cap
     return TerminalCuts(net.k, tuple(cuts))
 

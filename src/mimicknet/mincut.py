@@ -5,7 +5,8 @@ denominator, so arithmetic is exact Python integers end to end).  The
 canonical minimum cut for a bipartition is the one whose side containing
 terminal 0 is inclusion-minimal, obtained as the residual-reachable set
 from the contracted super-source.  A terminal-cut table is solved on the
-exactly reduced graph of :func:`_reduce` and mapped back row by row.
+core of the exactly reduced graph of :func:`_reduce`, its satellites in
+closed form, and mapped back row by row.
 
 Oracle route: exhaustive sweep over all side assignments of the
 non-terminal vertices (capacity ``n - k <= 22``) by the blocked kernel in
@@ -20,13 +21,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from itertools import repeat
+from typing import Iterable, Iterator, NamedTuple, Sequence
+
+import numpy as np
 
 from . import _kernels
 from .errors import InternalError, InvalidParameterError, OracleCapacityError
 from .network import Bipartition, Network, enumerate_bipartitions
 
 ORACLE_CAPACITY = 22
+# entries per row-block temporary in _Reduced.satellite_parts
+_SATELLITE_BLOCK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -155,33 +161,95 @@ class _Dinic:
 class _Reduced:
     """A network with what no minimum cut can use taken out: self-loops
     dropped, each parallel bundle merged into one edge whose capacity is
-    the bundle's summed scaled cost, and pendant non-terminal trees peeled
-    into the vertex they hang from.  Vertex ``r`` stands for the input
-    vertices ``groups[r]`` and edge ``j`` for the input edges
-    ``bundles[j]``; ``arcs()`` has the layout of :meth:`Network.arcs`."""
+    the bundle's summed scaled cost, pendant non-terminal trees peeled
+    into the vertex they hang from, and satellites (non-terminals whose
+    neighbours are all terminals) set aside.  Core vertex ``r`` stands for
+    the input vertices ``groups[r]`` and core edge ``j`` for the input
+    edges ``bundles[j]``; ``arcs()`` has the layout of
+    :meth:`Network.arcs`.  Satellite ``s`` stands for the input vertices
+    ``satellites[s]``; ``sat_cost[s][i]`` is its summed scaled cost to
+    terminal index i, and each ``links`` entry ``(s, i, eids)`` is one of
+    its bundles to a terminal."""
 
-    __slots__ = ("net", "n", "terminals", "cost_denominator", "groups", "bundles", "_arcs")
+    __slots__ = (
+        "net", "n", "terminals", "cost_denominator", "groups", "bundles", "_arcs",
+        "satellites", "sat_cost", "links",
+    )
 
-    def __init__(self, net: Network, terminals: tuple[int, ...], groups: list[list[int]], bundles, arcs):
+    def __init__(
+        self, net: Network, terminals: tuple[int, ...], groups: list[list[int]], bundles, arcs, satellites, sat_cost, links
+    ):
         self.net, self.n, self.terminals = net, len(groups), terminals
         self.cost_denominator = net.cost_denominator
         self.groups, self.bundles, self._arcs = groups, bundles, arcs
+        self.satellites, self.sat_cost, self.links = satellites, sat_cost, links
 
     def arcs(self):
         return self._arcs
 
-    def lift(self, scaled: int, side: Iterable[int], crossing: Iterable[int]) -> CutResult:
-        """The input network's cut for a reduced side and its crossing
-        arcs, certified by the input's own costs."""
+    def satellite_parts(self, masks: Sequence[int]) -> Iterator[tuple[int, list[int], list[int]]]:
+        """The satellites' share of each bipartition's canonical cut, for
+        the terminal-index masks in the given order: (scaled value, cut
+        edge ids, source-side vertices).
+
+        With the terminals placed, each satellite's side is decided alone.
+        Let a be its cost to the source-side terminals (bit clear, terminal
+        0's side) and b to the others: it joins the source side iff b < a,
+        strictly, so the side stays inclusion-minimal, adds min(a, b), and
+        its bundles to the other side's terminals are cut.  Rows are
+        computed a block at a time, as matrix products over the masks."""
+        if not self.satellites:
+            yield from repeat((0, [], []), len(masks))
+            return
+        k = len(self.terminals)
+        # exact in int64 when every sum of satellite costs fits
+        fits = sum(map(sum, self.sat_cost)) < 1 << 63
+        cost = np.array(self.sat_cost, dtype=np.int64 if fits else object)
+        total = cost.sum(axis=1)
+        # one entry per satellite edge and per satellite group vertex
+        link_sat = np.array([s for s, _, eids in self.links for _ in eids])
+        link_term = np.array([i for _, i, eids in self.links for _ in eids])
+        link_eid = np.array([eid for _, _, eids in self.links for eid in eids])
+        vert_sat = np.array([s for s, group in enumerate(self.satellites) for _ in group])
+        vert_id = np.array([v for group in self.satellites for v in group])
+        bits = np.arange(k)
+        block = max(1, _SATELLITE_BLOCK // max(len(link_eid), len(vert_id)))
+        for lo in range(0, len(masks), block):
+            rows = np.array(masks[lo : lo + block], dtype=np.int64)
+            src = (rows[:, None] >> bits & 1) == 0
+            a = src.astype(cost.dtype) @ cost.T
+            b = total - a
+            on = b < a
+            values = np.minimum(a, b).sum(axis=1).tolist()
+            cut = on[:, link_sat] != src[:, link_term]
+            side = on[:, vert_sat]
+            cut_ends = np.cumsum(cut.sum(axis=1)).tolist()
+            side_ends = np.cumsum(side.sum(axis=1)).tolist()
+            cut_ids = link_eid[np.nonzero(cut)[1]].tolist()
+            side_ids = vert_id[np.nonzero(side)[1]].tolist()
+            c0 = s0 = 0
+            for value, c1, s1 in zip(values, cut_ends, side_ends):
+                yield value, cut_ids[c0:c1], side_ids[s0:s1]
+                c0, s0 = c1, s1
+
+    def lift(self, core: _FlowSolution, part: tuple[int, list[int], list[int]]) -> CutResult:
+        """The input network's cut for a flow's cut of the core and the
+        satellites' part of the same bipartition, certified by the input's
+        own costs."""
         groups, bundles = self.groups, self.bundles
-        cutset = frozenset({eid for a in crossing for eid in bundles[a >> 1]})
-        cost = sum(self.net.scaled_costs[eid] for eid in cutset)
+        extra, sat_cut, sat_side = part
+        scaled = core.scaled + extra
+        cutset = {eid for a in core.crossing for eid in bundles[a >> 1]}
+        cutset.update(sat_cut)
+        cost = sum([self.net.scaled_costs[eid] for eid in cutset])
         den = self.cost_denominator
         if cost != scaled:
             raise InternalError(
                 f"reduced cut {Fraction(scaled, den)} maps back to cost {Fraction(cost, den)}"
             )
-        return CutResult(Fraction(scaled, den), cutset, frozenset({v for r in side for v in groups[r]}))
+        side = {v for r in core.side for v in groups[r]}
+        side.update(sat_side)
+        return CutResult(Fraction(scaled, den), frozenset(cutset), frozenset(side))
 
 
 def _reduce(net: Network) -> Network | _Reduced:
@@ -190,33 +258,38 @@ def _reduce(net: Network) -> Network | _Reduced:
     non-terminal with one neighbour lies on that neighbour's side (moving
     it would save the edge between them).  Peeling repeats that last rule
     to a fixpoint; a vertex left with no neighbour is in a terminal-free
-    tree, which no source reaches, and is dropped with the tree.  Every
-    minimum cut of the input is thus the lift of one of the result's, the
-    source-minimal one included.  Returns ``net`` itself, after one pass
-    over its edges, when nothing reduces."""
+    tree, which no source reaches, and is dropped with the tree.  A kept
+    non-terminal whose neighbours are all terminals (a satellite) is set
+    aside with its peeled trees: its side depends on the terminals'
+    alone (:meth:`_Reduced.satellite_parts`).  Every minimum cut of the
+    input is thus the lift of one of the core's with the satellites'
+    choices, the source-minimal one included.  Returns ``net`` itself,
+    after one pass over its edges, when nothing reduces."""
     n = net.n
     terminal = [False] * n
     for q in net.terminals:
         terminal[q] = True
     # nothing reduces when the edges join distinct pairs of distinct ends
-    # and every non-terminal has two of them (the grid and bipartite
-    # families); the walk then uses the input's own arcs
+    # and every non-terminal has two of them, one a non-terminal (the grid
+    # family); the walk then uses the input's own arcs
     if len({(u, v) if u < v else (v, u) for u, v, _ in net.edges if u != v}) == net.m:
-        out = net.arcs()[2]
-        if all(terminal[v] or len(out[v]) > 1 for v in range(n)):
+        head, _, out = net.arcs()
+        if all(terminal[v] or len(out[v]) > 1 and any(not terminal[head[a]] for a in out[v]) for v in range(n)):
             return net
     bundle_of: dict[tuple[int, int], list[int]] = {}
     for eid, (u, v, _) in enumerate(net.edges):
         if u != v:
             bundle_of.setdefault((u, v) if u < v else (v, u), []).append(eid)
-    # distinct neighbours: the count, and the XOR of their ids, which is
-    # the neighbour itself once the count is 1
-    degree, nbr = [0] * n, [0] * n
+    # distinct neighbours: the count, the XOR of their ids (the neighbour
+    # itself once the count is 1), and the count of terminals among them
+    degree, nbr, outer = [0] * n, [0] * n, [0] * n
     for u, v in bundle_of:
         degree[u] += 1
         degree[v] += 1
         nbr[u] ^= v
         nbr[v] ^= u
+        outer[u] += terminal[v]
+        outer[v] += terminal[u]
     peel = [v for v in range(n) if degree[v] < 2 and not terminal[v]]
     # a peeled vertex's parent, -1 for a dropped one, until resolved below
     root = list(range(n))
@@ -235,38 +308,71 @@ def _reduce(net: Network) -> Network | _Reduced:
     for v in reversed(peel):
         if root[v] >= 0:
             root[v] = root[root[v]]
+    # a kept vertex (root[v] == v) gets its core id, or ~s as satellite s:
+    # peeling never removes a terminal, so a non-terminal whose neighbours
+    # left are as many as its terminal neighbours touches only terminals
     rid = [-1] * n
     groups: list[list[int]] = []
+    satellites: list[list[int]] = []
     for v in range(n):
         if root[v] == v:
-            rid[v] = len(groups)
-            groups.append([])
+            if terminal[v] or degree[v] != outer[v]:
+                rid[v] = len(groups)
+                groups.append([])
+            else:
+                rid[v] = ~len(satellites)
+                satellites.append([])
     for v in range(n):
-        if root[v] >= 0:
-            groups[rid[root[v]]].append(v)
+        r = root[v]
+        if r >= 0:
+            (groups[rid[r]] if rid[r] >= 0 else satellites[~rid[r]]).append(v)
     scaled = net.scaled_costs
     head: list[int] = []
     cap: list[int] = []
     out: list[list[int]] = [[] for _ in groups]
     bundles: list[tuple[int, ...]] = []
+    index = {q: i for i, q in enumerate(net.terminals)}
+    sat_cost = [[0] * net.k for _ in satellites]
+    links: list[tuple[int, int, tuple[int, ...]]] = []
     for (u, v), eids in bundle_of.items():
+        if root[u] != u or root[v] != v:
+            continue
         ru, rv = rid[u], rid[v]
+        c = sum(scaled[eid] for eid in eids)
         if ru >= 0 and rv >= 0:
-            c = sum(scaled[eid] for eid in eids)
             out[ru].append(len(head))
             out[rv].append(len(head) + 1)
             head += (rv, ru)
             cap += (c, c)
             bundles.append(tuple(eids))
+        else:
+            # a satellite's bundle to a terminal
+            s, q = (~ru, v) if ru < 0 else (~rv, u)
+            sat_cost[s][index[q]] = c
+            links.append((s, index[q], tuple(eids)))
     terminals = tuple(rid[q] for q in net.terminals)
-    return _Reduced(net, terminals, groups, bundles, (tuple(head), tuple(cap), tuple(map(tuple, out))))
+    return _Reduced(
+        net, terminals, groups, bundles, (tuple(head), tuple(cap), tuple(map(tuple, out))), satellites, sat_cost, links
+    )
 
 
 class _FlowSolution(NamedTuple):
-    """Canonical cut plus the residual network it was read from."""
+    """A maximum flow's canonical cut in the solved graph's own ids (its
+    scaled value, the source side and the arcs leaving it), plus the
+    residual network it was read from."""
 
-    cut: CutResult
+    scaled: int
+    side: set[int]
+    crossing: list[int]
     residual: _Dinic
+    cost_denominator: int
+
+    @property
+    def cut(self) -> CutResult:
+        # frozenset() of a set sizes its table to fit; from a generator it
+        # keeps the slack of incremental growth, which a table of every cut pays
+        cutset = frozenset({a >> 1 for a in self.crossing})
+        return CutResult(Fraction(self.scaled, self.cost_denominator), cutset, frozenset(self.side))
 
 
 def _solve_flow(
@@ -276,7 +382,8 @@ def _solve_flow(
     start: Sequence[int] | None = None,
 ) -> _FlowSolution:
     """Maximum flow from the sources to the sinks and its canonical cut,
-    on the input network or a reduced one (whose cut is lifted back).
+    on the input network or a reduced one's core (whose cut
+    :meth:`_Reduced.lift` maps back).
 
     ``start`` is the residual of an earlier flow on the same graph (its
     ``_Dinic.cap``); the default is the zero flow.  Residuals are indexed
@@ -320,12 +427,7 @@ def _solve_flow(
         raise InternalError(
             f"max-flow {Fraction(scaled, den)} differs from its cut cost {Fraction(cut_cost, den)}"
         )
-    if isinstance(graph, _Reduced):
-        return _FlowSolution(graph.lift(scaled, side, crossing), d)
-    # frozenset() of a set sizes its table to fit; from a generator it keeps
-    # the slack of incremental growth, which a table of every cut pays
-    cutset = frozenset({a >> 1 for a in crossing})
-    return _FlowSolution(CutResult(Fraction(scaled, den), cutset, frozenset(side)), d)
+    return _FlowSolution(scaled, side, crossing, d, den)
 
 
 def _cutset(net: Network, in_side: Sequence[bool]) -> frozenset[int]:
@@ -359,7 +461,8 @@ def min_cut_and_uniqueness(net: Network, bp: Bipartition) -> tuple[CutResult, bo
     in_sink = sol.residual.reach(net.n + 1)[: net.n]
     for q in bp.side_vertices(net):
         in_sink[q] = True
-    return sol.cut, sol.cut.cutset == _cutset(net, in_sink)
+    cut = sol.cut
+    return cut, cut.cutset == _cutset(net, in_sink)
 
 
 def min_cut_between(net: Network, source_terminals: Iterable[int], sink_terminals: Iterable[int]) -> CutResult:

@@ -97,9 +97,12 @@ def _write_varint(out: bytearray, value: int) -> None:
 
 
 def _read_varint(data: bytes, pos: int) -> tuple[int, int]:
-    result = 0
-    shift = 0
-    while True:
+    """The varint at ``pos`` and the position after it.  Past its first 64
+    groups, the 7-bit groups are combined in pairs, doubling the shift
+    each round, so n bytes decode in O(n log n) time rather than the
+    O(n^2) of ORing each group into one growing integer."""
+    result = shift = 0
+    while shift < 64 * 7:
         if pos >= len(data):
             raise ParseError("truncated varint")
         byte = data[pos]
@@ -108,6 +111,19 @@ def _read_varint(data: bytes, pos: int) -> tuple[int, int]:
         if not byte & 0x80:
             return result, pos
         shift += 7
+    end = pos
+    while end < len(data) and data[end] & 0x80:
+        end += 1
+    if end >= len(data):
+        raise ParseError("truncated varint")
+    groups = [byte & 0x7F for byte in data[pos : end + 1]]
+    step = 7
+    while len(groups) > 1:
+        if len(groups) & 1:
+            groups.append(0)
+        groups = [lo | hi << step for lo, hi in zip(groups[0::2], groups[1::2])]
+        step <<= 1
+    return result | groups[0] << shift, end + 1
 
 
 def serialize(store: TCStore) -> bytes:

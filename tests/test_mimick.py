@@ -51,6 +51,24 @@ class TestTerminalCuts:
         with pytest.raises(InternalError):
             terminal_cuts(net)
 
+    def test_lifted_satellite_cost_mismatch_raises(self, monkeypatch):
+        # 2 is a satellite (a bundle of cost 3 to q0, an edge of cost 5 to
+        # q1), so its bundle to q0 is cut; a link that lost an edge id
+        # still counts in the value, not in the mapped-back cutset
+        net = Network(3, [(2, 0, 1), (2, 0, 2), (2, 1, 5)], [0, 1])
+        assert terminal_cuts(net).cuts[0].cutset == frozenset({0, 1})
+        reduce = mincut._reduce
+
+        def lossy(net):
+            red = reduce(net)
+            s, i, eids = red.links[0]
+            red.links[0] = (s, i, eids[1:])
+            return red
+
+        monkeypatch.setattr(mincut, "_reduce", lossy)
+        with pytest.raises(InternalError):
+            terminal_cuts(net)
+
     def test_warm_flow_value_mismatch_raises(self, monkeypatch):
         # the first flow starts cold; every later one starts from the
         # previous residual, and its value bookkeeping is certified too

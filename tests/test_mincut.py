@@ -89,29 +89,71 @@ class TestMinSeparatingCut:
 class TestReduce:
     def test_loops_bundles_and_pendant_tree(self):
         # 2-3-4 hangs off terminal 1 (4 also has a loop); 5-6 is a
-        # terminal-free tree; 0-1 is a bundle of two edges, 0-1-7 a cycle
+        # terminal-free tree; 0-1 is a bundle of two edges; 7 touches only
+        # the terminals 0 and 1, so it is a satellite
         edges = [(0, 1, 2), (1, 0, 3), (1, 2, 1), (2, 3, 1), (2, 4, 1), (4, 4, 9), (5, 6, 1), (1, 7, 1), (7, 0, 1)]
         red = _reduce(Network(8, edges, [0, 1]))
         assert isinstance(red, _Reduced)
-        assert red.groups == [[0], [1, 2, 3, 4], [7]]
-        assert red.bundles == [(0, 1), (7,), (8,)]
+        assert red.groups == [[0], [1, 2, 3, 4]]
+        assert red.bundles == [(0, 1)]
         assert red.terminals == (0, 1)
-        head, cap, _ = red.arcs()
-        assert cap == (5, 5, 1, 1, 1, 1) and len(head) == 6
+        assert red.arcs() == ((1, 0), (5, 5), ((0,), (1,)))
+        assert red.satellites == [[7]] and red.sat_cost == [[1, 1]]
+        assert red.links == [(0, 1, (7,)), (0, 0, (8,))]
 
     def test_loops_and_bundles_alone(self):
         red = _reduce(Network(2, [(0, 1, 1), (0, 0, 3), (1, 0, 2)], [0, 1]))
         assert red.groups == [[0], [1]] and red.bundles == [(0, 2)]
         assert red.arcs() == ((1, 0), (3, 3), ((0,), (1,)))
+        assert red.satellites == []
 
     def test_degree_one_terminals_kept(self):
-        # only the non-terminal 3 is peeled; 1 keeps two neighbours
+        # the non-terminal 3 is peeled into 1, whose neighbours left are
+        # the degree-1 terminals 2 and 0: 1 is a satellite, 3 in its group
         red = _reduce(Network(4, [(0, 1, 1), (1, 2, 1), (1, 3, 1)], [2, 0]))
-        assert red.groups == [[0], [1, 3], [2]] and red.terminals == (2, 0)
+        assert red.groups == [[0], [2]] and red.terminals == (1, 0)
+        assert red.bundles == [] and red.satellites == [[1, 3]]
+        # cost by terminal index: q0 is vertex 2, q1 vertex 0
+        assert red.sat_cost == [[1, 1]] and red.links == [(0, 1, (0,)), (0, 0, (1,))]
 
-    @pytest.mark.parametrize("family", [gen_grid(3), gen_bipartite(6)])
+    def test_satellite_bundles_and_pendant_tree(self):
+        # 3 joins terminal 0 by a bundle of two edges and terminal 1 by
+        # one, has a loop and the pendant path 3-4-5; 2 and 6 are core
+        # vertices (each touches the other)
+        edges = [(3, 0, 1), (0, 3, 2), (3, 1, 4), (3, 3, 5), (3, 4, 1), (4, 5, 1)]
+        edges += [(0, 2, 1), (2, 1, 1), (2, 6, 1), (6, 1, 1)]
+        red = _reduce(Network(7, edges, [0, 1]))
+        assert red.groups == [[0], [1], [2], [6]] and red.bundles == [(6,), (7,), (8,), (9,)]
+        assert red.satellites == [[3, 4, 5]] and red.sat_cost == [[3, 4]]
+        assert red.links == [(0, 0, (0, 1)), (0, 1, (2,))]
+
+    def test_bipartite_family_reduces_to_satellites(self):
+        # every non-terminal touches only terminals: the core is the k
+        # terminals with no arcs, and each subset's vertex is a satellite
+        fam = gen_bipartite(6)
+        red = _reduce(fam.network)
+        assert red.groups == [[q] for q in range(6)] and red.bundles == []
+        assert red.arcs() == ((), (), ((),) * 6)
+        assert red.satellites == [[fam.u_vertex(i)] for i in range(fam.l)]
+        scaled = fam.network.scaled_costs
+        assert red.sat_cost == [[scaled[fam.edge_id(i, q)] for q in range(6)] for i in range(fam.l)]
+
+    @pytest.mark.parametrize("family", [gen_grid(3)])
     def test_nothing_reduces_returns_input(self, family):
         assert _reduce(family.network) is family.network
+
+    def test_terminal_only_neighbours_decline_the_input(self):
+        # distinct simple edges and no pendant vertex; with the edge 2-3
+        # nothing reduces, without it 2 and 3 touch only terminals
+        net = Network(4, [(0, 2, 1), (1, 2, 1), (0, 3, 1), (1, 3, 1), (2, 3, 1)], [0, 1])
+        assert _reduce(net) is net
+        net = Network(4, [(0, 2, 1), (1, 2, 1), (0, 3, 1), (1, 3, 1)], [0, 1])
+        red = _reduce(net)
+        assert red is not net and red.satellites == [[2], [3]] and red.bundles == []
+        # a terminal-terminal edge stays in the core
+        net = Network(3, [(0, 2, 1), (1, 2, 1), (0, 1, 1)], [0, 1])
+        red = _reduce(net)
+        assert red is not net and red.satellites == [[2]] and red.bundles == [(2,)]
 
 
 class TestOracle:
@@ -315,6 +357,50 @@ def reducible_networks(draw):
 def test_reduced_table_equals_cold_flows(net):
     # the walk on the reduced graph, mapped back, against one flow per row
     # on the input itself
+    cold = tuple(min_separating_cut(net, bp) for bp in enumerate_bipartitions(net.k))
+    assert terminal_cuts(net).cuts == cold
+
+
+@st.composite
+def satellite_networks(draw):
+    """A core multigraph on the terminals and up to three more vertices
+    (terminal-terminal edges likely), plus one to four satellites:
+    non-terminals joined only to terminals, to at least two distinct
+    ones, by bundles, with self-loops and pendant trees of their own.
+    Costs are 1, 2 or 1/2, so a satellite's two sums often tie, all times
+    1 or 10**19 (past int64, so the sums are Python integers)."""
+    scale = draw(st.sampled_from([1, 10**19]))
+    cost = st.sampled_from([Fraction(scale), Fraction(2 * scale), Fraction(scale, 2)])
+    k = draw(st.integers(2, 5))
+    core = k + draw(st.integers(0, 3))
+    end = st.integers(0, core - 1)
+    edges = [(draw(end), draw(end), draw(cost)) for _ in range(draw(st.integers(0, 8)))]
+    n = core
+    satellites = draw(st.integers(1, 4))
+    for s in range(core, core + satellites):
+        ends = draw(st.lists(st.integers(0, k - 1), min_size=2, max_size=k, unique=True))
+        ends += draw(st.lists(st.sampled_from(ends), max_size=3))  # bundles
+        edges += [(s, q, draw(cost)) for q in ends]
+        edges += [(s, s, draw(cost))] * draw(st.integers(0, 1))
+    n += satellites
+    for _ in range(draw(st.integers(0, 4))):
+        # each new vertex hangs off a satellite or a vertex added here
+        edges.append((draw(st.integers(core, n - 1)), n, draw(cost)))
+        n += 1
+    # relabel, so terminals and satellites interleave
+    label = draw(st.permutations(range(n)))
+    edges = draw(st.permutations([(label[u], label[v], c) for u, v, c in edges]))
+    terminals = draw(st.permutations([label[q] for q in range(k)]))
+    return Network(n, edges, terminals), satellites
+
+
+@settings(max_examples=200, deadline=None)
+@given(satellite_networks())
+def test_satellite_table_equals_cold_flows(drawn):
+    # satellites in closed form, mapped back, against one flow per row on
+    # the input itself
+    net, satellites = drawn
+    assert len(_reduce(net).satellites) >= satellites
     cold = tuple(min_separating_cut(net, bp) for bp in enumerate_bipartitions(net.k))
     assert terminal_cuts(net).cuts == cold
 

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -101,6 +102,27 @@ class TestSerialization:
     def test_large_values_varint(self):
         store = TCStore(2, 1, (10**30,))
         assert deserialize(serialize(store)).scaled_values == (10**30,)
+
+    @pytest.mark.parametrize("groups", [64, 65, 200])
+    def test_varint_past_the_short_loop(self, groups):
+        # values whose varints end just inside, just past and well past the
+        # 64 groups read one at a time
+        for value in ((1 << 7 * groups) - 1, 3 ** (4 * groups) % (1 << 7 * groups), 1 << 7 * (groups - 1)):
+            store = TCStore(2, value, (value,))
+            assert deserialize(serialize(store)) == store
+
+    def test_long_varint_decodes_in_near_linear_time(self):
+        # a 2**20-byte denominator: ORing each group into one growing
+        # integer takes about a minute on a 2-core Xeon, pairwise combining
+        # under a second
+        size = 1 << 20
+        blob = MAGIC + (2).to_bytes(4, "little") + (3).to_bytes(4, "little") + b"\xff" * (size - 1) + b"\x01\x05"
+        started = time.perf_counter()
+        store = deserialize(blob)
+        assert time.perf_counter() - started < 20
+        assert store.denominator == (1 << 7 * (size - 1) + 1) - 1 and store.scaled_values == (5,)
+        with pytest.raises(ParseError, match="truncated varint"):
+            deserialize(blob[:-2])
 
 
 class TestStorage:
