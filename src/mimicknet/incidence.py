@@ -49,17 +49,9 @@ class IncidenceMatrix:
 def build_incidence(net: Network) -> IncidenceMatrix:
     """Incidence matrix and value vector from canonical minimum cuts."""
     cuts = terminal_cuts(net)
-    bits = np.zeros((len(cuts), net.m), dtype=np.uint8)
-    for i, cut in enumerate(cuts):
-        bits[i, list(cut.cutset)] = 1
-    # A . c = values over the shared denominator, in integers
-    scaled, den = net.scaled_costs, net.cost_denominator
-    for i, cut in enumerate(cuts):
-        row_cost = sum(scaled[j] for j in np.flatnonzero(bits[i]).tolist())
-        if row_cost * cut.value.denominator != cut.value.numerator * den:
-            raise InternalError(f"incidence row {i} costs {Fraction(row_cost, den)}, cut value is {cut.value}")
-    bits.flags.writeable = False
-    return IncidenceMatrix(net.k, bits, cuts.values)
+    # A . c = values over the shared denominator, exactly
+    cuts.certify(net)
+    return IncidenceMatrix(net.k, cuts.cut_matrix.view(np.uint8), cuts.values)
 
 
 def integer_rank(rows: Sequence[Sequence[int]]) -> int:

@@ -397,11 +397,11 @@ def tc_collision_family(fam: BipartiteFamily, sample_count: int, seed: int) -> C
     space = 1 << fam.l
 
     def values_for(bits: int) -> tuple[tuple[Fraction, ...], bool, bool]:
-        w = [Fraction(0)] * net.m
+        costs = [e.cost for e in net.edges]
         for pos, col in enumerate(columns):
             if bits >> pos & 1:
-                w[col] = step
-        pert = net.with_costs([e.cost + we for e, we in zip(net.edges, w)])
+                costs[col] += step
+        pert = net.with_costs(costs)
         pmat = build_incidence(pert)
         stable = all(
             (pmat.bits[r] == mat.bits[r]).all() for r in subset_rows

@@ -17,10 +17,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterator
 
+import numpy as np
+
 from . import mincut
-from .errors import InvalidPairError, InvalidTerminalCountError
+from .errors import InternalError, InvalidPairError, InvalidTerminalCountError
 from .mincut import CutResult
 from .network import (
     Bipartition,
@@ -32,30 +35,81 @@ from .network import (
 )
 
 
-@dataclass(frozen=True)
+# entries per row-block temporary in TerminalCuts.certify
+_CERTIFY_BLOCK = 1 << 18
+
+
+@dataclass(frozen=True, eq=False)
 class TerminalCuts:
     """Canonical minimum cut (value, cutset, side) of every terminal
     bipartition of one network; row ``i`` belongs to
     ``enumerate_bipartitions(k)[i]``.  Computed once per network, then read
-    by the constructions, verification, the store and the incidence matrix."""
+    by the constructions, verification, the store and the incidence matrix.
+
+    Held as arrays: the values times the network's ``cost_denominator``,
+    a rows x m bool ``cut_matrix`` whose row i marks row i's cutset, and a
+    rows x n bool ``side_matrix`` whose row i marks its canonical side.
+    ``cuts`` (and iteration) builds the rows as :class:`CutResult` on
+    first use."""
 
     k: int
-    cuts: tuple[CutResult, ...]
+    cost_denominator: int
+    scaled_values: tuple[int, ...]
+    cut_matrix: np.ndarray
+    side_matrix: np.ndarray
 
     def __iter__(self) -> Iterator[CutResult]:
         return iter(self.cuts)
 
     def __len__(self) -> int:
-        return len(self.cuts)
+        return len(self.scaled_values)
 
-    @property
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, TerminalCuts):
+            return NotImplemented
+        return (
+            (self.k, self.values) == (other.k, other.values)
+            and np.array_equal(self.cut_matrix, other.cut_matrix)
+            and np.array_equal(self.side_matrix, other.side_matrix)
+        )
+
+    @cached_property
+    def cuts(self) -> tuple[CutResult, ...]:
+        return tuple(
+            CutResult(value, frozenset(np.flatnonzero(cut).tolist()), frozenset(np.flatnonzero(side).tolist()))
+            for value, cut, side in zip(self.values, self.cut_matrix, self.side_matrix)
+        )
+
+    @cached_property
     def values(self) -> tuple[Fraction, ...]:
-        return tuple(cut.value for cut in self.cuts)
+        return tuple(Fraction(v, self.cost_denominator) for v in self.scaled_values)
 
     @property
     def union(self) -> frozenset[int]:
         """Union of the canonical minimum cutsets over all bipartitions."""
-        return frozenset().union(*(cut.cutset for cut in self.cuts))
+        return frozenset(np.flatnonzero(self.cut_matrix.any(axis=0)).tolist())
+
+    def certify(self, net: Network) -> None:
+        """Raises ``InternalError`` unless the table has ``net``'s shape
+        and denominator and each row's cut edges cost exactly its value
+        (``A . c = values`` over the shared denominator).  Exact: in int64
+        when ``net``'s scaled costs sum below 2**63, in Python integers
+        otherwise, a block of rows at a time."""
+        rows, den = len(self.scaled_values), self.cost_denominator
+        shapes = (self.cut_matrix.shape, self.side_matrix.shape)
+        if den != net.cost_denominator or shapes != ((rows, net.m), (rows, net.n)):
+            raise InternalError(
+                f"table of {rows} rows over denominator {den} does not fit {net} over {net.cost_denominator}"
+            )
+        fits = sum(net.scaled_costs) < 1 << 63
+        costs = np.array(net.scaled_costs, dtype=np.int64 if fits else object)
+        block = max(1, _CERTIFY_BLOCK // max(1, net.m))
+        for lo in range(0, rows, block):
+            got = (self.cut_matrix[lo : lo + block] @ costs).tolist()
+            want = self.scaled_values[lo : lo + block]
+            if got != list(want):
+                i, x, y = next((i, x, y) for i, (x, y) in enumerate(zip(got, want), lo) if x != y)
+                raise InternalError(f"row {i} cuts edges of cost {Fraction(x, den)}, its value is {Fraction(y, den)}")
 
 
 def terminal_cuts(net: Network) -> TerminalCuts:
@@ -68,22 +122,43 @@ def terminal_cuts(net: Network) -> TerminalCuts:
     from the source in the residual of any maximum flow, so the table
     equals the one from-scratch flows would give.  The walk runs on the
     core of the exactly reduced graph (loops dropped, bundles merged,
-    pendant trees peeled, satellites set aside), and each row is mapped
-    back to the input's vertex and edge ids, with the satellites' part in
-    closed form and its cost certified."""
+    pendant trees peeled, satellites set aside) and fills core-sized cut
+    and side matrices; :meth:`mincut._Reduced.expand` gathers them out to
+    the input's edge and vertex columns and adds the satellites in closed
+    form.  One exact certificate per table, :meth:`TerminalCuts.certify`,
+    checks every row's value against the input's own costs."""
     if net.k < 2:
         raise InvalidTerminalCountError(f"need k >= 2 terminals, got {net.k}")
     graph = mincut._reduce(net)
-    masks = [(i ^ (i >> 1)) << 1 for i in range(1, 1 << (net.k - 1))]
-    parts = None if graph is net else graph.satellite_parts(masks)
-    cuts: list[CutResult | None] = [None] * len(masks)
+    rows = (1 << (net.k - 1)) - 1
+    values = [0] * rows
+    # (row, column) of every crossing core edge and core side vertex, set
+    # below with one assignment per matrix
+    cut_rows: list[int] = []
+    cut_cols: list[int] = []
+    side_rows: list[int] = []
+    side_cols: list[int] = []
     residual = None
-    for mask in masks:
-        bp = Bipartition(net.k, mask)
+    for i in range(1, rows + 1):
+        bp = Bipartition(net.k, (i ^ (i >> 1)) << 1)
         sol = mincut._solve_flow(graph, bp.coside_vertices(graph), bp.side_vertices(graph), residual)
-        cuts[bp.row_index] = sol.cut if parts is None else graph.lift(sol, next(parts))
+        row = bp.row_index
+        values[row] = sol.scaled
+        cut_rows += [row] * len(sol.crossing)
+        cut_cols += [a >> 1 for a in sol.crossing]
+        side_rows += [row] * len(sol.side)
+        side_cols += sol.side
         residual = sol.residual.cap
-    return TerminalCuts(net.k, tuple(cuts))
+    cut = np.zeros((rows, graph.m), dtype=bool)
+    cut[cut_rows, cut_cols] = True
+    side = np.zeros((rows, graph.n), dtype=bool)
+    side[side_rows, side_cols] = True
+    if graph is not net:
+        values, cut, side = graph.expand(values, cut, side)
+    cut.flags.writeable = side.flags.writeable = False
+    table = TerminalCuts(net.k, net.cost_denominator, tuple(values), cut, side)
+    table.certify(net)
+    return table
 
 
 @dataclass(frozen=True)
@@ -146,9 +221,9 @@ def build_by_signature(net: Network) -> MimickingResult:
     minimum cut.  Classes need not be connected and the output need not be
     a minor; the class count is at most 2**(2**(k-1) - 1)."""
     cuts = terminal_cuts(net)
-    groups: dict[tuple[bool, ...], list[int]] = {}
-    for v in range(net.n):
-        sig = tuple(v in cut.side for cut in cuts)
+    # vertex v's signature is column v of the side matrix, packed to bytes
+    groups: dict[bytes, list[int]] = {}
+    for v, sig in enumerate(map(bytes, np.packbits(cuts.side_matrix.T, axis=1))):
         groups.setdefault(sig, []).append(v)
     cmap = ContractionMap(net, groups.values())
     return _mimicking(net, cuts, "signature-merge", cmap, contract(net, cmap), 0)

@@ -6,7 +6,7 @@ canonical minimum cut for a bipartition is the one whose side containing
 terminal 0 is inclusion-minimal, obtained as the residual-reachable set
 from the contracted super-source.  A terminal-cut table is solved on the
 core of the exactly reduced graph of :func:`_reduce`, its satellites in
-closed form, and mapped back row by row.
+closed form, and expanded to the input's edge and vertex columns.
 
 Oracle route: exhaustive sweep over all side assignments of the
 non-terminal vertices (capacity ``n - k <= 22``) by the blocked kernel in
@@ -21,8 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -31,7 +30,7 @@ from .errors import InternalError, InvalidParameterError, OracleCapacityError
 from .network import Bipartition, Network, enumerate_bipartitions
 
 ORACLE_CAPACITY = 22
-# entries per row-block temporary in _Reduced.satellite_parts
+# entries per row-block temporary in _Reduced.expand
 _SATELLITE_BLOCK = 1 << 18
 
 
@@ -172,14 +171,14 @@ class _Reduced:
     its bundles to a terminal."""
 
     __slots__ = (
-        "net", "n", "terminals", "cost_denominator", "groups", "bundles", "_arcs",
+        "net", "n", "m", "terminals", "cost_denominator", "groups", "bundles", "_arcs",
         "satellites", "sat_cost", "links",
     )
 
     def __init__(
         self, net: Network, terminals: tuple[int, ...], groups: list[list[int]], bundles, arcs, satellites, sat_cost, links
     ):
-        self.net, self.n, self.terminals = net, len(groups), terminals
+        self.net, self.n, self.m, self.terminals = net, len(groups), len(bundles), terminals
         self.cost_denominator = net.cost_denominator
         self.groups, self.bundles, self._arcs = groups, bundles, arcs
         self.satellites, self.sat_cost, self.links = satellites, sat_cost, links
@@ -187,69 +186,61 @@ class _Reduced:
     def arcs(self):
         return self._arcs
 
-    def satellite_parts(self, masks: Sequence[int]) -> Iterator[tuple[int, list[int], list[int]]]:
-        """The satellites' share of each bipartition's canonical cut, for
-        the terminal-index masks in the given order: (scaled value, cut
-        edge ids, source-side vertices).
+    def expand(self, core_values: list[int], core_cut: np.ndarray, core_side: np.ndarray):
+        """The input network's table for the core's: (scaled values, cut
+        matrix, side matrix), one row per bipartition in canonical order.
+        Core edge and vertex columns are gathered out to their bundles and
+        groups.
 
-        With the terminals placed, each satellite's side is decided alone.
-        Let a be its cost to the source-side terminals (bit clear, terminal
-        0's side) and b to the others: it joins the source side iff b < a,
-        strictly, so the side stays inclusion-minimal, adds min(a, b), and
-        its bundles to the other side's terminals are cut.  Rows are
-        computed a block at a time, as matrix products over the masks."""
+        The satellites' share is in closed form.  With the terminals
+        placed, each satellite's side is decided alone.  Let a be its cost
+        to the source-side terminals (bit clear, terminal 0's side) and b
+        to the others: it joins the source side iff b < a, strictly, so the
+        side stays inclusion-minimal, adds min(a, b), and its bundles to
+        the other side's terminals are cut.  Rows are computed a block at a
+        time, as matrix products over the masks."""
+        rows, net = len(core_values), self.net
+        cut = np.zeros((rows, net.m), dtype=bool)
+        side = np.zeros((rows, net.n), dtype=bool)
+        cut[:, _flat(self.bundles)] = core_cut[:, _owners(self.bundles)]
+        side[:, _flat(self.groups)] = core_side[:, _owners(self.groups)]
         if not self.satellites:
-            yield from repeat((0, [], []), len(masks))
-            return
+            return core_values, cut, side
         k = len(self.terminals)
         # exact in int64 when every sum of satellite costs fits
         fits = sum(map(sum, self.sat_cost)) < 1 << 63
         cost = np.array(self.sat_cost, dtype=np.int64 if fits else object)
         total = cost.sum(axis=1)
         # one entry per satellite edge and per satellite group vertex
-        link_sat = np.array([s for s, _, eids in self.links for _ in eids])
-        link_term = np.array([i for _, i, eids in self.links for _ in eids])
-        link_eid = np.array([eid for _, _, eids in self.links for eid in eids])
-        vert_sat = np.array([s for s, group in enumerate(self.satellites) for _ in group])
-        vert_id = np.array([v for group in self.satellites for v in group])
+        link_eid = _flat([eids for _, _, eids in self.links])
+        link_sat = np.array([s for s, _, eids in self.links for _ in eids], dtype=np.intp)
+        link_term = np.array([i for _, i, eids in self.links for _ in eids], dtype=np.intp)
+        vert_id, vert_sat = _flat(self.satellites), _owners(self.satellites)
         bits = np.arange(k)
+        sat_values: list[int] = []
         block = max(1, _SATELLITE_BLOCK // max(len(link_eid), len(vert_id)))
-        for lo in range(0, len(masks), block):
-            rows = np.array(masks[lo : lo + block], dtype=np.int64)
-            src = (rows[:, None] >> bits & 1) == 0
+        for lo in range(0, rows, block):
+            hi = min(rows, lo + block)
+            # row i is the bipartition of mask 2 * (i + 1)
+            masks = np.arange(2 * lo + 2, 2 * hi + 2, 2, dtype=np.int64)
+            src = (masks[:, None] >> bits & 1) == 0
             a = src.astype(cost.dtype) @ cost.T
             b = total - a
             on = b < a
-            values = np.minimum(a, b).sum(axis=1).tolist()
-            cut = on[:, link_sat] != src[:, link_term]
-            side = on[:, vert_sat]
-            cut_ends = np.cumsum(cut.sum(axis=1)).tolist()
-            side_ends = np.cumsum(side.sum(axis=1)).tolist()
-            cut_ids = link_eid[np.nonzero(cut)[1]].tolist()
-            side_ids = vert_id[np.nonzero(side)[1]].tolist()
-            c0 = s0 = 0
-            for value, c1, s1 in zip(values, cut_ends, side_ends):
-                yield value, cut_ids[c0:c1], side_ids[s0:s1]
-                c0, s0 = c1, s1
+            sat_values += np.minimum(a, b).sum(axis=1).tolist()
+            cut[lo:hi, link_eid] = on[:, link_sat] != src[:, link_term]
+            side[lo:hi, vert_id] = on[:, vert_sat]
+        return [x + y for x, y in zip(core_values, sat_values)], cut, side
 
-    def lift(self, core: _FlowSolution, part: tuple[int, list[int], list[int]]) -> CutResult:
-        """The input network's cut for a flow's cut of the core and the
-        satellites' part of the same bipartition, certified by the input's
-        own costs."""
-        groups, bundles = self.groups, self.bundles
-        extra, sat_cut, sat_side = part
-        scaled = core.scaled + extra
-        cutset = {eid for a in core.crossing for eid in bundles[a >> 1]}
-        cutset.update(sat_cut)
-        cost = sum([self.net.scaled_costs[eid] for eid in cutset])
-        den = self.cost_denominator
-        if cost != scaled:
-            raise InternalError(
-                f"reduced cut {Fraction(scaled, den)} maps back to cost {Fraction(cost, den)}"
-            )
-        side = {v for r in core.side for v in groups[r]}
-        side.update(sat_side)
-        return CutResult(Fraction(scaled, den), frozenset(cutset), frozenset(side))
+
+def _flat(lists) -> np.ndarray:
+    """The entries of the lists, concatenated, as an index array."""
+    return np.array([x for part in lists for x in part], dtype=np.intp)
+
+
+def _owners(lists) -> np.ndarray:
+    """For each entry of ``_flat(lists)``, the index of its list."""
+    return np.repeat(np.arange(len(lists), dtype=np.intp), [len(part) for part in lists])
 
 
 def _reduce(net: Network) -> Network | _Reduced:
@@ -261,7 +252,7 @@ def _reduce(net: Network) -> Network | _Reduced:
     tree, which no source reaches, and is dropped with the tree.  A kept
     non-terminal whose neighbours are all terminals (a satellite) is set
     aside with its peeled trees: its side depends on the terminals'
-    alone (:meth:`_Reduced.satellite_parts`).  Every minimum cut of the
+    alone (:meth:`_Reduced.expand`).  Every minimum cut of the
     input is thus the lift of one of the core's with the satellites'
     choices, the source-minimal one included.  Returns ``net`` itself,
     after one pass over its edges, when nothing reduces."""
@@ -269,13 +260,6 @@ def _reduce(net: Network) -> Network | _Reduced:
     terminal = [False] * n
     for q in net.terminals:
         terminal[q] = True
-    # nothing reduces when the edges join distinct pairs of distinct ends
-    # and every non-terminal has two of them, one a non-terminal (the grid
-    # family); the walk then uses the input's own arcs
-    if len({(u, v) if u < v else (v, u) for u, v, _ in net.edges if u != v}) == net.m:
-        head, _, out = net.arcs()
-        if all(terminal[v] or len(out[v]) > 1 and any(not terminal[head[a]] for a in out[v]) for v in range(n)):
-            return net
     bundle_of: dict[tuple[int, int], list[int]] = {}
     for eid, (u, v, _) in enumerate(net.edges):
         if u != v:
@@ -290,6 +274,11 @@ def _reduce(net: Network) -> Network | _Reduced:
         nbr[v] ^= u
         outer[u] += terminal[v]
         outer[v] += terminal[u]
+    # nothing reduces when every edge is its own bundle (no loops, no
+    # parallel edges) and every non-terminal has two neighbours, one a
+    # non-terminal (the grid family); the walk then uses the input's arcs
+    if len(bundle_of) == net.m and all(terminal[v] or degree[v] > 1 and degree[v] > outer[v] for v in range(n)):
+        return net
     peel = [v for v in range(n) if degree[v] < 2 and not terminal[v]]
     # a peeled vertex's parent, -1 for a dropped one, until resolved below
     root = list(range(n))
@@ -383,7 +372,7 @@ def _solve_flow(
 ) -> _FlowSolution:
     """Maximum flow from the sources to the sinks and its canonical cut,
     on the input network or a reduced one's core (whose cut
-    :meth:`_Reduced.lift` maps back).
+    :meth:`_Reduced.expand` maps back).
 
     ``start`` is the residual of an earlier flow on the same graph (its
     ``_Dinic.cap``); the default is the zero flow.  Residuals are indexed

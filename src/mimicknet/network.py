@@ -28,8 +28,10 @@ class Edge(NamedTuple):
 
 
 def _as_cost(value) -> Fraction:
-    cost = Fraction(value)
-    if cost <= 0:
+    # a Fraction is immutable, so it is kept as it is (no per-edge copy);
+    # its sign is its numerator's
+    cost = value if type(value) is Fraction else Fraction(value)
+    if cost.numerator <= 0:
         raise InvalidParameterError(f"edge cost must be positive, got {cost}")
     return cost
 

@@ -84,8 +84,18 @@ def storage_report(store: TCStore) -> StorageReport:
 
 
 def _write_varint(out: bytearray, value: int) -> None:
+    """Appends ``value`` as 7-bit groups, least significant first, each
+    but the last with its high bit set.  Past 64 groups the value is split
+    by halving, mirroring :func:`_read_varint`, so n bytes encode in
+    O(n log n) time rather than the O(n^2) of shifting the whole value
+    once per group."""
     if value < 0:
         raise ValueError("varints are unsigned")
+    if value >> 64 * 7:
+        groups = _split_groups(value)
+        out += bytes(g | 0x80 for g in groups[:-1])
+        out.append(groups[-1])
+        return
     while True:
         byte = value & 0x7F
         value >>= 7
@@ -94,6 +104,20 @@ def _write_varint(out: bytearray, value: int) -> None:
         else:
             out.append(byte)
             return
+
+
+def _split_groups(value: int) -> list[int]:
+    """The 7-bit groups of a ``value`` of two groups or more, least
+    significant first, up to its highest nonzero group: each round splits
+    every piece in two halves of ``step`` bits, halving the step down to 7."""
+    count = -(-value.bit_length() // 7)
+    step = 7 << ((count - 1).bit_length() - 1)
+    pieces = [value]
+    while step >= 7:
+        mask = (1 << step) - 1
+        pieces = [half for piece in pieces for half in (piece & mask, piece >> step)]
+        step >>= 1
+    return pieces[:count]
 
 
 def _read_varint(data: bytes, pos: int) -> tuple[int, int]:

@@ -23,7 +23,7 @@ from mimicknet.incidence import (
 from mimicknet.lowerbound import gen_bipartite, gen_grid
 from mimicknet import incidence
 from mimicknet.mimick import TerminalCuts
-from mimicknet.mincut import CutResult, global_gap
+from mimicknet.mincut import global_gap
 from mimicknet.network import Network
 
 STAR3 = Network(4, [(0, 3, 1), (1, 3, 1), (2, 3, 1)], [0, 1, 2])
@@ -44,7 +44,8 @@ class TestBuild:
         assert mat.values == (Fraction(1), Fraction(1), Fraction(1))
 
     def test_row_value_mismatch_raises(self, monkeypatch):
-        wrong = TerminalCuts(2, (CutResult(Fraction(8), frozenset({0}), frozenset({0})),))
+        # the one edge costs 7; the table claims 8 for the row that cuts it
+        wrong = TerminalCuts(2, 1, (8,), np.array([[True]]), np.array([[True, False]]))
         monkeypatch.setattr(incidence, "terminal_cuts", lambda net: wrong)
         with pytest.raises(InternalError):
             build_incidence(Network(2, [(0, 1, 7)], [0, 1]))

