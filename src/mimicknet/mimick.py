@@ -92,7 +92,10 @@ class TerminalCuts:
     def certify(self, net: Network) -> None:
         """Raises ``InternalError`` unless the table has ``net``'s shape
         and denominator and each row's cut edges cost exactly its value
-        (``A . c = values`` over the shared denominator).  Exact: in int64
+        (``A . c = values`` over the shared denominator).  For a table of
+        :func:`terminal_cuts` this is the max-flow = cut-cost certificate
+        of every row: the values come from the flows and the cuts from the
+        sides the flows left reachable.  Exact: in int64
         when ``net``'s scaled costs sum below 2**63, in Python integers
         otherwise, a block of rows at a time."""
         rows, den = len(self.scaled_values), self.cost_denominator
@@ -115,44 +118,21 @@ class TerminalCuts:
 def terminal_cuts(net: Network) -> TerminalCuts:
     """Canonical minimum cut of every bipartition, in enumeration order.
 
-    One walk on one residual: the bipartitions are visited in Gray-code
-    order, so consecutive ones differ by one terminal, and each flow starts
-    from the previous one's residual (the reuse of Gallo, Grigoriadis and
-    Tarjan's parametric max flow).  The canonical side is the set reachable
-    from the source in the residual of any maximum flow, so the table
-    equals the one from-scratch flows would give.  The walk runs on the
-    core of the exactly reduced graph (loops dropped, bundles merged,
-    pendant trees peeled, satellites set aside) and fills core-sized cut
-    and side matrices; :meth:`mincut._Reduced.expand` gathers them out to
-    the input's edge and vertex columns and adds the satellites in closed
-    form.  One exact certificate per table, :meth:`TerminalCuts.certify`,
-    checks every row's value against the input's own costs."""
+    One Gray-code walk on one residual network (:func:`mincut._walk`),
+    each flow augmenting the previous one's.  The canonical side is the
+    set reachable from the source in the residual of any maximum flow, so
+    the table equals the one from-scratch flows would give.  The walk runs
+    on the core of the exactly reduced graph (loops dropped, bundles
+    merged, pendant trees peeled, satellites set aside);
+    :meth:`mincut._Reduced.expand` gathers its cut and side matrices out
+    to the input's edge and vertex columns and adds the satellites in
+    closed form.  One exact certificate per table,
+    :meth:`TerminalCuts.certify`, checks every row's value, which comes
+    from a flow, against the cost of its cut, which comes from a side."""
     if net.k < 2:
         raise InvalidTerminalCountError(f"need k >= 2 terminals, got {net.k}")
     graph = mincut._reduce(net)
-    rows = (1 << (net.k - 1)) - 1
-    values = [0] * rows
-    # (row, column) of every crossing core edge and core side vertex, set
-    # below with one assignment per matrix
-    cut_rows: list[int] = []
-    cut_cols: list[int] = []
-    side_rows: list[int] = []
-    side_cols: list[int] = []
-    residual = None
-    for i in range(1, rows + 1):
-        bp = Bipartition(net.k, (i ^ (i >> 1)) << 1)
-        sol = mincut._solve_flow(graph, bp.coside_vertices(graph), bp.side_vertices(graph), residual)
-        row = bp.row_index
-        values[row] = sol.scaled
-        cut_rows += [row] * len(sol.crossing)
-        cut_cols += [a >> 1 for a in sol.crossing]
-        side_rows += [row] * len(sol.side)
-        side_cols += sol.side
-        residual = sol.residual.cap
-    cut = np.zeros((rows, graph.m), dtype=bool)
-    cut[cut_rows, cut_cols] = True
-    side = np.zeros((rows, graph.n), dtype=bool)
-    side[side_rows, side_cols] = True
+    values, cut, side = mincut._walk(graph)
     if graph is not net:
         values, cut, side = graph.expand(values, cut, side)
     cut.flags.writeable = side.flags.writeable = False

@@ -4,9 +4,10 @@ Flow route: Dinic over integer-scaled capacities (costs share a common
 denominator, so arithmetic is exact Python integers end to end).  The
 canonical minimum cut for a bipartition is the one whose side containing
 terminal 0 is inclusion-minimal, obtained as the residual-reachable set
-from the contracted super-source.  A terminal-cut table is solved on the
-core of the exactly reduced graph of :func:`_reduce`, its satellites in
-closed form, and expanded to the input's edge and vertex columns.
+from the contracted super-source.  A terminal-cut table is one Gray-code
+walk on one residual network (:func:`_walk`), run on the core of the
+exactly reduced graph of :func:`_reduce`, its satellites solved in closed
+form, and expanded to the input's edge and vertex columns.
 
 Oracle route: exhaustive sweep over all side assignments of the
 non-terminal vertices (capacity ``n - k <= 22``) by the blocked kernel in
@@ -364,21 +365,10 @@ class _FlowSolution(NamedTuple):
         return CutResult(Fraction(self.scaled, self.cost_denominator), cutset, frozenset(self.side))
 
 
-def _solve_flow(
-    graph: Network | _Reduced,
-    sources: Sequence[int],
-    sinks: Sequence[int],
-    start: Sequence[int] | None = None,
-) -> _FlowSolution:
-    """Maximum flow from the sources to the sinks and its canonical cut,
-    on the input network or a reduced one's core (whose cut
-    :meth:`_Reduced.expand` maps back).
-
-    ``start`` is the residual of an earlier flow on the same graph (its
-    ``_Dinic.cap``); the default is the zero flow.  Residuals are indexed
-    by the graph's own arcs, so any earlier flow stays feasible when only
-    the choice of sources and sinks changes, and Dinic augments from it to
-    a maximum flow."""
+def _solve_flow(net: Network, sources: Sequence[int], sinks: Sequence[int]) -> _FlowSolution:
+    """Maximum flow from the sources to the sinks of ``net``, from the
+    zero flow, and its canonical cut, certified: the cut's cost must equal
+    the flow's value."""
     src, snk = set(sources), set(sinks)
     if not src or not snk:
         raise InvalidParameterError("source and sink sets must be nonempty")
@@ -386,9 +376,9 @@ def _solve_flow(
         raise InvalidParameterError(f"source/sink overlap: {sorted(src & snk)}")
     # contract the sources into s and the sinks into t: their out-arcs
     # move to s or t, and the arcs into them are redirected
-    n = graph.n
+    n = net.n
     s, t = n, n + 1
-    head, cap, out = graph.arcs()
+    head, cap, out = net.arcs()
     to = list(head)
     src_arcs = [a for q in src for a in out[q]]
     snk_arcs = [a for q in snk for a in out[q]]
@@ -396,12 +386,8 @@ def _solve_flow(
         to[a ^ 1] = s
     for a in snk_arcs:
         to[a ^ 1] = t
-    d = _Dinic(to, list(cap if start is None else start), [*out, src_arcs, snk_arcs])
-    # value of the start flow: arc a carries (cap[a ^ 1] - cap[a]) / 2, an
-    # integer; arcs between two sources (self-loops too) cancel in pairs
-    res = d.cap
-    scaled = sum([res[a ^ 1] - res[a] for a in src_arcs]) // 2
-    scaled += d.max_flow(s, t)
+    d = _Dinic(to, list(cap), [*out, src_arcs, snk_arcs])
+    scaled = d.max_flow(s, t)
 
     # the side is what the last level BFS reached, plus the sources (the
     # arcs into them run to s); an arc leaves it iff its redirected head
@@ -411,12 +397,71 @@ def _solve_flow(
     side |= src
     crossing = [a for v in side for a in out[v] if level[to[a]] < 0]
     cut_cost = sum([cap[a] for a in crossing])
-    den = graph.cost_denominator
+    den = net.cost_denominator
     if cut_cost != scaled:
         raise InternalError(
             f"max-flow {Fraction(scaled, den)} differs from its cut cost {Fraction(cut_cost, den)}"
         )
     return _FlowSolution(scaled, side, crossing, d, den)
+
+
+def _walk(graph: Network | _Reduced) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """The canonical cut of every bipartition of ``graph``'s terminals:
+    (scaled values, rows x m bool cut matrix, rows x n bool side matrix),
+    row i for the bipartition of mask 2 * (i + 1).
+
+    One Gray-code walk on one residual network.  Consecutive bipartitions
+    differ by one terminal, so a step moves only that terminal between the
+    super-source s and the super-sink t: the twins of its out-arcs are
+    redirected and s's arc list rebuilt.  The flow already in the residual
+    stays feasible (conservation holds at every non-terminal), so Dinic
+    augments it to a maximum flow (the reuse of Gallo, Grigoriadis and
+    Tarjan's parametric flow and of Kohli and Torr's dynamic graph cuts).
+    The canonical side is what the last level BFS reached plus the source
+    terminals, and the cut is read from the sides.  Nothing is checked
+    here: :meth:`mimick.TerminalCuts.certify` is the max-flow = cut-cost
+    certificate of every row."""
+    n, terminals = graph.n, graph.terminals
+    k = len(terminals)
+    rows = (1 << (k - 1)) - 1
+    s, t = n, n + 1
+    head, cap, out = graph.arcs()
+    to = list(head)
+    # every terminal starts on the source side, at the zero flow
+    source = [True] * k
+    for q in terminals:
+        for a in out[q]:
+            to[a ^ 1] = s
+    # t's arc list stays empty: the walk never searches from t
+    d = _Dinic(to, list(cap), [*out, (), ()])
+    res, adj = d.cap, d.adj
+    values = [0] * rows
+    side = np.zeros((rows, n), dtype=bool)
+    # the flow's value: the net flow out of the source-side terminals
+    value = 0
+    for i in range(1, rows + 1):
+        # step i flips terminal tz(i) + 1; terminal 0 never moves
+        j = (i & -i).bit_length()
+        arcs = out[terminals[j]]
+        # the terminal's net outflow: an arc carries half its twin's
+        # residual minus its own
+        outflow = sum([res[a ^ 1] - res[a] for a in arcs]) // 2
+        source[j] = not source[j]
+        value += outflow if source[j] else -outflow
+        end = s if source[j] else t
+        for a in arcs:
+            to[a ^ 1] = end
+        adj[s] = [a for on, q in zip(source, terminals) if on for a in out[q]]
+        value += d.max_flow(s, t)
+        row = (i ^ (i >> 1)) - 1
+        values[row] = value
+        side[row] = np.array(d.level[:n]) >= 0
+    # no arc runs into a terminal, so the level BFS leaves their columns
+    # unset; a terminal is on the side iff its bit of the row's mask is clear
+    masks = np.arange(2, 2 * rows + 2, 2, dtype=np.int64)
+    side[:, list(terminals)] = (masks[:, None] >> np.arange(k) & 1) == 0
+    ends = np.array(head, dtype=np.intp)
+    return values, side[:, ends[1::2]] != side[:, ends[0::2]], side
 
 
 def _cutset(net: Network, in_side: Sequence[bool]) -> frozenset[int]:

@@ -61,13 +61,18 @@ class Network:
         # terminals may be empty for derived graphs (duals); every operation
         # that needs terminals checks k itself.
         self.n = n
-        self.edges = tuple(edge_list)
         self.terminals = terms
-        den = math.lcm(*(e.cost.denominator for e in edge_list)) if edge_list else 1
+        self._set_edges(tuple(edge_list))
+
+    def _set_edges(self, edges: tuple[Edge, ...]) -> None:
+        """Stores checked edges with their shared denominator."""
+        self.edges = edges
+        dens = [e.cost.denominator for e in edges]
+        den = math.lcm(*dens)
         self.cost_denominator = den
         # edge costs times the shared denominator: exact integers for flows,
         # the oracle and the max-flow = cut-cost certificates
-        self.scaled_costs = tuple(e.cost.numerator * (den // e.cost.denominator) for e in edge_list)
+        self.scaled_costs = tuple([e.cost.numerator * (den // d) for e, d in zip(edges, dens)])
         self._arcs = None
 
     @property
@@ -85,7 +90,11 @@ class Network:
         """Same graph, new edge costs (edge ids preserved)."""
         if len(costs) != self.m:
             raise InvalidParameterError("cost vector length mismatch")
-        return Network(self.n, [(e.u, e.v, c) for e, c in zip(self.edges, costs)], self.terminals)
+        # the ends and the terminals are this network's, checked already
+        net = Network.__new__(Network)
+        net.n, net.terminals = self.n, self.terminals
+        net._set_edges(tuple([Edge(u, v, _as_cost(c)) for (u, v, _), c in zip(self.edges, costs)]))
+        return net
 
     def arcs(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, ...], ...]]:
         """Directed view of the multigraph: arc ``2*i`` runs along edge ``i``

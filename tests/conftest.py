@@ -30,13 +30,15 @@ def campaign():
 
 @pytest.fixture()
 def solved(monkeypatch):
-    """Every network handed to ``mincut._solve_flow``, one entry per flow."""
-    networks = []
-    solve = mincut._solve_flow
+    """The residual network of every maximum flow, one entry per flow: a
+    table's walk solves all its flows on one ``mincut._Dinic``, and each
+    single-bipartition flow builds its own."""
+    residuals = []
+    max_flow = mincut._Dinic.max_flow
 
-    def counting(net, sources, sinks, start=None):
-        networks.append(net)
-        return solve(net, sources, sinks, start)
+    def counting(self, s, t):
+        residuals.append(self)
+        return max_flow(self, s, t)
 
-    monkeypatch.setattr(mincut, "_solve_flow", counting)
-    return networks
+    monkeypatch.setattr(mincut._Dinic, "max_flow", counting)
+    return residuals

@@ -177,9 +177,9 @@ class TestExperiments:
 
 
 def runs(solved) -> list[int]:
-    """Lengths of the runs of one graph object in the solved list: a
-    table's walk solves every flow on one graph (the input network or its
-    reduction), built once per table."""
+    """Lengths of the runs of one residual network in the solved list: a
+    table's walk solves every flow on one residual, built once per
+    table."""
     lengths: list[int] = []
     for prev, graph in zip([None, *solved], solved):
         if graph is prev:

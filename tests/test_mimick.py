@@ -86,35 +86,46 @@ class TestTerminalCuts:
             terminal_cuts(net)
 
     def test_unreduced_table_cost_mismatch_raises(self, monkeypatch):
-        # the grid family walks its own arcs; a flow whose crossing arcs
-        # lost one after its own certificate leaves a table row short
+        # the grid family walks its own arcs; a flow whose last level BFS
+        # lost a reached vertex leaves its row's side short, and a
+        # source-minimal side less a vertex cuts more than the flow's value
         net = gen_grid(3).network
         assert mincut._reduce(net) is net
-        solve = mincut._solve_flow
+        max_flow = _Dinic.max_flow
+        steps, rows = [], []
 
-        def short(graph, sources, sinks, start=None):
-            sol = solve(graph, sources, sinks, start)
-            return sol._replace(crossing=sol.crossing[1:])
+        def short_side(self, s, t):
+            flow = max_flow(self, s, t)
+            steps.append(s)
+            reached = [v for v in range(net.n) if self.level[v] >= 0]
+            if reached and not rows:
+                self.level[reached[0]] = -1
+                i = len(steps)
+                rows.append((i ^ (i >> 1)) - 1)
+            return flow
 
-        monkeypatch.setattr(mincut, "_solve_flow", short)
-        with pytest.raises(InternalError):
+        monkeypatch.setattr(_Dinic, "max_flow", short_side)
+        with pytest.raises(InternalError) as err:
             terminal_cuts(net)
+        assert err.value.args[0].startswith(f"row {rows[0]} ")
+        assert len(steps) == 31
 
     def test_warm_flow_value_mismatch_raises(self, monkeypatch):
-        # the first flow starts cold; every later one starts from the
-        # previous residual, and its value bookkeeping is certified too
+        # the first flow starts cold; every later one augments the previous
+        # one's residual, and the walk's running value is certified per row
         max_flow = _Dinic.max_flow
         calls = []
 
-        def off_by_one_when_warm(self, s, t):
+        def off_by_one_last(self, s, t):
             calls.append((s, t))
-            return max_flow(self, s, t) + (len(calls) > 1)
+            return max_flow(self, s, t) + (len(calls) == 3)
 
-        monkeypatch.setattr(_Dinic, "max_flow", off_by_one_when_warm)
+        monkeypatch.setattr(_Dinic, "max_flow", off_by_one_last)
         net, _ = random_planar_network(12, 3, seed=2)
-        with pytest.raises(InternalError):
+        # the third step of the walk flips terminal 1 back: mask 0b100
+        with pytest.raises(InternalError, match=r"^row 1 "):
             terminal_cuts(net)
-        assert len(calls) == 2
+        assert len(calls) == 3
 
 
 class TestCutUnion:

@@ -15,6 +15,7 @@ from mimicknet.mincut import (
     _edge_tables,
     _reduce,
     _Reduced,
+    _walk,
     gap,
     global_gap,
     min_cut_and_uniqueness,
@@ -403,6 +404,39 @@ def test_satellite_table_equals_cold_flows(drawn):
     assert len(_reduce(net).satellites) >= satellites
     cold = tuple(min_separating_cut(net, bp) for bp in enumerate_bipartitions(net.k))
     assert terminal_cuts(net).cuts == cold
+
+
+@st.composite
+def long_walk_networks(draw):
+    """k = 8..10 terminals, one of them isolated, and up to six more
+    vertices; terminal-terminal edges, parallel bundles and self-loops at
+    terminals are likely.  Costs are 1, 2 or 1/2, so ties occur."""
+    cost = st.sampled_from([Fraction(1), Fraction(2), Fraction(1, 2)])
+    k = draw(st.integers(8, 10))
+    n = k + draw(st.integers(0, 6))
+    # vertex 0, a terminal, is isolated: no edge ends at it
+    end, terminal = st.integers(1, n - 1), st.integers(1, k - 1)
+    edges = [(draw(end), draw(end), draw(cost)) for _ in range(draw(st.integers(k, 3 * n)))]
+    edges += [(draw(terminal), draw(terminal), draw(cost)) for _ in range(draw(st.integers(1, k)))]
+    edges += [(q, q, draw(cost)) for q in draw(st.lists(terminal, min_size=1, max_size=3))]
+    edges += [(u, v, draw(cost)) for u, v, _ in draw(st.lists(st.sampled_from(edges), min_size=1, max_size=4))]
+    label = draw(st.permutations(range(n)))
+    edges = draw(st.permutations([(label[u], label[v], c) for u, v, c in edges]))
+    return Network(n, edges, draw(st.permutations([label[q] for q in range(k)])))
+
+
+@settings(max_examples=25, deadline=None)
+@given(long_walk_networks())
+def test_long_walk_equals_cold_flows(net):
+    # terminal 1 flips 2**(k-2) times, each flip redirecting its arcs in
+    # place: on the reduced core, and on the input's own arcs (self-loops
+    # at terminals included); every row against one cold flow
+    cold = tuple(min_separating_cut(net, bp) for bp in enumerate_bipartitions(net.k))
+    assert terminal_cuts(net).cuts == cold
+    values, cut, side = _walk(net)
+    assert values == [c.value * net.cost_denominator for c in cold]
+    assert [frozenset(np.flatnonzero(row).tolist()) for row in cut] == [c.cutset for c in cold]
+    assert [frozenset(np.flatnonzero(row).tolist()) for row in side] == [c.side for c in cold]
 
 
 @settings(max_examples=100, deadline=None)

@@ -192,3 +192,29 @@ class TestNetworkValidation:
         net = Network(2, [(0, 1, Fraction(7, 3))], [0, 1])
         assert net.edges[0].cost == Fraction(7, 3)
         assert net.cost_denominator == 3
+
+
+class TestWithCosts:
+    @settings(max_examples=60, deadline=None)
+    @given(small_networks(), st.data())
+    def test_equals_full_constructor(self, net, data):
+        costs = [
+            data.draw(st.one_of(st.integers(1, 50), st.fractions(min_value=Fraction(1, 97), max_denominator=97)))
+            for _ in range(net.m)
+        ]
+        got = net.with_costs(costs)
+        want = Network(net.n, [(e.u, e.v, c) for e, c in zip(net.edges, costs)], net.terminals)
+        assert got == want
+        assert (got.cost_denominator, got.scaled_costs) == (want.cost_denominator, want.scaled_costs)
+        assert got.arcs() == want.arcs()
+        assert all(type(e.cost) is Fraction for e in got.edges)
+
+    def test_nonpositive_cost(self):
+        net = Network(3, [(0, 1, 1), (1, 2, 1)], [0, 2])
+        with pytest.raises(InvalidParameterError):
+            net.with_costs([1, Fraction(-1, 2)])
+
+    def test_length_mismatch(self):
+        net = Network(3, [(0, 1, 1), (1, 2, 1)], [0, 2])
+        with pytest.raises(InvalidParameterError):
+            net.with_costs([1])
