@@ -396,18 +396,18 @@ def tc_collision_family(fam: BipartiteFamily, sample_count: int, seed: int) -> C
     rng = random.Random(seed)
     space = 1 << fam.l
 
+    base_costs = [e.cost for e in net.edges]
+    base_rows = mat.bits[subset_rows]
+
     def values_for(bits: int) -> tuple[tuple[Fraction, ...], bool, bool]:
-        costs = [e.cost for e in net.edges]
+        costs = base_costs.copy()
         for pos, col in enumerate(columns):
             if bits >> pos & 1:
                 costs[col] += step
-        pert = net.with_costs(costs)
-        pmat = build_incidence(pert)
-        stable = all(
-            (pmat.bits[r] == mat.bits[r]).all() for r in subset_rows
-        )
-        full_equal = pmat.same_bits(mat)
-        return pmat.values, stable, full_equal
+        # the copies share the base network's reduction (with_costs)
+        pmat = build_incidence(net.with_costs(costs))
+        stable = np.array_equal(pmat.bits[subset_rows], base_rows)
+        return pmat.values, stable, pmat.same_bits(mat)
 
     # one result per distinct sampled pattern
     results: dict[int, tuple[tuple[Fraction, ...], bool, bool]] = {}

@@ -123,7 +123,8 @@ def terminal_cuts(net: Network) -> TerminalCuts:
     set reachable from the source in the residual of any maximum flow, so
     the table equals the one from-scratch flows would give.  The walk runs
     on the core of the exactly reduced graph (loops dropped, bundles
-    merged, pendant trees peeled, satellites set aside);
+    merged, pendant trees peeled, satellites set aside), whose shape is
+    built once per ends and terminals and shared by ``with_costs`` copies;
     :meth:`mincut._Reduced.expand` gathers its cut and side matrices out
     to the input's edge and vertex columns and adds the satellites in
     closed form.  One exact certificate per table,

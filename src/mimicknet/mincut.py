@@ -7,7 +7,9 @@ terminal 0 is inclusion-minimal, obtained as the residual-reachable set
 from the contracted super-source.  A terminal-cut table is one Gray-code
 walk on one residual network (:func:`_walk`), run on the core of the
 exactly reduced graph of :func:`_reduce`, its satellites solved in closed
-form, and expanded to the input's edge and vertex columns.
+form, and expanded to the input's edge and vertex columns.  The reduction
+depends on the ends and the terminals alone, so networks that differ only
+in their costs share it.
 
 Oracle route: exhaustive sweep over all side assignments of the
 non-terminal vertices (capacity ``n - k <= 22``) by the blocked kernel in
@@ -158,31 +160,61 @@ class _Dinic:
         return seen
 
 
-class _Reduced:
-    """A network with what no minimum cut can use taken out: self-loops
-    dropped, each parallel bundle merged into one edge whose capacity is
-    the bundle's summed scaled cost, pendant non-terminal trees peeled
-    into the vertex they hang from, and satellites (non-terminals whose
-    neighbours are all terminals) set aside.  Core vertex ``r`` stands for
-    the input vertices ``groups[r]`` and core edge ``j`` for the input
-    edges ``bundles[j]``; ``arcs()`` has the layout of
-    :meth:`Network.arcs`.  Satellite ``s`` stands for the input vertices
-    ``satellites[s]``; ``sat_cost[s][i]`` is its summed scaled cost to
-    terminal index i, and each ``links`` entry ``(s, i, eids)`` is one of
-    its bundles to a terminal."""
+class _Shape:
+    """What the reduction of :func:`_reduce` takes from a network's ends
+    and terminals alone.  No cost enters it, so every network with those
+    ends shares one (:meth:`Network.with_costs` passes it along).
+
+    Core vertex ``r`` stands for the input vertices ``groups[r]`` and core
+    edge ``j`` for the input edges ``bundles[j]``; ``head`` and ``out``
+    are the core's arcs in the layout of :meth:`Network.arcs`.  Satellite
+    ``s`` stands for the input vertices ``satellites[s]``, and each
+    ``links`` entry ``(s, i, eids)`` is one of its bundles to terminal
+    index i.  The index arrays gather a core table out to the input's
+    columns, one entry per input edge or vertex: ``edge_cols`` and
+    ``edge_core`` (a core edge's input edges), ``vertex_cols`` and
+    ``vertex_core`` (a core vertex's input vertices), ``link_eid``,
+    ``link_sat`` and ``link_term`` (a satellite's edges to terminals),
+    ``sat_vertex`` and ``sat_of`` (a satellite's input vertices)."""
 
     __slots__ = (
-        "net", "n", "m", "terminals", "cost_denominator", "groups", "bundles", "_arcs",
-        "satellites", "sat_cost", "links",
+        "n", "terminals", "groups", "bundles", "head", "out", "satellites", "links",
+        "edge_cols", "edge_core", "vertex_cols", "vertex_core",
+        "link_eid", "link_sat", "link_term", "sat_vertex", "sat_of",
     )
 
-    def __init__(
-        self, net: Network, terminals: tuple[int, ...], groups: list[list[int]], bundles, arcs, satellites, sat_cost, links
-    ):
-        self.net, self.n, self.m, self.terminals = net, len(groups), len(bundles), terminals
-        self.cost_denominator = net.cost_denominator
-        self.groups, self.bundles, self._arcs = groups, bundles, arcs
-        self.satellites, self.sat_cost, self.links = satellites, sat_cost, links
+    def __init__(self, terminals: tuple[int, ...], groups, bundles, head, out, satellites, links):
+        self.n, self.terminals = len(groups), terminals
+        self.groups, self.bundles, self.head, self.out = groups, bundles, head, out
+        self.satellites, self.links = satellites, links
+        self.edge_cols, self.edge_core = _flat(bundles), _owners(bundles)
+        self.vertex_cols, self.vertex_core = _flat(groups), _owners(groups)
+        self.sat_vertex, self.sat_of = _flat(satellites), _owners(satellites)
+        self.link_eid = _flat([eids for _, _, eids in links])
+        self.link_sat = np.array([s for s, _, eids in links for _ in eids], dtype=np.intp)
+        self.link_term = np.array([i for _, i, eids in links for _ in eids], dtype=np.intp)
+
+
+class _Reduced:
+    """A network's reduced core with its costs: the graph the walk runs
+    on, ``arcs()`` in the layout of :meth:`Network.arcs`.  A core edge's
+    capacity is its bundle's summed scaled cost, and ``sat_cost[s, i]`` is
+    satellite s's summed scaled cost to terminal index i: int64 when all
+    of the network's scaled costs sum below 2**63, so every sum of them
+    is exact, Python integers otherwise.  The rest is ``shape``'s."""
+
+    __slots__ = ("net", "shape", "n", "terminals", "sat_cost", "_arcs")
+
+    def __init__(self, net: Network, shape: _Shape):
+        self.net, self.shape, self.n, self.terminals = net, shape, shape.n, shape.terminals
+        scaled = net.scaled_costs
+        costs = np.array(scaled, dtype=np.int64 if sum(scaled) < 1 << 63 else object)
+        caps = np.zeros(len(shape.bundles), dtype=costs.dtype)
+        np.add.at(caps, shape.edge_core, costs[shape.edge_cols])
+        # an edge's two arcs carry its capacity
+        self._arcs = (shape.head, tuple(caps.repeat(2).tolist()), shape.out)
+        self.sat_cost = np.zeros((len(shape.satellites), net.k), dtype=costs.dtype)
+        np.add.at(self.sat_cost, (shape.link_sat, shape.link_term), costs[shape.link_eid])
 
     def arcs(self):
         return self._arcs
@@ -200,26 +232,20 @@ class _Reduced:
         side stays inclusion-minimal, adds min(a, b), and its bundles to
         the other side's terminals are cut.  Rows are computed a block at a
         time, as matrix products over the masks."""
-        rows, net = len(core_values), self.net
+        shape, net = self.shape, self.net
+        rows = len(core_values)
         cut = np.zeros((rows, net.m), dtype=bool)
         side = np.zeros((rows, net.n), dtype=bool)
-        cut[:, _flat(self.bundles)] = core_cut[:, _owners(self.bundles)]
-        side[:, _flat(self.groups)] = core_side[:, _owners(self.groups)]
-        if not self.satellites:
+        cut[:, shape.edge_cols] = core_cut[:, shape.edge_core]
+        side[:, shape.vertex_cols] = core_side[:, shape.vertex_core]
+        if not shape.satellites:
             return core_values, cut, side
-        k = len(self.terminals)
-        # exact in int64 when every sum of satellite costs fits
-        fits = sum(map(sum, self.sat_cost)) < 1 << 63
-        cost = np.array(self.sat_cost, dtype=np.int64 if fits else object)
+        cost = self.sat_cost
         total = cost.sum(axis=1)
-        # one entry per satellite edge and per satellite group vertex
-        link_eid = _flat([eids for _, _, eids in self.links])
-        link_sat = np.array([s for s, _, eids in self.links for _ in eids], dtype=np.intp)
-        link_term = np.array([i for _, i, eids in self.links for _ in eids], dtype=np.intp)
-        vert_id, vert_sat = _flat(self.satellites), _owners(self.satellites)
-        bits = np.arange(k)
+        link_eid, link_sat, link_term = shape.link_eid, shape.link_sat, shape.link_term
+        bits = np.arange(len(shape.terminals))
         sat_values: list[int] = []
-        block = max(1, _SATELLITE_BLOCK // max(len(link_eid), len(vert_id)))
+        block = max(1, _SATELLITE_BLOCK // max(len(link_eid), len(shape.sat_vertex)))
         for lo in range(0, rows, block):
             hi = min(rows, lo + block)
             # row i is the bipartition of mask 2 * (i + 1)
@@ -230,7 +256,7 @@ class _Reduced:
             on = b < a
             sat_values += np.minimum(a, b).sum(axis=1).tolist()
             cut[lo:hi, link_eid] = on[:, link_sat] != src[:, link_term]
-            side[lo:hi, vert_id] = on[:, vert_sat]
+            side[lo:hi, shape.sat_vertex] = on[:, shape.sat_of]
         return [x + y for x, y in zip(core_values, sat_values)], cut, side
 
 
@@ -245,7 +271,20 @@ def _owners(lists) -> np.ndarray:
 
 
 def _reduce(net: Network) -> Network | _Reduced:
-    """The graph a terminal-cut table is solved on.  Costs are positive, so in every minimum cut a self-loop
+    """The graph a terminal-cut table is solved on: ``net`` itself when
+    nothing reduces, else its reduced core with ``net``'s costs.  The
+    shape (:func:`_shape_of`) is built on the first table of a network's
+    ends and terminals and kept with them, so a ``with_costs`` copy pays
+    only for summing its costs into the core."""
+    kept = net._shape
+    if not kept:
+        kept.append(_shape_of(net))
+    return net if kept[0] is None else _Reduced(net, kept[0])
+
+
+def _shape_of(net: Network) -> _Shape | None:
+    """The reduction of ``net``'s ends and terminals, or None when
+    nothing reduces.  Costs are positive, so in every minimum cut a self-loop
     is uncut, a parallel bundle is cut whole or not at all, and a
     non-terminal with one neighbour lies on that neighbour's side (moving
     it would save the edge between them).  Peeling repeats that last rule
@@ -255,8 +294,7 @@ def _reduce(net: Network) -> Network | _Reduced:
     aside with its peeled trees: its side depends on the terminals'
     alone (:meth:`_Reduced.expand`).  Every minimum cut of the
     input is thus the lift of one of the core's with the satellites'
-    choices, the source-minimal one included.  Returns ``net`` itself,
-    after one pass over its edges, when nothing reduces."""
+    choices, the source-minimal one included, whatever the costs."""
     n = net.n
     terminal = [False] * n
     for q in net.terminals:
@@ -279,7 +317,7 @@ def _reduce(net: Network) -> Network | _Reduced:
     # parallel edges) and every non-terminal has two neighbours, one a
     # non-terminal (the grid family); the walk then uses the input's arcs
     if len(bundle_of) == net.m and all(terminal[v] or degree[v] > 1 and degree[v] > outer[v] for v in range(n)):
-        return net
+        return None
     peel = [v for v in range(n) if degree[v] < 2 and not terminal[v]]
     # a peeled vertex's parent, -1 for a dropped one, until resolved below
     root = list(range(n))
@@ -316,34 +354,26 @@ def _reduce(net: Network) -> Network | _Reduced:
         r = root[v]
         if r >= 0:
             (groups[rid[r]] if rid[r] >= 0 else satellites[~rid[r]]).append(v)
-    scaled = net.scaled_costs
     head: list[int] = []
-    cap: list[int] = []
     out: list[list[int]] = [[] for _ in groups]
     bundles: list[tuple[int, ...]] = []
     index = {q: i for i, q in enumerate(net.terminals)}
-    sat_cost = [[0] * net.k for _ in satellites]
     links: list[tuple[int, int, tuple[int, ...]]] = []
     for (u, v), eids in bundle_of.items():
         if root[u] != u or root[v] != v:
             continue
         ru, rv = rid[u], rid[v]
-        c = sum(scaled[eid] for eid in eids)
         if ru >= 0 and rv >= 0:
             out[ru].append(len(head))
             out[rv].append(len(head) + 1)
             head += (rv, ru)
-            cap += (c, c)
             bundles.append(tuple(eids))
         else:
             # a satellite's bundle to a terminal
             s, q = (~ru, v) if ru < 0 else (~rv, u)
-            sat_cost[s][index[q]] = c
             links.append((s, index[q], tuple(eids)))
     terminals = tuple(rid[q] for q in net.terminals)
-    return _Reduced(
-        net, terminals, groups, bundles, (tuple(head), tuple(cap), tuple(map(tuple, out))), satellites, sat_cost, links
-    )
+    return _Shape(terminals, groups, bundles, tuple(head), tuple(map(tuple, out)), satellites, links)
 
 
 class _FlowSolution(NamedTuple):
@@ -439,7 +469,9 @@ def _walk(graph: Network | _Reduced) -> tuple[list[int], np.ndarray, np.ndarray]
     side = np.zeros((rows, n), dtype=bool)
     # the flow's value: the net flow out of the source-side terminals
     value = 0
-    for i in range(1, rows + 1):
+    # with no arcs every flow is zero and every side is its source
+    # terminals, which are set after the loop: no flow runs
+    for i in range(1, rows + 1 if head else 1):
         # step i flips terminal tz(i) + 1; terminal 0 never moves
         j = (i & -i).bit_length()
         arcs = out[terminals[j]]

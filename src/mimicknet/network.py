@@ -43,7 +43,7 @@ class Network:
     Immutable after construction; safe to share across threads.
     """
 
-    __slots__ = ("n", "edges", "terminals", "cost_denominator", "scaled_costs", "_arcs")
+    __slots__ = ("n", "edges", "terminals", "cost_denominator", "scaled_costs", "_arcs", "_shape")
 
     def __init__(self, n: int, edges: Iterable[tuple], terminals: Sequence[int]):
         if n <= 0:
@@ -62,6 +62,9 @@ class Network:
         # that needs terminals checks k itself.
         self.n = n
         self.terminals = terms
+        # what mincut's reduction takes from the ends and the terminals
+        # alone, appended on first use; with_costs copies share this list
+        self._shape: list = []
         self._set_edges(tuple(edge_list))
 
     def _set_edges(self, edges: tuple[Edge, ...]) -> None:
@@ -92,7 +95,7 @@ class Network:
             raise InvalidParameterError("cost vector length mismatch")
         # the ends and the terminals are this network's, checked already
         net = Network.__new__(Network)
-        net.n, net.terminals = self.n, self.terminals
+        net.n, net.terminals, net._shape = self.n, self.terminals, self._shape
         net._set_edges(tuple([Edge(u, v, _as_cost(c)) for (u, v, _), c in zip(self.edges, costs)]))
         return net
 

@@ -260,11 +260,15 @@ class TestRankBoundExperiment:
             rank_bound_experiment(net, seed=6)
 
     def test_one_flow_per_row_and_network(self, solved):
-        # the base matrix and the validated perturbed matrix, nothing more
-        net, _ = star_network(5)
-        rep = rank_bound_experiment(net, seed=0)
+        # the base matrix and the validated perturbed matrix, nothing more;
+        # the star's spokes are paths, so its walk runs flows (a plain
+        # star reduces to a core with no arcs, where no flow runs)
+        edges = [(i, 5 + i, 1) for i in range(5)] + [(5 + i, 10, 2) for i in range(5)]
+        rep = rank_bound_experiment(Network(11, edges, range(5)), seed=0)
         assert rep.rank == 5 and len(rep.perturbed_values) == 15
         assert len(solved) == 30
+        # one residual network per table
+        assert len(set(map(id, solved))) == 2
 
     def test_bipartite_refused_nonunique(self):
         # the family's odd-size splits tie, so the uniqueness precondition fails

@@ -217,6 +217,21 @@ class TestCollision:
         tc_collision_family(fam, 5, seed=1)
         assert len(swept) == len(set(swept)) == 19
 
+    def test_one_reduction_per_family(self, monkeypatch):
+        # the perturbed copies share the base network's ends, so the
+        # reduction's shape is built once, for the base network's table
+        built = []
+        shape_of = mincut._shape_of
+
+        def counting(net):
+            built.append(net)
+            return shape_of(net)
+
+        monkeypatch.setattr(mincut, "_shape_of", counting)
+        fam = gen_bipartite(6)
+        rep = tc_collision_family(fam, 20, seed=2)
+        assert rep.ok and len(built) == 1 and built[0] is fam.network
+
     def test_single_bit_functions_differ(self, fam):
         mat = build_incidence(fam.network)
         rep = tc_collision_family(fam, 1, seed=3)

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from mimicknet import mincut
@@ -36,15 +37,29 @@ class TestTerminalCuts:
             cold = tuple(min_separating_cut(net, bp) for bp in enumerate_bipartitions(net.k))
             assert terminal_cuts(net).cuts == cold
 
+    @pytest.mark.parametrize(
+        "net",
+        [gen_bipartite(6).network, gen_bipartite(9).network, *(star_network(k)[0] for k in (2, 3, 5, 6))],
+        ids=["bipartite6", "bipartite9", "star2", "star3", "star5", "star6"],
+    )
+    def test_arcless_core_equals_cold_flows(self, net, solved):
+        # these reduce to their terminals with no arcs plus satellites: the
+        # walk runs no flow, and every row equals one cold flow on the input
+        table = terminal_cuts(net)
+        assert mincut._reduce(net).arcs()[0] == () and solved == []
+        assert table.cuts == tuple(min_separating_cut(net, bp) for bp in enumerate_bipartitions(net.k))
+
     def test_lifted_cost_mismatch_raises(self, monkeypatch):
-        # a bundle map that lost an edge: the flow on the reduced graph
-        # still certifies, its mapped-back cutset does not
+        # a gather that lost one of the bundle's edges: the flow on the
+        # reduced graph still certifies, its mapped-back cutset does not
         net = Network(3, [(0, 1, 2), (0, 1, 3), (1, 2, 7), (2, 2, 1)], [0, 1])
         reduce = mincut._reduce
 
         def lossy(net):
             red = reduce(net)
-            red.bundles[0] = red.bundles[0][:1]
+            shape = red.shape
+            assert shape.edge_cols.tolist() == [0, 1] and shape.edge_core.tolist() == [0, 0]
+            shape.edge_cols, shape.edge_core = shape.edge_cols[:1], shape.edge_core[:1]
             return red
 
         monkeypatch.setattr(mincut, "_reduce", lossy)
@@ -61,8 +76,9 @@ class TestTerminalCuts:
 
         def lossy(net):
             red = reduce(net)
-            s, i, eids = red.links[0]
-            red.links[0] = (s, i, eids[1:])
+            shape = red.shape
+            assert shape.link_eid.tolist() == [0, 1, 2]
+            shape.link_eid, shape.link_sat, shape.link_term = shape.link_eid[1:], shape.link_sat[1:], shape.link_term[1:]
             return red
 
         monkeypatch.setattr(mincut, "_reduce", lossy)
@@ -78,7 +94,8 @@ class TestTerminalCuts:
 
         def misplaced(net):
             red = reduce(net)
-            red.bundles[0] = (0, 2)
+            assert red.shape.edge_cols.tolist() == [0, 1]
+            red.shape.edge_cols = np.array([0, 2])
             return red
 
         monkeypatch.setattr(mincut, "_reduce", misplaced)

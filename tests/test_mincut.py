@@ -95,27 +95,34 @@ class TestReduce:
         edges = [(0, 1, 2), (1, 0, 3), (1, 2, 1), (2, 3, 1), (2, 4, 1), (4, 4, 9), (5, 6, 1), (1, 7, 1), (7, 0, 1)]
         red = _reduce(Network(8, edges, [0, 1]))
         assert isinstance(red, _Reduced)
-        assert red.groups == [[0], [1, 2, 3, 4]]
-        assert red.bundles == [(0, 1)]
-        assert red.terminals == (0, 1)
+        shape = red.shape
+        assert shape.groups == [[0], [1, 2, 3, 4]]
+        assert shape.bundles == [(0, 1)]
+        assert red.terminals == shape.terminals == (0, 1)
         assert red.arcs() == ((1, 0), (5, 5), ((0,), (1,)))
-        assert red.satellites == [[7]] and red.sat_cost == [[1, 1]]
-        assert red.links == [(0, 1, (7,)), (0, 0, (8,))]
+        assert shape.satellites == [[7]] and red.sat_cost.tolist() == [[1, 1]]
+        assert shape.links == [(0, 1, (7,)), (0, 0, (8,))]
+        # the index arrays the table is gathered by
+        assert shape.edge_cols.tolist() == [0, 1] and shape.edge_core.tolist() == [0, 0]
+        assert shape.vertex_cols.tolist() == [0, 1, 2, 3, 4] and shape.vertex_core.tolist() == [0, 1, 1, 1, 1]
+        assert shape.link_eid.tolist() == [7, 8] and shape.link_sat.tolist() == [0, 0]
+        assert shape.link_term.tolist() == [1, 0]
+        assert shape.sat_vertex.tolist() == [7] and shape.sat_of.tolist() == [0]
 
     def test_loops_and_bundles_alone(self):
         red = _reduce(Network(2, [(0, 1, 1), (0, 0, 3), (1, 0, 2)], [0, 1]))
-        assert red.groups == [[0], [1]] and red.bundles == [(0, 2)]
+        assert red.shape.groups == [[0], [1]] and red.shape.bundles == [(0, 2)]
         assert red.arcs() == ((1, 0), (3, 3), ((0,), (1,)))
-        assert red.satellites == []
+        assert red.shape.satellites == []
 
     def test_degree_one_terminals_kept(self):
         # the non-terminal 3 is peeled into 1, whose neighbours left are
         # the degree-1 terminals 2 and 0: 1 is a satellite, 3 in its group
         red = _reduce(Network(4, [(0, 1, 1), (1, 2, 1), (1, 3, 1)], [2, 0]))
-        assert red.groups == [[0], [2]] and red.terminals == (1, 0)
-        assert red.bundles == [] and red.satellites == [[1, 3]]
+        assert red.shape.groups == [[0], [2]] and red.terminals == (1, 0)
+        assert red.shape.bundles == [] and red.shape.satellites == [[1, 3]]
         # cost by terminal index: q0 is vertex 2, q1 vertex 0
-        assert red.sat_cost == [[1, 1]] and red.links == [(0, 1, (0,)), (0, 0, (1,))]
+        assert red.sat_cost.tolist() == [[1, 1]] and red.shape.links == [(0, 1, (0,)), (0, 0, (1,))]
 
     def test_satellite_bundles_and_pendant_tree(self):
         # 3 joins terminal 0 by a bundle of two edges and terminal 1 by
@@ -124,20 +131,20 @@ class TestReduce:
         edges = [(3, 0, 1), (0, 3, 2), (3, 1, 4), (3, 3, 5), (3, 4, 1), (4, 5, 1)]
         edges += [(0, 2, 1), (2, 1, 1), (2, 6, 1), (6, 1, 1)]
         red = _reduce(Network(7, edges, [0, 1]))
-        assert red.groups == [[0], [1], [2], [6]] and red.bundles == [(6,), (7,), (8,), (9,)]
-        assert red.satellites == [[3, 4, 5]] and red.sat_cost == [[3, 4]]
-        assert red.links == [(0, 0, (0, 1)), (0, 1, (2,))]
+        assert red.shape.groups == [[0], [1], [2], [6]] and red.shape.bundles == [(6,), (7,), (8,), (9,)]
+        assert red.shape.satellites == [[3, 4, 5]] and red.sat_cost.tolist() == [[3, 4]]
+        assert red.shape.links == [(0, 0, (0, 1)), (0, 1, (2,))]
 
     def test_bipartite_family_reduces_to_satellites(self):
         # every non-terminal touches only terminals: the core is the k
         # terminals with no arcs, and each subset's vertex is a satellite
         fam = gen_bipartite(6)
         red = _reduce(fam.network)
-        assert red.groups == [[q] for q in range(6)] and red.bundles == []
+        assert red.shape.groups == [[q] for q in range(6)] and red.shape.bundles == []
         assert red.arcs() == ((), (), ((),) * 6)
-        assert red.satellites == [[fam.u_vertex(i)] for i in range(fam.l)]
+        assert red.shape.satellites == [[fam.u_vertex(i)] for i in range(fam.l)]
         scaled = fam.network.scaled_costs
-        assert red.sat_cost == [[scaled[fam.edge_id(i, q)] for q in range(6)] for i in range(fam.l)]
+        assert red.sat_cost.tolist() == [[scaled[fam.edge_id(i, q)] for q in range(6)] for i in range(fam.l)]
 
     @pytest.mark.parametrize("family", [gen_grid(3)])
     def test_nothing_reduces_returns_input(self, family):
@@ -150,11 +157,11 @@ class TestReduce:
         assert _reduce(net) is net
         net = Network(4, [(0, 2, 1), (1, 2, 1), (0, 3, 1), (1, 3, 1)], [0, 1])
         red = _reduce(net)
-        assert red is not net and red.satellites == [[2], [3]] and red.bundles == []
+        assert red is not net and red.shape.satellites == [[2], [3]] and red.shape.bundles == []
         # a terminal-terminal edge stays in the core
         net = Network(3, [(0, 2, 1), (1, 2, 1), (0, 1, 1)], [0, 1])
         red = _reduce(net)
-        assert red is not net and red.satellites == [[2]] and red.bundles == [(2,)]
+        assert red is not net and red.shape.satellites == [[2]] and red.shape.bundles == [(2,)]
 
 
 class TestOracle:
@@ -401,9 +408,38 @@ def test_satellite_table_equals_cold_flows(drawn):
     # satellites in closed form, mapped back, against one flow per row on
     # the input itself
     net, satellites = drawn
-    assert len(_reduce(net).satellites) >= satellites
+    assert len(_reduce(net).shape.satellites) >= satellites
     cold = tuple(min_separating_cut(net, bp) for bp in enumerate_bipartitions(net.k))
     assert terminal_cuts(net).cuts == cold
+
+
+@st.composite
+def recosted_networks(draw):
+    """A network with what the reduction removes (loops, bundles, pendant
+    trees, satellites; with no core edge drawn, a satellite network's
+    core has no arcs), new costs for its edges (1, 2 or 1/2, so ties
+    occur, times 1 or 10**19), and whether the base network's table is
+    asked for before the copy's."""
+    net = draw(st.one_of(reducible_networks(), satellite_networks().map(lambda drawn: drawn[0])))
+    scale = draw(st.sampled_from([1, 10**19]))
+    cost = st.sampled_from([Fraction(scale), Fraction(2 * scale), Fraction(scale, 2)])
+    return net, draw(st.lists(cost, min_size=net.m, max_size=net.m)), draw(st.booleans())
+
+
+@settings(max_examples=200, deadline=None)
+@given(recosted_networks())
+def test_recosted_table_equals_fresh_network(drawn):
+    # a with_costs copy shares its base network's reduction, whichever of
+    # the two asks first; each table must equal that of a network built
+    # from scratch with the same ends and costs
+    net, costs, base_first = drawn
+    copy = net.with_costs(costs)
+    for graph in (net, copy) if base_first else (copy, net):
+        table = terminal_cuts(graph)
+        fresh = terminal_cuts(Network(graph.n, graph.edges, graph.terminals))
+        assert (table.cost_denominator, table.scaled_values) == (fresh.cost_denominator, fresh.scaled_values)
+        assert table == fresh
+    assert copy._shape is net._shape and len(net._shape) == 1
 
 
 @st.composite
