@@ -16,7 +16,6 @@ from .mincut import (
     GapReport,
     gap,
     min_cut_and_uniqueness,
-    min_cut_between,
     min_separating_cut,
     uniqueness_by_flow,
 )
@@ -65,7 +64,6 @@ __all__ = [
     "faces_of_subgraph",
     "gap",
     "min_cut_and_uniqueness",
-    "min_cut_between",
     "min_separating_cut",
     "perturb",
     "preprocess",

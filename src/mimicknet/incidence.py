@@ -2,9 +2,10 @@
 
 Row ``i`` of the matrix marks the edges of the canonical minimum cut of the
 ``i``-th bipartition (canonical enumeration order); the companion value
-vector holds the exact cut values, and ``A . c = values`` is checked at
-build time.  The exact rank comes from a modular elimination whose answer
-is certified over the integers (see ``_pivot_columns``).
+vector holds the exact cut values, and ``A . c = values`` is the table's
+certificate (``TerminalCuts.certify``).  The exact rank comes from a
+modular elimination whose answer is certified over the integers (see
+``_pivot_columns``).
 """
 
 from __future__ import annotations
@@ -47,10 +48,10 @@ class IncidenceMatrix:
 
 
 def build_incidence(net: Network) -> IncidenceMatrix:
-    """Incidence matrix and value vector from canonical minimum cuts."""
+    """Incidence matrix and value vector from canonical minimum cuts.
+    ``terminal_cuts`` has certified ``A . c = values`` exactly on the
+    read-only table this views."""
     cuts = terminal_cuts(net)
-    # A . c = values over the shared denominator, exactly
-    cuts.certify(net)
     return IncidenceMatrix(net.k, cuts.cut_matrix.view(np.uint8), cuts.values)
 
 

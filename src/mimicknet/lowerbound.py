@@ -28,8 +28,9 @@ from itertools import combinations
 import numpy as np
 
 from .errors import InvalidParameterError
-from .incidence import IncidenceMatrix, _pivot_columns, build_incidence, rank
-from .mincut import _min_gap, gap, min_cut_and_uniqueness, oracle_enumeration
+from .incidence import _pivot_columns, build_incidence, rank
+from .mimick import terminal_cuts
+from .mincut import _cost_array, _min_gap, gap, min_cut_and_uniqueness, oracle_enumeration
 from .network import Bipartition, Network, enumerate_bipartitions
 from .planar import PlaneEmbedding
 
@@ -72,14 +73,6 @@ def gen_bipartite(k: int) -> BipartiteFamily:
     return BipartiteFamily(k, len(subsets), eps, subsets, net)
 
 
-def _u_side_cost(fam: BipartiteFamily, i: int, terminal_set) -> Fraction:
-    inside = set(fam.subsets[i])
-    return sum(
-        (Fraction(1) if q in inside else 2 + fam.epsilon for q in terminal_set),
-        Fraction(0),
-    )
-
-
 @dataclass(frozen=True)
 class BipartiteCutRecord:
     subset: tuple[int, ...]
@@ -109,13 +102,20 @@ def verify_bipartite_lemma(
     """Check, for every (or a sample of) size-2k/3 subset(s), that the
     minimum cut isolates exactly that subset's non-terminal with the
     complement terminals, uniquely, and that the proof's per-non-terminal
-    cost comparisons hold numerically."""
+    cost comparisons hold exactly on the network's costs (edge
+    ``edge_id(i, q)`` joins subset i's non-terminal to terminal q)."""
     if spot_check is not None and spot_check < 1:
         raise InvalidParameterError(f"spot-check size must be >= 1, got {spot_check}")
     net = fam.network
     indices = list(range(fam.l))
     if spot_check is not None and spot_check < fam.l:
         indices = sorted(random.Random(seed).sample(indices, spot_check))
+    # the proof's comparisons, one integer product: d[j, i] is u_j's cost
+    # to subset i's terminals less its cost to the others (scaled), and
+    # row i holds iff d[i, i] < 0 < d[j, i] for every j != i
+    sign = np.array([[1 if q in subset else -1 for q in range(fam.k)] for subset in fam.subsets])
+    d = _cost_array(net).reshape(fam.l, fam.k) @ sign.T
+    ineq = (d.diagonal() < 0) & ((d > 0).sum(axis=0) == fam.l - 1)
     records = []
     for i in indices:
         subset = fam.subsets[i]
@@ -124,11 +124,7 @@ def verify_bipartite_lemma(
         expected_w = frozenset({fam.u_vertex(i)} | (set(range(fam.k)) - set(subset)))
         side = cut.side if 0 not in subset else frozenset(range(net.n)) - cut.side
         side_ok = side == expected_w
-        sbar = set(range(fam.k)) - set(subset)
-        ineq = _u_side_cost(fam, i, subset) < _u_side_cost(fam, i, sbar) and all(
-            _u_side_cost(fam, j, subset) > _u_side_cost(fam, j, sbar) for j in range(fam.l) if j != i
-        )
-        records.append(BipartiteCutRecord(subset, cut.value, side_ok, unique, ineq))
+        records.append(BipartiteCutRecord(subset, cut.value, side_ok, unique, bool(ineq[i])))
     return BipartiteLemmaReport(fam.k, tuple(records))
 
 
@@ -360,10 +356,10 @@ class CollisionReport:
         return not self.collisions and self.subset_rows_stable and self.total_mass_below_gap
 
 
-def _independent_columns(mat: IncidenceMatrix, row_indices: list[int], count: int) -> list[int]:
-    """The first ``count`` columns, left to right, that are independent on
-    the given rows."""
-    return _pivot_columns(mat.bits[row_indices])[:count]
+def _independent_columns(bits: np.ndarray, row_indices: list[int], count: int) -> list[int]:
+    """The first ``count`` columns of a 0/1 matrix, left to right, that
+    are independent on the given rows."""
+    return _pivot_columns(bits[row_indices])[:count]
 
 
 def tc_collision_family(fam: BipartiteFamily, sample_count: int, seed: int) -> CollisionReport:
@@ -378,10 +374,10 @@ def tc_collision_family(fam: BipartiteFamily, sample_count: int, seed: int) -> C
     if sample_count < 1:
         raise InvalidParameterError(f"sample count must be >= 1, got {sample_count}")
     net = fam.network
-    mat = build_incidence(net)
+    base = terminal_cuts(net)
     subset_bps = [Bipartition.from_indices(fam.k, s) for s in fam.subsets]
     subset_rows = [bp.row_index for bp in subset_bps]
-    columns = _independent_columns(mat, subset_rows, fam.l)
+    columns = _independent_columns(base.cut_matrix, subset_rows, fam.l)
     if len(columns) < fam.l:
         raise InvalidParameterError("could not find enough independent columns")
     first_l = columns == list(range(fam.l))
@@ -397,20 +393,21 @@ def tc_collision_family(fam: BipartiteFamily, sample_count: int, seed: int) -> C
     space = 1 << fam.l
 
     base_costs = [e.cost for e in net.edges]
-    base_rows = mat.bits[subset_rows]
+    base_rows = base.cut_matrix[subset_rows]
 
-    def values_for(bits: int) -> tuple[tuple[Fraction, ...], bool, bool]:
+    def values_for(bits: int) -> tuple[tuple[int, tuple[int, ...]], bool, bool]:
         costs = base_costs.copy()
         for pos, col in enumerate(columns):
             if bits >> pos & 1:
                 costs[col] += step
-        # the copies share the base network's reduction (with_costs)
-        pmat = build_incidence(net.with_costs(costs))
-        stable = np.array_equal(pmat.bits[subset_rows], base_rows)
-        return pmat.values, stable, pmat.same_bits(mat)
+        # the copies share the base network's reduction (with_costs); the
+        # values in lowest terms are equal iff the values are
+        table = terminal_cuts(net.with_costs(costs))
+        stable = np.array_equal(table.cut_matrix[subset_rows], base_rows)
+        return table.lowest_terms, stable, np.array_equal(table.cut_matrix, base.cut_matrix)
 
     # one result per distinct sampled pattern
-    results: dict[int, tuple[tuple[Fraction, ...], bool, bool]] = {}
+    results: dict[int, tuple[tuple[int, tuple[int, ...]], bool, bool]] = {}
     collisions = []
     for _ in range(sample_count):
         a = rng.randrange(space)

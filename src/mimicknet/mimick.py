@@ -15,6 +15,7 @@ preserve every terminal bipartition cut value exactly; ``verify`` and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -49,8 +50,9 @@ class TerminalCuts:
     Held as arrays: the values times the network's ``cost_denominator``,
     a rows x m bool ``cut_matrix`` whose row i marks row i's cutset, and a
     rows x n bool ``side_matrix`` whose row i marks its canonical side.
-    ``cuts`` (and iteration) builds the rows as :class:`CutResult` on
-    first use."""
+    ``lowest_terms`` is the values' one exact form that does not depend
+    on the network's denominator; ``cuts`` (and iteration) builds the
+    rows as :class:`CutResult` on first use."""
 
     k: int
     cost_denominator: int
@@ -68,7 +70,7 @@ class TerminalCuts:
         if not isinstance(other, TerminalCuts):
             return NotImplemented
         return (
-            (self.k, self.values) == (other.k, other.values)
+            (self.k, self.lowest_terms) == (other.k, other.lowest_terms)
             and np.array_equal(self.cut_matrix, other.cut_matrix)
             and np.array_equal(self.side_matrix, other.side_matrix)
         )
@@ -84,6 +86,15 @@ class TerminalCuts:
     def values(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(v, self.cost_denominator) for v in self.scaled_values)
 
+    @cached_property
+    def lowest_terms(self) -> tuple[int, tuple[int, ...]]:
+        """The values over their least common denominator: (that
+        denominator, the values times it).  Unique, so two tables hold the
+        same values iff these are equal, whatever their networks'
+        denominators."""
+        g = math.gcd(self.cost_denominator, *self.scaled_values)
+        return self.cost_denominator // g, tuple([v // g for v in self.scaled_values])
+
     @property
     def union(self) -> frozenset[int]:
         """Union of the canonical minimum cutsets over all bipartitions."""
@@ -95,17 +106,15 @@ class TerminalCuts:
         (``A . c = values`` over the shared denominator).  For a table of
         :func:`terminal_cuts` this is the max-flow = cut-cost certificate
         of every row: the values come from the flows and the cuts from the
-        sides the flows left reachable.  Exact: in int64
-        when ``net``'s scaled costs sum below 2**63, in Python integers
-        otherwise, a block of rows at a time."""
+        sides the flows left reachable.  Exact, in the dtype of
+        :func:`mincut._cost_array`, a block of rows at a time."""
         rows, den = len(self.scaled_values), self.cost_denominator
         shapes = (self.cut_matrix.shape, self.side_matrix.shape)
         if den != net.cost_denominator or shapes != ((rows, net.m), (rows, net.n)):
             raise InternalError(
                 f"table of {rows} rows over denominator {den} does not fit {net} over {net.cost_denominator}"
             )
-        fits = sum(net.scaled_costs) < 1 << 63
-        costs = np.array(net.scaled_costs, dtype=np.int64 if fits else object)
+        costs = mincut._cost_array(net)
         block = max(1, _CERTIFY_BLOCK // max(1, net.m))
         for lo in range(0, rows, block):
             got = (self.cut_matrix[lo : lo + block] @ costs).tolist()

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -199,16 +199,14 @@ class _Reduced:
     """A network's reduced core with its costs: the graph the walk runs
     on, ``arcs()`` in the layout of :meth:`Network.arcs`.  A core edge's
     capacity is its bundle's summed scaled cost, and ``sat_cost[s, i]`` is
-    satellite s's summed scaled cost to terminal index i: int64 when all
-    of the network's scaled costs sum below 2**63, so every sum of them
-    is exact, Python integers otherwise.  The rest is ``shape``'s."""
+    satellite s's summed scaled cost to terminal index i, both in the
+    dtype of :func:`_cost_array`.  The rest is ``shape``'s."""
 
     __slots__ = ("net", "shape", "n", "terminals", "sat_cost", "_arcs")
 
     def __init__(self, net: Network, shape: _Shape):
         self.net, self.shape, self.n, self.terminals = net, shape, shape.n, shape.terminals
-        scaled = net.scaled_costs
-        costs = np.array(scaled, dtype=np.int64 if sum(scaled) < 1 << 63 else object)
+        costs = _cost_array(net)
         caps = np.zeros(len(shape.bundles), dtype=costs.dtype)
         np.add.at(caps, shape.edge_core, costs[shape.edge_cols])
         # an edge's two arcs carry its capacity
@@ -258,6 +256,13 @@ class _Reduced:
             cut[lo:hi, link_eid] = on[:, link_sat] != src[:, link_term]
             side[lo:hi, shape.sat_vertex] = on[:, shape.sat_of]
         return [x + y for x, y in zip(core_values, sat_values)], cut, side
+
+
+def _cost_array(net: Network) -> np.ndarray:
+    """``net``'s scaled costs as an array: int64 when they sum below
+    2**63, so every sum of them is exact, Python integers otherwise."""
+    scaled = net.scaled_costs
+    return np.array(scaled, dtype=np.int64 if sum(scaled) < 1 << 63 else object)
 
 
 def _flat(lists) -> np.ndarray:
@@ -376,29 +381,10 @@ def _shape_of(net: Network) -> _Shape | None:
     return _Shape(terminals, groups, bundles, tuple(head), tuple(map(tuple, out)), satellites, links)
 
 
-class _FlowSolution(NamedTuple):
-    """A maximum flow's canonical cut in the solved graph's own ids (its
-    scaled value, the source side and the arcs leaving it), plus the
-    residual network it was read from."""
-
-    scaled: int
-    side: set[int]
-    crossing: list[int]
-    residual: _Dinic
-    cost_denominator: int
-
-    @property
-    def cut(self) -> CutResult:
-        # frozenset() of a set sizes its table to fit; from a generator it
-        # keeps the slack of incremental growth, which a table of every cut pays
-        cutset = frozenset({a >> 1 for a in self.crossing})
-        return CutResult(Fraction(self.scaled, self.cost_denominator), cutset, frozenset(self.side))
-
-
-def _solve_flow(net: Network, sources: Sequence[int], sinks: Sequence[int]) -> _FlowSolution:
+def _solve_flow(net: Network, sources: Sequence[int], sinks: Sequence[int]) -> tuple[CutResult, _Dinic]:
     """Maximum flow from the sources to the sinks of ``net``, from the
-    zero flow, and its canonical cut, certified: the cut's cost must equal
-    the flow's value."""
+    zero flow: its canonical cut, certified (the cut's cost must equal the
+    flow's value), and the residual network it was read from."""
     src, snk = set(sources), set(sinks)
     if not src or not snk:
         raise InvalidParameterError("source and sink sets must be nonempty")
@@ -432,7 +418,10 @@ def _solve_flow(net: Network, sources: Sequence[int], sinks: Sequence[int]) -> _
         raise InternalError(
             f"max-flow {Fraction(scaled, den)} differs from its cut cost {Fraction(cut_cost, den)}"
         )
-    return _FlowSolution(scaled, side, crossing, d, den)
+    # frozenset() of a set sizes its table to fit; from a generator it
+    # keeps the slack of incremental growth
+    cutset = frozenset({a >> 1 for a in crossing})
+    return CutResult(Fraction(scaled, den), cutset, frozenset(side)), d
 
 
 def _walk(graph: Network | _Reduced) -> tuple[list[int], np.ndarray, np.ndarray]:
@@ -501,7 +490,7 @@ def _cutset(net: Network, in_side: Sequence[bool]) -> frozenset[int]:
     return frozenset({eid for eid, e in enumerate(net.edges) if in_side[e.u] != in_side[e.v]})
 
 
-def _solve_bipartition(net: Network, bp: Bipartition) -> _FlowSolution:
+def _solve_bipartition(net: Network, bp: Bipartition) -> tuple[CutResult, _Dinic]:
     """The one flow of a bipartition: its complement side (terminal 0's)
     is the source, its S side the sink."""
     if bp.k != net.k:
@@ -516,27 +505,18 @@ def min_separating_cut(net: Network, bp: Bipartition) -> CutResult:
     terminal 0 (the super-source side); its terminal trace is the
     bipartition's complement side.
     """
-    return _solve_bipartition(net, bp).cut
+    return _solve_bipartition(net, bp)[0]
 
 
 def min_cut_and_uniqueness(net: Network, bp: Bipartition) -> tuple[CutResult, bool]:
     """Canonical minimum cut plus whether it is the only minimum cut, both
     read from one flow: the cutset is unique iff the source-minimal and
     sink-minimal minimum cuts share it."""
-    sol = _solve_bipartition(net, bp)
-    in_sink = sol.residual.reach(net.n + 1)[: net.n]
+    cut, residual = _solve_bipartition(net, bp)
+    in_sink = residual.reach(net.n + 1)[: net.n]
     for q in bp.side_vertices(net):
         in_sink[q] = True
-    cut = sol.cut
     return cut, cut.cutset == _cutset(net, in_sink)
-
-
-def min_cut_between(net: Network, source_terminals: Iterable[int], sink_terminals: Iterable[int]) -> CutResult:
-    """Minimum cut separating two disjoint terminal-index sets; remaining
-    terminals are unconstrained."""
-    src = [net.terminals[i] for i in source_terminals]
-    snk = [net.terminals[i] for i in sink_terminals]
-    return _solve_flow(net, src, snk).cut
 
 
 def uniqueness_by_flow(net: Network, bp: Bipartition) -> bool:

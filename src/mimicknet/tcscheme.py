@@ -9,7 +9,6 @@ accounted in raw value bits and in 64-bit machine words.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -41,10 +40,9 @@ class TCStore:
 
 
 def preprocess(net: Network) -> TCStore:
-    """Build the full cut-value table in canonical bipartition order."""
-    values = terminal_cuts(net).values
-    den = math.lcm(*(v.denominator for v in values))
-    scaled = tuple(v.numerator * (den // v.denominator) for v in values)
+    """Build the full cut-value table in canonical bipartition order,
+    over the values' least common denominator."""
+    den, scaled = terminal_cuts(net).lowest_terms
     return TCStore(net.k, den, scaled)
 
 

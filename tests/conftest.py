@@ -1,6 +1,7 @@
 import pytest
 
 from mimicknet import mincut
+from mimicknet.mimick import TerminalCuts
 from mimicknet.generate import random_planar_network
 
 CAMPAIGN_SIZE = 200
@@ -42,3 +43,19 @@ def solved(monkeypatch):
 
     monkeypatch.setattr(mincut._Dinic, "max_flow", counting)
     return residuals
+
+
+@pytest.fixture()
+def certified(monkeypatch):
+    """Every table whose certificate ran, one entry per
+    ``TerminalCuts.certify`` call (the list keeps the tables alive, so
+    distinct tables have distinct ids)."""
+    tables = []
+    certify = TerminalCuts.certify
+
+    def counting(self, net):
+        tables.append(self)
+        return certify(self, net)
+
+    monkeypatch.setattr(TerminalCuts, "certify", counting)
+    return tables

@@ -21,8 +21,7 @@ from mimicknet.incidence import (
     rank_bound_experiment,
 )
 from mimicknet.lowerbound import gen_bipartite, gen_grid
-from mimicknet import incidence
-from mimicknet.mimick import TerminalCuts
+from mimicknet import incidence, mincut
 from mimicknet.mincut import global_gap
 from mimicknet.network import Network
 
@@ -44,11 +43,23 @@ class TestBuild:
         assert mat.values == (Fraction(1), Fraction(1), Fraction(1))
 
     def test_row_value_mismatch_raises(self, monkeypatch):
-        # the one edge costs 7; the table claims 8 for the row that cuts it
-        wrong = TerminalCuts(2, 1, (8,), np.array([[True]]), np.array([[True, False]]))
-        monkeypatch.setattr(incidence, "terminal_cuts", lambda net: wrong)
+        # the one edge costs 7; the walk claims 8 for the row that cuts it,
+        # and the table's one certificate, run by terminal_cuts, catches it
+        walk = mincut._walk
+
+        def wrong(graph):
+            values, cut, side = walk(graph)
+            assert values == [7] and cut.tolist() == [[True]]
+            return [8], cut, side
+
+        monkeypatch.setattr(mincut, "_walk", wrong)
         with pytest.raises(InternalError):
             build_incidence(Network(2, [(0, 1, 7)], [0, 1]))
+
+    def test_one_certificate_per_table(self, certified):
+        # terminal_cuts certifies the read-only table build_incidence views
+        build_incidence(gen_grid(3).network)
+        assert len(certified) == 1
 
     def test_grid_k4_row_count(self):
         fam = gen_grid(4)

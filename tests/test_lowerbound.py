@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -127,6 +128,38 @@ class TestBipartiteLemma:
         assert verify_bipartite_lemma(gen_bipartite(6)).ok
         assert len(solved) == 15
 
+    def test_broken_inequality_reported(self):
+        # u_0's edge to one terminal of its own subset costs 1 more: its
+        # cost to the subset's terminals now exceeds its cost to the others
+        # (4 + 1 > 13/3), while every other comparison moves by 1 from at
+        # least 2; the costs are read from the network, not the formula
+        fam = gen_bipartite(6)
+        eid = fam.edge_id(0, fam.subsets[0][0])
+        costs = [e.cost + (eid == i) for i, e in enumerate(fam.network.edges)]
+        rep = verify_bipartite_lemma(dataclasses.replace(fam, network=fam.network.with_costs(costs)))
+        assert [r.inequalities_ok for r in rep.checked] == [False] + [True] * 14
+        assert not rep.ok
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_inequalities_equal_fraction_reference(self, seed):
+        # random costs break some comparisons; each record against the
+        # proof's comparisons summed one edge at a time
+        fam = gen_bipartite(6)
+        rng = random.Random(seed)
+        grid = [Fraction(1, 2), Fraction(1), Fraction(13, 6), Fraction(7, 3), 2 ** 64 + Fraction(1, 3)]
+        net = fam.network.with_costs([rng.choice(grid) for _ in range(fam.network.m)])
+        rep = verify_bipartite_lemma(dataclasses.replace(fam, network=net))
+
+        def cost(j, terminals):
+            return sum((net.edges[fam.edge_id(j, q)].cost for q in terminals), Fraction(0))
+
+        expected = []
+        for i, subset in enumerate(fam.subsets):
+            rest = [q for q in range(fam.k) if q not in subset]
+            others = all(cost(j, subset) > cost(j, rest) for j in range(fam.l) if j != i)
+            expected.append(cost(i, subset) < cost(i, rest) and others)
+        assert [r.inequalities_ok for r in rep.checked] == expected
+
 
 class TestGridLemma:
     def test_k3_with_oracle(self):
@@ -232,6 +265,15 @@ class TestCollision:
         rep = tc_collision_family(fam, 20, seed=2)
         assert rep.ok and len(built) == 1 and built[0] is fam.network
 
+    def test_one_certificate_per_table(self, fam, certified, monkeypatch):
+        # the base table and one per distinct sampled pattern, each
+        # certified once, by terminal_cuts
+        walks = []
+        walk = mincut._walk
+        monkeypatch.setattr(mincut, "_walk", lambda graph: walks.append(graph) or walk(graph))
+        tc_collision_family(fam, 100, seed=5)
+        assert len(walks) == len(certified) == len({id(t) for t in certified}) == 201
+
     def test_single_bit_functions_differ(self, fam):
         mat = build_incidence(fam.network)
         rep = tc_collision_family(fam, 1, seed=3)
@@ -282,7 +324,7 @@ class TestIndependentColumns:
         mat = build_incidence(fam.network)
         rows = [Bipartition.from_indices(fam.k, s).row_index for s in fam.subsets]
         expected = _greedy_columns(mat.bits, rows, fam.l)
-        assert lowerbound._independent_columns(mat, rows, fam.l) == expected
+        assert lowerbound._independent_columns(mat.bits, rows, fam.l) == expected
         assert len(expected) == fam.l
 
     @pytest.mark.parametrize("seed", range(40))
@@ -293,7 +335,6 @@ class TestIndependentColumns:
         bits = np.array(
             [[int(rng.random() < density) for _ in range(n_cols)] for _ in range(n_rows)], dtype=np.uint8
         )
-        mat = IncidenceMatrix(2, bits, ())
         rows = sorted(rng.sample(range(n_rows), rng.randint(1, n_rows)))
         count = rng.randint(1, n_cols)
-        assert lowerbound._independent_columns(mat, rows, count) == _greedy_columns(bits, rows, count)
+        assert lowerbound._independent_columns(bits, rows, count) == _greedy_columns(bits, rows, count)

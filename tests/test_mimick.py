@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -143,6 +144,50 @@ class TestTerminalCuts:
         with pytest.raises(InternalError, match=r"^row 1 "):
             terminal_cuts(net)
         assert len(calls) == 3
+
+
+class TestLowestTerms:
+    @pytest.mark.parametrize(
+        "net",
+        [
+            Network(4, [(0, 3, Fraction(1, 2)), (1, 3, Fraction(2, 3)), (2, 3, Fraction(5, 6)), (0, 1, Fraction(1, 4))], [0, 1, 2]),
+            # every value is zero, over a network denominator of 3
+            Network(4, [(3, 3, Fraction(1, 3))], [0, 1, 2]),
+            Network(4, [(0, 3, 2**70 + Fraction(1, 3)), (1, 3, 2**65), (2, 3, 3 << 64), (0, 1, Fraction(1 << 80, 7))], [0, 1, 2]),
+        ],
+        ids=["mixed-denominators", "all-zero", "big-integers"],
+    )
+    def test_equal_the_values_reduced(self, net):
+        table = terminal_cuts(net)
+        den = math.lcm(*(v.denominator for v in table.values))
+        assert table.lowest_terms == (den, tuple(v.numerator * (den // v.denominator) for v in table.values))
+
+    def test_tables_over_other_denominators_compare_by_value(self):
+        a = terminal_cuts(PATH_35)
+        b = terminal_cuts(Network(3, [(0, 1, 3), (1, 2, Fraction(11, 2))], [0, 2]))
+        assert a.scaled_values != b.scaled_values and a == b
+        assert a != terminal_cuts(Network(3, [(0, 1, Fraction(7, 2)), (1, 2, 5)], [0, 2]))
+
+
+class TestBigIntegerCertificate:
+    # scaled costs summing past 2**63: the certificate runs on Python integers
+    NET = Network(4, [(0, 2, 2**62), (2, 3, 2**62 + 1), (3, 1, 2**62), (0, 3, 3), (2, 1, 2**61)], [0, 1])
+
+    def test_table_equals_cold_flows(self):
+        assert mincut._cost_array(self.NET).dtype == object
+        cold = tuple(min_separating_cut(self.NET, bp) for bp in enumerate_bipartitions(2))
+        assert terminal_cuts(self.NET).cuts == cold
+
+    def test_big_integer_value_mismatch_raises(self, monkeypatch):
+        walk = mincut._walk
+
+        def off_by_one(graph):
+            values, cut, side = walk(graph)
+            return [v + 1 for v in values], cut, side
+
+        monkeypatch.setattr(mincut, "_walk", off_by_one)
+        with pytest.raises(InternalError, match=r"^row 0 "):
+            terminal_cuts(self.NET)
 
 
 class TestCutUnion:

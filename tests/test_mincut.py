@@ -15,11 +15,11 @@ from mimicknet.mincut import (
     _edge_tables,
     _reduce,
     _Reduced,
+    _solve_flow,
     _walk,
     gap,
     global_gap,
     min_cut_and_uniqueness,
-    min_cut_between,
     min_separating_cut,
     oracle_enumeration,
     uniqueness_by_flow,
@@ -28,6 +28,15 @@ from mimicknet.network import Bipartition, Network, enumerate_bipartitions
 
 PATH_35 = Network(3, [(0, 1, 3), (1, 2, 5)], [0, 2])
 BP2 = enumerate_bipartitions(2)[0]
+
+
+def min_cut_between(net, source_terminals, sink_terminals):
+    """Minimum cut separating two disjoint terminal-index sets, the
+    remaining terminals unconstrained: one cold flow, the reference for
+    ``verify_generalized``'s pair rows."""
+    src = [net.terminals[i] for i in source_terminals]
+    snk = [net.terminals[i] for i in sink_terminals]
+    return _solve_flow(net, src, snk)[0]
 
 
 class TestMinSeparatingCut:
