@@ -424,7 +424,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _validate(args)
         return args.func(args)
-    except (MimicknetError, FileNotFoundError) as exc:
+    except (MimicknetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -141,5 +141,9 @@ def serialize_network(net: Network, emb: PlaneEmbedding | None = None, comment: 
 
 def load_network(path) -> tuple[Network, PlaneEmbedding | None]:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_network(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+    return parse_network(text)
 

@@ -130,21 +130,20 @@ def terminal_cuts(net: Network) -> TerminalCuts:
     One Gray-code walk on one residual network (:func:`mincut._walk`),
     each flow augmenting the previous one's.  The canonical side is the
     set reachable from the source in the residual of any maximum flow, so
-    the table equals the one from-scratch flows would give.  The walk runs
-    on the core of the exactly reduced graph (loops dropped, bundles
-    merged, pendant trees peeled, satellites set aside), whose shape is
-    built once per ends and terminals and shared by ``with_costs`` copies;
-    :meth:`mincut._Reduced.expand` gathers its cut and side matrices out
-    to the input's edge and vertex columns and adds the satellites in
-    closed form.  One exact certificate per table,
+    the table equals the one from-scratch flows would give.  Every table
+    takes one route: reduce, walk, expand, certify.  The walk runs on the
+    core of the exactly reduced graph (loops dropped, bundles merged,
+    pendant trees peeled, satellites set aside; the identity when nothing
+    reduces), whose shape is built once per ends and terminals and shared
+    by ``with_costs`` copies; :meth:`mincut._Reduced.expand` gathers its
+    cut and side matrices out to the input's edge and vertex columns and
+    adds the satellites in closed form.  One exact certificate per table,
     :meth:`TerminalCuts.certify`, checks every row's value, which comes
     from a flow, against the cost of its cut, which comes from a side."""
     if net.k < 2:
         raise InvalidTerminalCountError(f"need k >= 2 terminals, got {net.k}")
-    graph = mincut._reduce(net)
-    values, cut, side = mincut._walk(graph)
-    if graph is not net:
-        values, cut, side = graph.expand(values, cut, side)
+    core = mincut._reduce(net)
+    values, cut, side = core.expand(*mincut._walk(core))
     cut.flags.writeable = side.flags.writeable = False
     table = TerminalCuts(net.k, net.cost_denominator, tuple(values), cut, side)
     table.certify(net)

@@ -4,12 +4,14 @@ Flow route: Dinic over integer-scaled capacities (costs share a common
 denominator, so arithmetic is exact Python integers end to end).  The
 canonical minimum cut for a bipartition is the one whose side containing
 terminal 0 is inclusion-minimal, obtained as the residual-reachable set
-from the contracted super-source.  A terminal-cut table is one Gray-code
-walk on one residual network (:func:`_walk`), run on the core of the
-exactly reduced graph of :func:`_reduce`, its satellites solved in closed
-form, and expanded to the input's edge and vertex columns.  The reduction
-depends on the ends and the terminals alone, so networks that differ only
-in their costs share it.
+from the contracted super-source.  One constructor, :class:`_Dinic`,
+builds every residual network from a graph and the two vertex sets it
+contracts.  A terminal-cut table is one Gray-code walk on one residual
+network (:func:`_walk`), run on the core of the exactly reduced graph of
+:func:`_reduce` (the identity when nothing reduces), its satellites
+solved in closed form, and expanded to the input's edge and vertex
+columns.  The reduction depends on the ends and the terminals alone, so
+networks that differ only in their costs share it.
 
 Oracle route: exhaustive sweep over all side assignments of the
 non-terminal vertices (capacity ``n - k <= 22``) by the blocked kernel in
@@ -67,12 +69,23 @@ class _Dinic:
     in place); ``adj[v]`` lists the arcs leaving v, and arc ``a ^ 1`` is
     the other direction of the same edge.  Every search is a loop over
     plain lists (no recursion), so a path of any length fits.
+
+    Built from ``graph``'s arcs at the zero flow with the sources
+    contracted into s = n and the sinks into t = n + 1: their out-arcs
+    leave s or t, and the twins of those arcs are redirected there.
     """
 
     __slots__ = ("n", "to", "cap", "adj", "level")
 
-    def __init__(self, to: list[int], cap: list[int], adj: list[Sequence[int]]):
-        self.n, self.to, self.cap, self.adj = len(adj), to, cap, adj
+    def __init__(self, graph: Network | _Reduced, sources: Sequence[int], sinks: Sequence[int]):
+        head, cap, out = graph.arcs()
+        self.n, self.to, self.cap, self.adj = graph.n + 2, list(head), list(cap), [*out]
+        # s, then t, is the next vertex of adj
+        for end in (sources, sinks):
+            arcs = [a for q in end for a in out[q]]
+            for a in arcs:
+                self.to[a ^ 1] = len(self.adj)
+            self.adj.append(arcs)
         self.level: list[int] = []
 
     def _levels(self, s: int, t: int) -> list[int]:
@@ -275,21 +288,21 @@ def _owners(lists) -> np.ndarray:
     return np.repeat(np.arange(len(lists), dtype=np.intp), [len(part) for part in lists])
 
 
-def _reduce(net: Network) -> Network | _Reduced:
-    """The graph a terminal-cut table is solved on: ``net`` itself when
-    nothing reduces, else its reduced core with ``net``'s costs.  The
-    shape (:func:`_shape_of`) is built on the first table of a network's
-    ends and terminals and kept with them, so a ``with_costs`` copy pays
-    only for summing its costs into the core."""
+def _reduce(net: Network) -> _Reduced:
+    """The graph a terminal-cut table is solved on: ``net``'s reduced core
+    with ``net``'s costs.  The shape (:func:`_shape_of`) is built on the
+    first table of a network's ends and terminals and kept with them, so a
+    ``with_costs`` copy pays only for summing its costs into the core."""
     kept = net._shape
     if not kept:
         kept.append(_shape_of(net))
-    return net if kept[0] is None else _Reduced(net, kept[0])
+    return _Reduced(net, kept[0])
 
 
-def _shape_of(net: Network) -> _Shape | None:
-    """The reduction of ``net``'s ends and terminals, or None when
-    nothing reduces.  Costs are positive, so in every minimum cut a self-loop
+def _shape_of(net: Network) -> _Shape:
+    """The reduction of ``net``'s ends and terminals: the identity (one
+    group per vertex, one bundle per edge) when nothing reduces, as in the
+    grid family.  Costs are positive, so in every minimum cut a self-loop
     is uncut, a parallel bundle is cut whole or not at all, and a
     non-terminal with one neighbour lies on that neighbour's side (moving
     it would save the edge between them).  Peeling repeats that last rule
@@ -318,11 +331,6 @@ def _shape_of(net: Network) -> _Shape | None:
         nbr[v] ^= u
         outer[u] += terminal[v]
         outer[v] += terminal[u]
-    # nothing reduces when every edge is its own bundle (no loops, no
-    # parallel edges) and every non-terminal has two neighbours, one a
-    # non-terminal (the grid family); the walk then uses the input's arcs
-    if len(bundle_of) == net.m and all(terminal[v] or degree[v] > 1 and degree[v] > outer[v] for v in range(n)):
-        return None
     peel = [v for v in range(n) if degree[v] < 2 and not terminal[v]]
     # a peeled vertex's parent, -1 for a dropped one, until resolved below
     root = list(range(n))
@@ -381,36 +389,24 @@ def _shape_of(net: Network) -> _Shape | None:
     return _Shape(terminals, groups, bundles, tuple(head), tuple(map(tuple, out)), satellites, links)
 
 
-def _solve_flow(net: Network, sources: Sequence[int], sinks: Sequence[int]) -> tuple[CutResult, _Dinic]:
-    """Maximum flow from the sources to the sinks of ``net``, from the
-    zero flow: its canonical cut, certified (the cut's cost must equal the
-    flow's value), and the residual network it was read from."""
-    src, snk = set(sources), set(sinks)
-    if not src or not snk:
-        raise InvalidParameterError("source and sink sets must be nonempty")
-    if src & snk:
-        raise InvalidParameterError(f"source/sink overlap: {sorted(src & snk)}")
-    # contract the sources into s and the sinks into t: their out-arcs
-    # move to s or t, and the arcs into them are redirected
-    n = net.n
-    s, t = n, n + 1
-    head, cap, out = net.arcs()
-    to = list(head)
-    src_arcs = [a for q in src for a in out[q]]
-    snk_arcs = [a for q in snk for a in out[q]]
-    for a in src_arcs:
-        to[a ^ 1] = s
-    for a in snk_arcs:
-        to[a ^ 1] = t
-    d = _Dinic(to, list(cap), [*out, src_arcs, snk_arcs])
-    scaled = d.max_flow(s, t)
+def _solve_flow(net: Network, bp: Bipartition) -> tuple[CutResult, _Dinic]:
+    """The one flow of a bipartition, from the zero flow: its complement
+    side (terminal 0's) is the source, its S side the sink.  Returns its
+    canonical cut, certified (the cut's cost must equal the flow's value),
+    and the residual network it was read from."""
+    if bp.k != net.k:
+        raise InvalidParameterError(f"bipartition is for k={bp.k}, network has k={net.k}")
+    n, sources = net.n, bp.coside_vertices(net)
+    d = _Dinic(net, sources, bp.side_vertices(net))
+    scaled = d.max_flow(n, n + 1)
 
     # the side is what the last level BFS reached, plus the sources (the
     # arcs into them run to s); an arc leaves it iff its redirected head
     # is unreached
-    level = d.level
+    level, to = d.level, d.to
+    _, cap, out = net.arcs()
     side = {v for v in range(n) if level[v] >= 0}
-    side |= src
+    side.update(sources)
     crossing = [a for v in side for a in out[v] if level[to[a]] < 0]
     cut_cost = sum([cap[a] for a in crossing])
     den = net.cost_denominator
@@ -424,7 +420,7 @@ def _solve_flow(net: Network, sources: Sequence[int], sinks: Sequence[int]) -> t
     return CutResult(Fraction(scaled, den), cutset, frozenset(side)), d
 
 
-def _walk(graph: Network | _Reduced) -> tuple[list[int], np.ndarray, np.ndarray]:
+def _walk(graph: _Reduced) -> tuple[list[int], np.ndarray, np.ndarray]:
     """The canonical cut of every bipartition of ``graph``'s terminals:
     (scaled values, rows x m bool cut matrix, rows x n bool side matrix),
     row i for the bipartition of mask 2 * (i + 1).
@@ -439,21 +435,18 @@ def _walk(graph: Network | _Reduced) -> tuple[list[int], np.ndarray, np.ndarray]
     The canonical side is what the last level BFS reached plus the source
     terminals, and the cut is read from the sides.  Nothing is checked
     here: :meth:`mimick.TerminalCuts.certify` is the max-flow = cut-cost
-    certificate of every row."""
+    certificate of every row.  Of ``graph`` it reads ``n``, ``terminals``
+    and ``arcs()``."""
     n, terminals = graph.n, graph.terminals
     k = len(terminals)
     rows = (1 << (k - 1)) - 1
     s, t = n, n + 1
-    head, cap, out = graph.arcs()
-    to = list(head)
-    # every terminal starts on the source side, at the zero flow
+    head, _, out = graph.arcs()
+    # every terminal starts on the source side, at the zero flow; t's arc
+    # list stays empty: the walk never searches from t
     source = [True] * k
-    for q in terminals:
-        for a in out[q]:
-            to[a ^ 1] = s
-    # t's arc list stays empty: the walk never searches from t
-    d = _Dinic(to, list(cap), [*out, (), ()])
-    res, adj = d.cap, d.adj
+    d = _Dinic(graph, terminals, ())
+    to, res, adj = d.to, d.cap, d.adj
     values = [0] * rows
     side = np.zeros((rows, n), dtype=bool)
     # the flow's value: the net flow out of the source-side terminals
@@ -490,14 +483,6 @@ def _cutset(net: Network, in_side: Sequence[bool]) -> frozenset[int]:
     return frozenset({eid for eid, e in enumerate(net.edges) if in_side[e.u] != in_side[e.v]})
 
 
-def _solve_bipartition(net: Network, bp: Bipartition) -> tuple[CutResult, _Dinic]:
-    """The one flow of a bipartition: its complement side (terminal 0's)
-    is the source, its S side the sink."""
-    if bp.k != net.k:
-        raise InvalidParameterError(f"bipartition is for k={bp.k}, network has k={net.k}")
-    return _solve_flow(net, bp.coside_vertices(net), bp.side_vertices(net))
-
-
 def min_separating_cut(net: Network, bp: Bipartition) -> CutResult:
     """Canonical minimum cut for one terminal bipartition.
 
@@ -505,14 +490,14 @@ def min_separating_cut(net: Network, bp: Bipartition) -> CutResult:
     terminal 0 (the super-source side); its terminal trace is the
     bipartition's complement side.
     """
-    return _solve_bipartition(net, bp)[0]
+    return _solve_flow(net, bp)[0]
 
 
 def min_cut_and_uniqueness(net: Network, bp: Bipartition) -> tuple[CutResult, bool]:
     """Canonical minimum cut plus whether it is the only minimum cut, both
     read from one flow: the cutset is unique iff the source-minimal and
     sink-minimal minimum cuts share it."""
-    cut, residual = _solve_bipartition(net, bp)
+    cut, residual = _solve_flow(net, bp)
     in_sink = residual.reach(net.n + 1)[: net.n]
     for q in bp.side_vertices(net):
         in_sink[q] = True

@@ -237,7 +237,10 @@ class ContractionMap:
     __slots__ = ("class_of", "classes", "terminal_of_class")
 
     def __init__(self, net: Network, partition: Iterable[Iterable[int]]):
-        classes = sorted((tuple(sorted(set(part))) for part in partition), key=lambda c: c[0])
+        classes = [tuple(sorted(set(part))) for part in partition]
+        if not all(classes):
+            raise InvalidParameterError("empty contraction class")
+        classes.sort(key=lambda c: c[0])
         class_of = [-1] * net.n
         for cid, members in enumerate(classes):
             for v in members:

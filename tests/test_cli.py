@@ -110,6 +110,21 @@ class TestCompressVerify:
         broken.write_text("p mimick 2 1 2\nt 0 1\ne 0 1 0/1\n")
         assert run("verify", broken, broken) == 2
 
+    @pytest.mark.parametrize("case", ["binary-input", "directory-input", "directory-out"])
+    def test_unreadable_file_exit_2(self, tmp_path, path_file, capsys, case):
+        # exit 1 is kept for a failed verification or a violated claim
+        if case == "binary-input":
+            binary = tmp_path / "p.bin"
+            binary.write_bytes(bytes(range(256)))
+            argv = ("compress", binary)
+        elif case == "directory-input":
+            argv = ("compress", tmp_path)
+        else:
+            argv = ("compress", path_file, "-o", tmp_path)
+        assert run(*argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
 
 class TestExperiments:
     def test_rank_grid(self, capsys):

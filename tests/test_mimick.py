@@ -104,11 +104,14 @@ class TestTerminalCuts:
             terminal_cuts(net)
 
     def test_unreduced_table_cost_mismatch_raises(self, monkeypatch):
-        # the grid family walks its own arcs; a flow whose last level BFS
-        # lost a reached vertex leaves its row's side short, and a
-        # source-minimal side less a vertex cuts more than the flow's value
+        # nothing reduces in the grid family, so its walk runs on the
+        # identity core; a flow whose last level BFS lost a reached vertex
+        # leaves its row's side short, and a source-minimal side less a
+        # vertex cuts more than the flow's value
         net = gen_grid(3).network
-        assert mincut._reduce(net) is net
+        shape = mincut._reduce(net).shape
+        assert shape.groups == [[v] for v in range(net.n)] and shape.bundles == [(eid,) for eid in range(net.m)]
+        assert shape.satellites == []
         max_flow = _Dinic.max_flow
         steps, rows = [], []
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mimicknet import _kernels
-from mimicknet.errors import InternalError, OracleCapacityError
+from mimicknet.errors import InternalError, InvalidParameterError, OracleCapacityError
 from mimicknet.generate import random_planar_network
 from mimicknet.lowerbound import gen_bipartite, gen_grid
 from mimicknet.mimick import terminal_cuts, verify_generalized
@@ -15,7 +15,6 @@ from mimicknet.mincut import (
     _edge_tables,
     _reduce,
     _Reduced,
-    _solve_flow,
     _walk,
     gap,
     global_gap,
@@ -33,10 +32,12 @@ BP2 = enumerate_bipartitions(2)[0]
 def min_cut_between(net, source_terminals, sink_terminals):
     """Minimum cut separating two disjoint terminal-index sets, the
     remaining terminals unconstrained: one cold flow, the reference for
-    ``verify_generalized``'s pair rows."""
+    ``verify_generalized``'s pair rows.  It is the canonical cut of a copy
+    of ``net`` whose terminals are the sources, then the sinks."""
     src = [net.terminals[i] for i in source_terminals]
     snk = [net.terminals[i] for i in sink_terminals]
-    return _solve_flow(net, src, snk)[0]
+    pair = Network(net.n, net.edges, src + snk)
+    return min_separating_cut(pair, Bipartition.from_indices(pair.k, range(len(src), pair.k)))
 
 
 class TestMinSeparatingCut:
@@ -88,6 +89,11 @@ class TestMinSeparatingCut:
         net = Network(2, [(0, 0, 100), (0, 1, 4)], [0, 1])
         cut = min_separating_cut(net, BP2)
         assert cut.value == 4 and cut.cutset == frozenset({1})
+
+    @pytest.mark.parametrize("solve", [min_separating_cut, min_cut_and_uniqueness, oracle_enumeration])
+    def test_bipartition_of_another_k_raises(self, solve):
+        with pytest.raises(InvalidParameterError, match="k=3"):
+            solve(PATH_35, enumerate_bipartitions(3)[0])
 
     @pytest.mark.parametrize("n", [3000, 20000])
     def test_long_path_needs_no_recursion(self, n):
@@ -157,13 +163,14 @@ class TestReduce:
 
     @pytest.mark.parametrize("family", [gen_grid(3)])
     def test_nothing_reduces_returns_input(self, family):
-        assert _reduce(family.network) is family.network
+        # the input itself, as its identity core
+        assert_identity(_reduce(family.network), family.network)
 
     def test_terminal_only_neighbours_decline_the_input(self):
         # distinct simple edges and no pendant vertex; with the edge 2-3
         # nothing reduces, without it 2 and 3 touch only terminals
         net = Network(4, [(0, 2, 1), (1, 2, 1), (0, 3, 1), (1, 3, 1), (2, 3, 1)], [0, 1])
-        assert _reduce(net) is net
+        assert_identity(_reduce(net), net)
         net = Network(4, [(0, 2, 1), (1, 2, 1), (0, 3, 1), (1, 3, 1)], [0, 1])
         red = _reduce(net)
         assert red is not net and red.shape.satellites == [[2], [3]] and red.shape.bundles == []
@@ -171,6 +178,15 @@ class TestReduce:
         net = Network(3, [(0, 2, 1), (1, 2, 1), (0, 1, 1)], [0, 1])
         red = _reduce(net)
         assert red is not net and red.shape.satellites == [[2]] and red.shape.bundles == [(2,)]
+
+
+def assert_identity(red, net):
+    """``red`` is ``net``'s identity core: one group per vertex, one
+    bundle per edge, no satellites."""
+    shape = red.shape
+    assert shape.groups == [[v] for v in range(net.n)] and red.terminals == net.terminals
+    assert shape.bundles == [(eid,) for eid in range(net.m)]
+    assert shape.satellites == [] and shape.links == []
 
 
 class TestOracle:

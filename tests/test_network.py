@@ -149,6 +149,11 @@ class TestContract:
         with pytest.raises(TerminalCollisionError):
             ContractionMap(net, [[0, 2], [1]])
 
+    def test_empty_class_rejected(self):
+        net = Network(3, [(0, 1, 1), (1, 2, 1)], [0, 2])
+        with pytest.raises(InvalidParameterError, match="empty"):
+            ContractionMap(net, [[0, 1], [], [2]])
+
     def test_partition_must_cover(self):
         net = Network(3, [(0, 1, 1), (1, 2, 1)], [0, 2])
         with pytest.raises(InvalidParameterError):
