@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InternalError, NonUniqueCutsError, PerturbationFailedError
+from .errors import InternalError, InvalidParameterError, NonUniqueCutsError, PerturbationFailedError
 from .mimick import terminal_cuts
 from .mincut import global_gap
 from .network import Network
@@ -67,79 +67,78 @@ def rank(mat: IncidenceMatrix) -> int:
 
 # --- certified modular elimination -------------------------------------------
 
-# Primes below 2**31 keep residues in int32 and their products below 2**62.
-_FIRST_PRIME = (1 << 31) - 1
+# Primes below 2**26 keep a product of two residues below 2**52, so int64
+# holds 2048 unreduced row updates and float64 holds the product exactly.
+_FIRST_PRIME = (1 << 26) - 5
 # entries per temporary array in the elimination and the check, so the
 # peak memory stays a small multiple of the matrix
 _BLOCK = 1 << 14
 
 
-def _is_prime(n: int) -> bool:
-    """Miller-Rabin with bases 2, 3, 5 and 7, exact for odd 7 < n < 3.2e9."""
-    d, s = n - 1, 0
-    while not d & 1:
-        d, s = d >> 1, s + 1
-    for a in (2, 3, 5, 7):
-        x = pow(a, d, n)
-        if x == 1:
-            continue
-        for _ in range(s):
-            if x == n - 1:
-                break
-            x = x * x % n
-        else:
-            return False
-    return True
-
-
 def _primes():
-    """The primes between 2**30 and 2**31, descending."""
-    return (n for n in range(_FIRST_PRIME, 1 << 30, -2) if _is_prime(n))
+    """The primes between 2**25 and 2**26, descending, by trial division."""
+    return (n for n in range(_FIRST_PRIME, 1 << 25, -2) if np.all(n % np.arange(3, isqrt(n) + 1, 2)))
 
 
 def _integer_matrix(rows) -> np.ndarray:
-    """``rows`` as a 2-D integer array.  An ndarray is kept as it is when
-    int64 holds its dtype; anything else becomes int64, or an object array
-    of Python integers when some entry does not fit."""
-    if isinstance(rows, np.ndarray):
-        return rows if np.can_cast(rows.dtype, np.int64) else rows.astype(object)
+    """``rows`` as a 2-D integer array: an ndarray of bool or integer dtype
+    as it is when int64 holds it, else int64, or Python integers (object)
+    when some entry does not fit.  Anything else is InvalidParameterError."""
+    a = rows if isinstance(rows, np.ndarray) else np.array(rows, dtype=object)
+    if a.dtype != object:
+        if a.dtype.kind not in "biu":
+            raise InvalidParameterError(f"matrix dtype {a.dtype} is not integer")
+        return a if np.can_cast(a.dtype, np.int64) else a.astype(object)
+    if not all(issubclass(t, int) for t in set(map(type, a.flat))):
+        raise InvalidParameterError("matrix entries must be Python integers")
     try:
-        return np.array(rows, dtype=np.int64)
+        return a.astype(np.int64)
     except OverflowError:
-        return np.array([[int(x) for x in row] for row in rows], dtype=object)
+        return a
 
 
 def _rref_mod(a: np.ndarray, p: int) -> tuple[list[int], list[int], np.ndarray]:
     """Pivot columns, non-pivot columns, and the nonzero rows of the reduced
     row echelon form of ``a`` modulo the prime ``p`` restricted to its
     non-pivot columns."""
-    # residues are stored in int32 and multiplied in int64; wider entries,
-    # Python integers among them, are reduced before they are narrowed
-    m = (a if np.can_cast(a.dtype, np.int32) else a % p).astype(np.int32)
+    # int64 entries, reduced mod p only where read: the pivot column, the
+    # pivot row and the result.  A pivot subtracts a product of residues,
+    # at most (p-1)**2, from each other row, so the trailing block is
+    # reduced every ``budget`` pivots to keep every entry above -2**63.
+    m = (a % p if a.dtype == object else a).astype(np.int64)
     m %= p
+    budget = ((1 << 63) - p) // (p - 1) ** 2
     n_rows, n_cols = m.shape
     pivots: list[int] = []
     for col in range(n_cols):
         r = len(pivots)
         if r == n_rows:
             break
+        m[:, col] %= p
         nonzero = np.flatnonzero(m[r:, col])
         if nonzero.size == 0:
             continue
         if nonzero[0]:
             m[[r, r + nonzero[0]]] = m[[r + nonzero[0], r]]
         # rows at and below r are zero left of col, so only col.. changes
-        pivot_row = m[r, col:].astype(np.int64) * pow(int(m[r, col]), -1, p) % p
+        pivot_row = m[r, col:] % p * pow(int(m[r, col]), -1, p) % p
         m[r, col:] = pivot_row
         others = np.flatnonzero(m[:, col])
         others = others[others != r]
+        if r and r % budget == 0:
+            m[:, col + 1 :] %= p
         step = max(1, _BLOCK // (n_cols - col))
         for start in range(0, others.size, step):
             rows = others[start : start + step]
-            m[rows, col:] = (m[rows, col:] - m[rows, col, None].astype(np.int64) * pivot_row) % p
+            m[rows, col:] -= m[rows, col, None] * pivot_row
         pivots.append(col)
     free = sorted(set(range(n_cols)) - set(pivots))
-    return pivots, free, m[: len(pivots)][:, free]
+    # int32 residues, half the memory of int64, gathered in row blocks
+    residues = np.empty((len(pivots), len(free)), dtype=np.int32)
+    step = max(1, _BLOCK // n_cols)
+    for start in range(0, len(pivots), step):
+        residues[start : start + step] = m[start : min(start + step, len(pivots)), free] % p
+    return pivots, free, residues
 
 
 def _rational(u: int, modulus: int) -> tuple[int, int] | None:
@@ -158,9 +157,10 @@ def _rational(u: int, modulus: int) -> tuple[int, int] | None:
 
 def _certify(a: np.ndarray, pivots: list[int], free: list[int], residues: np.ndarray, modulus: int) -> bool:
     """Lift ``residues`` (the RREF's non-pivot columns mod ``modulus``) to
-    integers Z over a common denominator d and check
-    ``a[:, free] * d == a[:, pivots] @ Z`` exactly: in int64 when a bound on
-    the entries rules out overflow, in Python integers otherwise."""
+    integers Z over a common denominator d and check ``a[:, free] * d ==
+    a[:, pivots] @ Z`` exactly: in float64 when every partial sum is an
+    integer below 2**53, so any summation order is exact, and in Python
+    integers otherwise."""
     # sorted distinct residues; np.unique would import numpy.ma, about
     # 1.3 MB of resident memory
     flat = np.sort(residues, axis=None)
@@ -174,7 +174,7 @@ def _certify(a: np.ndarray, pivots: list[int], free: list[int], residues: np.nda
     scaled = [num * (d // den) for num, den in fractions]
     a_max = max(int(a.max()), -int(a.min()))
     z_max = max((abs(x) for x in scaled), default=0)
-    dtype = np.int64 if a_max * max(d, z_max * len(pivots)) < 1 << 63 else object
+    dtype = np.float64 if a_max * max(d, z_max * len(pivots)) < 1 << 53 else object
     scaled = np.array(scaled, dtype=dtype)
     a_pivots = a[:, pivots].astype(dtype)
     step = max(1, _BLOCK // a.shape[0])
@@ -188,19 +188,19 @@ def _certify(a: np.ndarray, pivots: list[int], free: list[int], residues: np.nda
 def _prime_budget(a: np.ndarray) -> int:
     """Primes after which the certificate must have passed.  Every RREF
     entry is a ratio of minors of ``a``, each at most the Hadamard bound
-    H = prod max(1, |column|).  Primes above 2**30 that change the pivots
-    divide one such minor, so there are at most log2(H)/30 of them, and
+    H = prod max(1, |column|).  Primes above 2**25 that change the pivots
+    divide one such minor, so there are at most log2(H)/25 of them, and
     reconstruction is exact once the good primes multiply past 2 H**2."""
     sq = (a.astype(object) ** 2).sum(axis=0)
     bits = sum(log2(s) / 2 for s in sq.tolist() if s > 1)
-    return 3 + int(3 * bits / 30)
+    return 3 + int(3 * bits / 25)
 
 
 def _pivot_columns(rows: Sequence[Sequence[int]]) -> list[int]:
     """Pivot columns of the rational RREF: the lexicographically first set
     of linearly independent columns.
 
-    The RREF is computed modulo a 31-bit prime.  Its pivot minor is nonzero
+    The RREF is computed modulo a 26-bit prime.  Its pivot minor is nonzero
     mod p, hence nonzero over the integers, so the pivot columns P are
     independent.  Its non-pivot columns N are lifted to rationals Z/d and
     ``A[:, N] * d == A[:, P] @ Z`` is checked exactly; lifting keeps the

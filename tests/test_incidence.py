@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from _bareiss import bareiss_pivot_columns
 
-from mimicknet.errors import InternalError, NonUniqueCutsError
+from mimicknet.errors import InternalError, InvalidParameterError, NonUniqueCutsError
 from mimicknet.generate import random_planar_network, star_network
 from mimicknet.incidence import (
     _pivot_columns,
@@ -104,9 +104,32 @@ class TestRank:
         assert integer_rank([[2, 3, 5], [7, 11, 13], [9, 14, 19]]) == 3
         assert integer_rank([[1, 1, 0], [0, 0, 1], [1, 1, 1]]) == 2
 
+    def test_integer_input_kinds(self):
+        assert integer_rank([[True, False], [True, True]]) == 2
+        assert integer_rank(np.array([[True, True]])) == 1
+        assert integer_rank(np.array([[1 << 70, 1], [1 << 71, 2]], dtype=object)) == 1
 
-PRIME = (1 << 31) - 1  # the first prime of the modular elimination
-BIG_PRIME = (1 << 31) + 11  # a prime above every prime it uses
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            np.array([[0.5, 0.25]]),  # rank 1; truncated to int64, rank 0
+            np.array([[0.5, 1.0], [1.0, 2.0]]),  # rank 1; truncated, rank 2
+            np.array([["1", "2"]]),
+            np.array([[0.5, 1]], dtype=object),
+        ],
+    )
+    def test_non_integer_dtype_rejected(self, rows):
+        with pytest.raises(InvalidParameterError):
+            integer_rank(rows)
+
+    @pytest.mark.parametrize("rows", [[[0.5, 1]], [[1.0]], [[1, Fraction(1, 2)]], [[1, 2], [3]]])
+    def test_non_integer_entry_rejected(self, rows):
+        with pytest.raises(InvalidParameterError):
+            integer_rank(rows)
+
+
+PRIME = (1 << 26) - 5  # the first prime of the modular elimination
+BIG_PRIME = (1 << 26) + 15  # a prime above every prime it uses
 
 # entries from 0/1 up to well past int64, negative ones included
 ENTRIES = st.one_of(
@@ -130,8 +153,64 @@ def integer_matrices(draw):
     return draw(st.lists(st.lists(ENTRIES, min_size=n_cols, max_size=n_cols), min_size=n_rows, max_size=n_rows))
 
 
+@st.composite
+def small_rref_products(draw):
+    """Matrices of about 30 x 40 whose RREF R has entries in -3..3: a
+    left factor of full column rank (unit lower triangular on some of its
+    rows) times R, so a single prime lifts the RREF."""
+    n_rows, n_cols = draw(st.integers(20, 30)), draw(st.integers(30, 40))
+    pivots = sorted(draw(st.sets(st.integers(0, n_cols - 1), min_size=4, max_size=n_rows)))
+    r = len(pivots)
+    right = np.array(draw(st.lists(st.integers(-3, 3), min_size=r * n_cols, max_size=r * n_cols))).reshape(r, n_cols)
+    for i, col in enumerate(pivots):
+        right[i, : col + 1] = 0
+        right[i, pivots] = 0
+        right[i, col] = 1
+    left = np.array(draw(st.lists(st.integers(-3, 3), min_size=n_rows * r, max_size=n_rows * r))).reshape(n_rows, r)
+    placed = draw(st.permutations(range(n_rows)))[:r]
+    left[placed] = np.tril(left[placed], -1) + np.eye(r, dtype=left.dtype)
+    return left @ right
+
+
 class TestCertifiedRank:
     """The modular elimination against the Bareiss reference."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_rref_products())
+    def test_full_reduction_branch(self, a):
+        # near 2**31 an entry holds only two unreduced updates, so every
+        # second pivot reduces the trailing block first
+        p = (1 << 31) - 1
+        assert ((1 << 63) - p) // (p - 1) ** 2 == 2
+        pivots, free, residues = incidence._rref_mod(a, p)
+        assert pivots == bareiss_pivot_columns(a.tolist())
+        assert incidence._certify(a, pivots, free, residues, p)
+
+    @staticmethod
+    def _check_dtypes(monkeypatch) -> list:
+        """The dtype of every product ``_certify`` compares."""
+        dtypes, equal = [], np.array_equal
+        monkeypatch.setattr(np, "array_equal", lambda x, y: dtypes.append(y.dtype) or equal(x, y))
+        return dtypes
+
+    def test_float_certificate_is_strict(self, monkeypatch):
+        a = build_incidence(gen_bipartite(9).network).bits
+        pivots, free, residues = incidence._rref_mod(a, PRIME)
+        dtypes = self._check_dtypes(monkeypatch)
+        assert incidence._certify(a, pivots, free, residues, PRIME)
+        assert dtypes and set(dtypes) == {np.dtype(np.float64)}
+        # one RREF entry off by one: it still lifts, and the product differs
+        residues[-1, -1] = (residues[-1, -1] + 1) % PRIME
+        dtypes.clear()
+        assert not incidence._certify(a, pivots, free, residues, PRIME)
+        assert dtypes and set(dtypes) == {np.dtype(np.float64)}
+
+    def test_wide_bound_certified_on_python_integers(self, monkeypatch):
+        # entries past 2**53, so no product may run in float64
+        rows = [[1 << 60, 1, 3], [5, 7, (1 << 60) + 2]]
+        dtypes = self._check_dtypes(monkeypatch)
+        assert _pivot_columns(rows) == bareiss_pivot_columns(rows) == [0, 1]
+        assert dtypes and set(dtypes) == {np.dtype(object)}
 
     @settings(max_examples=300, deadline=None)
     @given(integer_matrices())
@@ -161,7 +240,7 @@ class TestCertifiedRank:
 
     def test_primes_match_trial_division(self):
         expected = []
-        for n in range((1 << 31) - 1, 1 << 30, -2):
+        for n in range((1 << 26) - 1, 1 << 25, -2):
             if all(n % d for d in range(3, isqrt(n) + 1, 2)):
                 expected.append(n)
                 if len(expected) == 50:
