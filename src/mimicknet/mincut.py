@@ -10,8 +10,10 @@ contracts.  A terminal-cut table is one Gray-code walk on one residual
 network (:func:`_walk`), run on the core of the exactly reduced graph of
 :func:`_reduce` (the identity when nothing reduces), its satellites
 solved in closed form, and expanded to the input's edge and vertex
-columns.  The reduction depends on the ends and the terminals alone, so
-networks that differ only in their costs share it.
+columns.  The canonical side only grows when a terminal joins the source
+side, so such a step searches only what that terminal newly reaches.  The
+reduction depends on the ends and the terminals alone, so networks that
+differ only in their costs share it.
 
 Oracle route: exhaustive sweep over all side assignments of the
 non-terminal vertices (capacity ``n - k <= 22``) by the blocked kernel in
@@ -73,9 +75,14 @@ class _Dinic:
     Built from ``graph``'s arcs at the zero flow with the sources
     contracted into s = n and the sinks into t = n + 1: their out-arcs
     leave s or t, and the twins of those arcs are redirected there.
+
+    ``settled``, when set, is the level list every BFS starts from: 0 on
+    vertices already known to be residual-reachable from s and closed (no
+    residual arc leaves them), -1 elsewhere.  Level 0 is s's, so no
+    search enters them, yet they count as reached.
     """
 
-    __slots__ = ("n", "to", "cap", "adj", "level")
+    __slots__ = ("n", "to", "cap", "adj", "level", "settled")
 
     def __init__(self, graph: Network | _Reduced, sources: Sequence[int], sinks: Sequence[int]):
         head, cap, out = graph.arcs()
@@ -87,29 +94,39 @@ class _Dinic:
                 self.to[a ^ 1] = len(self.adj)
             self.adj.append(arcs)
         self.level: list[int] = []
+        self.settled: list[int] | None = None
 
     def _levels(self, s: int, t: int) -> list[int]:
-        """Residual BFS distance from s (-1 if unreached).  Stops once t is
-        dequeued: every vertex closer than t has been expanded by then."""
+        """Residual BFS distance from s (-1 if unreached), from the
+        ``settled`` levels when set.  Stops once the vertex it expands has
+        discovered t; the other vertices at t's distance lead nowhere in
+        this phase's level graph, so they are unset again and the blocking
+        flow enters that level only at t.  When t is unreachable the search
+        runs to the end."""
         to, cap, adj = self.to, self.cap, self.adj
-        level = [-1] * self.n
+        level = [-1] * self.n if self.settled is None else self.settled.copy()
         level[s] = 0
         queue = [s]
         for v in queue:
-            if v == t:
-                break
             nxt = level[v] + 1
             for a in adj[v]:
                 w = to[a]
                 if cap[a] and level[w] < 0:
                     level[w] = nxt
                     queue.append(w)
+            if level[t] >= 0:
+                # the queue is in level order, so t's level is its tail
+                while level[queue[-1]] == nxt:
+                    level[queue.pop()] = -1
+                level[t] = nxt
+                break
         return level
 
     def max_flow(self, s: int, t: int) -> int:
         """Augments to a maximum flow and returns the value it added.  The
         last level BFS, which found t unreachable, stays in ``level``: it
-        holds every vertex residual-reachable from s."""
+        holds every vertex residual-reachable from s (the ``settled`` ones
+        at level 0)."""
         to, cap, adj = self.to, self.cap, self.adj
         flow = 0
         while True:
@@ -428,15 +445,29 @@ def _walk(graph: _Reduced) -> tuple[list[int], np.ndarray, np.ndarray]:
     One Gray-code walk on one residual network.  Consecutive bipartitions
     differ by one terminal, so a step moves only that terminal between the
     super-source s and the super-sink t: the twins of its out-arcs are
-    redirected and s's arc list rebuilt.  The flow already in the residual
+    redirected and s's arc list reset.  The flow already in the residual
     stays feasible (conservation holds at every non-terminal), so Dinic
     augments it to a maximum flow (the reuse of Gallo, Grigoriadis and
     Tarjan's parametric flow and of Kohli and Torr's dynamic graph cuts).
     The canonical side is what the last level BFS reached plus the source
-    terminals, and the cut is read from the sides.  Nothing is checked
-    here: :meth:`mimick.TerminalCuts.certify` is the max-flow = cut-cost
-    certificate of every row.  Of ``graph`` it reads ``n``, ``terminals``
-    and ``arcs()``."""
+    terminals, and the cut is read from the sides.
+
+    Sides are nested: with more terminals on the source side the canonical
+    side can only grow (the lattice argument behind Gallo, Grigoriadis and
+    Tarjan's nested cuts).  When terminal j joins the source side, the last
+    side R is still reached and closed: every residual arc out of s or R
+    ends at s or in R, else the last BFS would have gone on, and the arcs
+    into j, which now run to s, ran to t, so they are saturated.  An
+    augmenting path cannot enter R and leave it, and augmenting along
+    paths outside R opens no arc out of R.  So s's arc list is j's arcs
+    alone, R is settled (:attr:`_Dinic.settled`), and the new side is R
+    plus what the search from j's arcs reaches.  When j joins the sink
+    side, s's arc list is every source terminal's, and the search stays
+    inside R by itself.
+
+    Nothing is checked here: :meth:`mimick.TerminalCuts.certify` is the
+    max-flow = cut-cost certificate of every row.  Of ``graph`` it reads
+    ``n``, ``terminals`` and ``arcs()``."""
     n, terminals = graph.n, graph.terminals
     k = len(terminals)
     rows = (1 << (k - 1)) - 1
@@ -465,7 +496,14 @@ def _walk(graph: _Reduced) -> tuple[list[int], np.ndarray, np.ndarray]:
         end = s if source[j] else t
         for a in arcs:
             to[a ^ 1] = end
-        adj[s] = [a for on, q in zip(source, terminals) if on for a in out[q]]
+        if source[j]:
+            # the last side is still reached and closed: only what j's
+            # arcs newly reach is searched
+            adj[s] = arcs
+            d.settled = [0 if x >= 0 else -1 for x in d.level]
+        else:
+            adj[s] = [a for on, q in zip(source, terminals) if on for a in out[q]]
+            d.settled = None
         value += d.max_flow(s, t)
         row = (i ^ (i >> 1)) - 1
         values[row] = value

@@ -38,6 +38,25 @@ class TestTerminalCuts:
             cold = tuple(min_separating_cut(net, bp) for bp in enumerate_bipartitions(net.k))
             assert terminal_cuts(net).cuts == cold
 
+    def test_grid_walk_equals_cold_flows(self, monkeypatch):
+        # 8 terminals on an identity core: 127 rows, and the 63 steps that
+        # move a terminal to the source side search from its arcs alone,
+        # with the last side settled
+        net = gen_grid(4).network
+        assert net.k == 8 and mincut._reduce(net).shape.bundles == [(eid,) for eid in range(net.m)]
+        max_flow = _Dinic.max_flow
+        settled = []
+
+        def recording(self, s, t):
+            settled.append(self.settled is not None)
+            return max_flow(self, s, t)
+
+        monkeypatch.setattr(_Dinic, "max_flow", recording)
+        table = terminal_cuts(net)
+        monkeypatch.undo()
+        assert len(settled) == 127 and sum(settled) == 63
+        assert table.cuts == tuple(min_separating_cut(net, bp) for bp in enumerate_bipartitions(net.k))
+
     @pytest.mark.parametrize(
         "net",
         [gen_bipartite(6).network, gen_bipartite(9).network, *(star_network(k)[0] for k in (2, 3, 5, 6))],

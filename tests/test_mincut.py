@@ -356,6 +356,29 @@ def test_terminal_cuts_equal_cold_flows(net):
         assert table.cuts[i] == min_separating_cut(net, bp)
 
 
+def assert_sides_nested(net):
+    """Clearing a set bit of a row's mask moves that terminal to the source
+    side, so the canonical side may only grow: the side matrix row of the
+    cleared mask contains the row's (the walk's up-flips rely on it)."""
+    side = terminal_cuts(net).side_matrix
+    masks = np.arange(2, 1 << net.k, 2)
+    for j in range(1, net.k):
+        bit = 1 << j
+        grown = masks[((masks & bit) != 0) & (masks != bit)]
+        rows, up = grown // 2 - 1, (grown ^ bit) // 2 - 1
+        assert not (side[rows] & ~side[up]).any()
+
+
+def test_sides_nested_on_campaign_and_grids(campaign):
+    for net in [net for net, _ in campaign] + [gen_grid(k).network for k in (3, 4, 5)]:
+        assert_sides_nested(net)
+
+
+@given(oracle_sized_networks())
+def test_sides_nested(net):
+    assert_sides_nested(net)
+
+
 @st.composite
 def reducible_networks(draw):
     """Multigraphs with what the table's reduction removes: self-loops,
