@@ -14,7 +14,9 @@
 Experiment runners re-derive the claimed cut structure numerically and
 flag any violation; the collision experiment demonstrates that distinct
 small cost functions keep distinct cut-value vectors (the injectivity a
-2^Omega(k)-word storage bound rests on).
+2^Omega(k)-word storage bound rests on).  The bipartite family's gaps and
+uniqueness are in closed form (:func:`mincut.gap`), so its experiments
+run past the exhaustive oracle's capacity.
 """
 
 from __future__ import annotations
@@ -30,7 +32,15 @@ import numpy as np
 from .errors import InvalidParameterError
 from .incidence import _pivot_columns, build_incidence, rank
 from .mimick import terminal_cuts
-from .mincut import _cost_array, _min_gap, gap, min_cut_and_uniqueness, oracle_enumeration
+from .mincut import (
+    _closed_gaps,
+    _cost_array,
+    _min_gap,
+    _satellite_core,
+    gap,
+    min_cut_and_uniqueness,
+    oracle_enumeration,
+)
 from .network import Bipartition, Network, enumerate_bipartitions
 from .planar import PlaneEmbedding
 
@@ -103,7 +113,11 @@ def verify_bipartite_lemma(
     minimum cut isolates exactly that subset's non-terminal with the
     complement terminals, uniquely, and that the proof's per-non-terminal
     cost comparisons hold exactly on the network's costs (edge
-    ``edge_id(i, q)`` joins subset i's non-terminal to terminal q)."""
+    ``edge_id(i, q)`` joins subset i's non-terminal to terminal q).  The
+    sides and values are read from the certified :func:`terminal_cuts`
+    table and the uniqueness from the closed-form gaps
+    (:func:`mincut._closed_gaps`); a network the closed form declines
+    takes one flow per subset instead."""
     if spot_check is not None and spot_check < 1:
         raise InvalidParameterError(f"spot-check size must be >= 1, got {spot_check}")
     net = fam.network
@@ -116,15 +130,24 @@ def verify_bipartite_lemma(
     sign = np.array([[1 if q in subset else -1 for q in range(fam.k)] for subset in fam.subsets])
     d = _cost_array(net).reshape(fam.l, fam.k) @ sign.T
     ineq = (d.diagonal() < 0) & ((d > 0).sum(axis=0) == fam.l - 1)
+    bps = [Bipartition.from_indices(fam.k, fam.subsets[i]) for i in indices]
+    core = _satellite_core(net)
+    if core is None:
+        cuts = [min_cut_and_uniqueness(net, bp) for bp in bps]
+        rows = [(cut.value, cut.side, unique) for cut, unique in cuts]
+    else:
+        table = terminal_cuts(net)
+        rows = []
+        for bp, rep in zip(bps, _closed_gaps(core, [bp.mask for bp in bps])):
+            side = np.flatnonzero(table.side_matrix[bp.row_index]).tolist()
+            rows.append((table.values[bp.row_index], frozenset(side), rep.unique))
     records = []
-    for i in indices:
+    for i, (value, side, unique) in zip(indices, rows):
         subset = fam.subsets[i]
-        bp = Bipartition.from_indices(fam.k, subset)
-        cut, unique = min_cut_and_uniqueness(net, bp)
         expected_w = frozenset({fam.u_vertex(i)} | (set(range(fam.k)) - set(subset)))
-        side = cut.side if 0 not in subset else frozenset(range(net.n)) - cut.side
-        side_ok = side == expected_w
-        records.append(BipartiteCutRecord(subset, cut.value, side_ok, unique, bool(ineq[i])))
+        if 0 in subset:
+            side = frozenset(range(net.n)) - side
+        records.append(BipartiteCutRecord(subset, value, side == expected_w, unique, bool(ineq[i])))
     return BipartiteLemmaReport(fam.k, tuple(records))
 
 
@@ -369,7 +392,9 @@ def tc_collision_family(fam: BipartiteFamily, sample_count: int, seed: int) -> C
 
     Also records that the subset rows (whose gaps exceed the total
     perturbation mass) keep their cutsets; the full matrix may legitimately
-    change at rows with tied minimum cuts, which this family has.
+    change at rows with tied minimum cuts, which this family has.  The
+    gaps come from :func:`mincut.gap`: in closed form for this family,
+    from the oracle for a network of another shape.
     """
     if sample_count < 1:
         raise InvalidParameterError(f"sample count must be >= 1, got {sample_count}")
@@ -382,7 +407,7 @@ def tc_collision_family(fam: BipartiteFamily, sample_count: int, seed: int) -> C
         raise InvalidParameterError("could not find enough independent columns")
     first_l = columns == list(range(fam.l))
 
-    # one oracle sweep per bipartition, shared by the global and row gaps
+    # one report per bipartition, shared by the global and row gaps
     report = functools.cache(functools.partial(gap, net))
     family_gap = _min_gap(map(report, enumerate_bipartitions(fam.k))) or Fraction(0)
     min_row_gap = min(d for d in (report(bp).delta for bp in subset_bps) if d is not None)

@@ -22,13 +22,18 @@ Python integers otherwise.  Each cache-sized block is reduced as it is
 made to the running minimum, its masks and the second distinct value, so
 no array of all 2**p values is built; cutsets are read only for the
 minimizing masks.
+
+Gaps (:func:`gap`, :func:`global_gap`) are in closed form, at any size,
+when every vertex is a terminal or a satellite of one vertex and no edge
+joins two terminals (the bipartite family, stars): each satellite then
+picks its side alone.  Every other network takes the oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -247,6 +252,14 @@ class _Reduced:
     def arcs(self):
         return self._arcs
 
+    def split(self, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """For each row mask: a rows x k bool array of the source-side
+        terminals (bit clear, terminal 0's side), and each satellite's
+        scaled cost a to them and b to the others, rows x satellites."""
+        src = (masks[:, None] >> np.arange(len(self.terminals)) & 1) == 0
+        a = src.astype(self.sat_cost.dtype) @ self.sat_cost.T
+        return src, a, self.sat_cost.sum(axis=1) - a
+
     def expand(self, core_values: list[int], core_cut: np.ndarray, core_side: np.ndarray):
         """The input network's table for the core's: (scaled values, cut
         matrix, side matrix), one row per bipartition in canonical order.
@@ -268,19 +281,13 @@ class _Reduced:
         side[:, shape.vertex_cols] = core_side[:, shape.vertex_core]
         if not shape.satellites:
             return core_values, cut, side
-        cost = self.sat_cost
-        total = cost.sum(axis=1)
         link_eid, link_sat, link_term = shape.link_eid, shape.link_sat, shape.link_term
-        bits = np.arange(len(shape.terminals))
         sat_values: list[int] = []
         block = max(1, _SATELLITE_BLOCK // max(len(link_eid), len(shape.sat_vertex)))
         for lo in range(0, rows, block):
             hi = min(rows, lo + block)
             # row i is the bipartition of mask 2 * (i + 1)
-            masks = np.arange(2 * lo + 2, 2 * hi + 2, 2, dtype=np.int64)
-            src = (masks[:, None] >> bits & 1) == 0
-            a = src.astype(cost.dtype) @ cost.T
-            b = total - a
+            src, a, b = self.split(np.arange(2 * lo + 2, 2 * hi + 2, 2, dtype=np.int64))
             on = b < a
             sat_values += np.minimum(a, b).sum(axis=1).tolist()
             cut[lo:hi, link_eid] = on[:, link_sat] != src[:, link_term]
@@ -310,10 +317,16 @@ def _reduce(net: Network) -> _Reduced:
     with ``net``'s costs.  The shape (:func:`_shape_of`) is built on the
     first table of a network's ends and terminals and kept with them, so a
     ``with_costs`` copy pays only for summing its costs into the core."""
+    return _Reduced(net, _kept_shape(net))
+
+
+def _kept_shape(net: Network) -> _Shape:
+    """``net``'s :func:`_shape_of`, built on first use and kept in the
+    list that ``net`` shares with its ``with_costs`` copies."""
     kept = net._shape
     if not kept:
         kept.append(_shape_of(net))
-    return _Reduced(net, kept[0])
+    return kept[0]
 
 
 def _shape_of(net: Network) -> _Shape:
@@ -615,8 +628,27 @@ def oracle_enumeration(net: Network, bp: Bipartition) -> OracleResult:
 
 
 def gap(net: Network, bp: Bipartition) -> GapReport:
-    """Exact gap between the two cheapest distinct cutsets, from the
-    oracle (so ``OracleCapacityError`` beyond its capacity)."""
+    """Exact gap between the two cheapest distinct cutsets: in closed form
+    when every vertex is a terminal or a satellite (:func:`_closed_gaps`),
+    from the oracle otherwise (so ``OracleCapacityError`` beyond its
+    capacity)."""
+    if bp.k != net.k:
+        raise InvalidParameterError(f"bipartition is for k={bp.k}, network has k={net.k}")
+    core = _satellite_core(net)
+    return _oracle_gap(net, bp) if core is None else next(_closed_gaps(core, [bp.mask]))
+
+
+def global_gap(net: Network) -> Fraction | None:
+    """Minimum gap over all bipartitions (0 when some minimum cut is tied;
+    None when no bipartition has more than one possible cutset)."""
+    bps = enumerate_bipartitions(net.k)
+    core = _satellite_core(net)
+    if core is None:
+        return _min_gap(_oracle_gap(net, bp) for bp in bps)
+    return _min_gap(_closed_gaps(core, [bp.mask for bp in bps]))
+
+
+def _oracle_gap(net: Network, bp: Bipartition) -> GapReport:
     res = oracle_enumeration(net, bp)
     if len(res.min_cutsets) > 1:
         return GapReport(Fraction(0), res.value, False)
@@ -625,10 +657,45 @@ def gap(net: Network, bp: Bipartition) -> GapReport:
     return GapReport(res.second_value - res.value, res.second_value, True)
 
 
-def global_gap(net: Network) -> Fraction | None:
-    """Minimum gap over all bipartitions (0 when some minimum cut is tied;
-    None when no bipartition has more than one possible cutset)."""
-    return _min_gap(gap(net, bp) for bp in enumerate_bipartitions(net.k))
+def _satellite_core(net: Network) -> _Reduced | None:
+    """``net``'s reduced core when it has no arc and every vertex is a
+    terminal or a satellite of one vertex, as in the bipartite family and
+    stars; None otherwise.  A peeled or dropped vertex, or a core arc,
+    gives cutsets that the satellites' choices do not list, so
+    :func:`_closed_gaps` declines those networks."""
+    shape = _kept_shape(net)
+    # the core's vertices are the terminals alone, each satellite holds one
+    # vertex, and none was dropped
+    one_each = len(shape.vertex_cols) == net.k and len(shape.sat_vertex) == len(shape.satellites) == net.n - net.k
+    return _Reduced(net, shape) if one_each and not shape.head else None
+
+
+def _closed_gaps(core: _Reduced, masks: Sequence[int]) -> Iterator[GapReport]:
+    """The gap report of each row mask's bipartition, for a core of
+    :func:`_satellite_core`.  A row's cutsets are then the satellites'
+    independent choices: satellite s costs a to the source-side terminals
+    on the sink side and b to the others on the source side
+    (:meth:`_Reduced.split`), and the two choices cut different edges, as
+    its costs are positive.  So the minimum is the sum of min(a, b) and
+    the cheapest other cutset flips the satellite of least |a - b|: the
+    gap, 0 when some a = b, which is a second minimum cutset.  With no
+    satellite the row has one cutset.  Exact, in the dtype of
+    :func:`_cost_array`, a block of rows at a time."""
+    den = core.net.cost_denominator
+    sats = len(core.shape.satellites)
+    if not sats:
+        yield from (GapReport(None, None, True) for _ in masks)
+        return
+    block = max(1, _SATELLITE_BLOCK // max(sats, len(core.terminals)))
+    for lo in range(0, len(masks), block):
+        _, a, b = core.split(np.array(masks[lo : lo + block], dtype=np.int64))
+        values = np.minimum(a, b).sum(axis=1).tolist()
+        deltas = np.abs(a - b).min(axis=1).tolist()
+        for value, delta in zip(values, deltas):
+            if delta:
+                yield GapReport(Fraction(delta, den), Fraction(value + delta, den), True)
+            else:
+                yield GapReport(Fraction(0), Fraction(value, den), False)
 
 
 def _min_gap(reports: Iterable[GapReport]) -> Fraction | None:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
@@ -96,7 +97,10 @@ class Network:
         # the ends and the terminals are this network's, checked already
         net = Network.__new__(Network)
         net.n, net.terminals, net._shape = self.n, self.terminals, self._shape
-        net._set_edges(tuple([Edge(u, v, _as_cost(c)) for (u, v, _), c in zip(self.edges, costs)]))
+        us, vs = map(itemgetter(0), self.edges), map(itemgetter(1), self.edges)
+        # Edge._make packs each (u, v, cost) tuple as it is; Edge(u, v, c)
+        # would unpack and repack it in the namedtuple's Python-level __new__
+        net._set_edges(tuple(map(Edge._make, zip(us, vs, map(_as_cost, costs)))))
         return net
 
     def arcs(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, ...], ...]]:

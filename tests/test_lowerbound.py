@@ -124,8 +124,26 @@ class TestBipartiteLemma:
         assert len(rep.checked) == 10
         assert rep.ok
 
-    def test_one_flow_per_subset(self, solved):
+    def test_no_flow_on_the_family(self, solved):
+        # the sides come from the table, whose satellites are in closed
+        # form with no arc to run a flow on, and the uniqueness from the
+        # closed-form gaps
         assert verify_bipartite_lemma(gen_bipartite(6)).ok
+        assert len(solved) == 0
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_declined_network_gives_the_same_records(self, solved, monkeypatch, seed):
+        # random costs tie some satellites; a network the closed form
+        # declines takes one flow per subset, and its records must be the
+        # table's and the closed form's
+        fam = gen_bipartite(6)
+        rng = random.Random(seed)
+        grid = [Fraction(1, 2), Fraction(1), Fraction(13, 6), Fraction(7, 3), 2 ** 64 + Fraction(1, 3)]
+        fam = dataclasses.replace(fam, network=fam.network.with_costs([rng.choice(grid) for _ in range(fam.network.m)]))
+        closed = verify_bipartite_lemma(fam)
+        assert len(solved) == 0
+        monkeypatch.setattr(lowerbound, "_satellite_core", lambda net: None)
+        assert verify_bipartite_lemma(fam) == closed
         assert len(solved) == 15
 
     def test_broken_inequality_reported(self):
@@ -238,7 +256,9 @@ class TestCollision:
         assert rep.gap == 0
         assert rep.min_subset_row_gap == Fraction(1, 3)
 
-    def test_one_oracle_sweep_per_bipartition(self, fam, monkeypatch):
+    def test_no_oracle_sweep(self, fam, monkeypatch):
+        # every vertex is a terminal or a satellite, so the family's gaps
+        # are in closed form
         swept = []
         oracle = mincut.oracle_enumeration
 
@@ -247,8 +267,14 @@ class TestCollision:
             return oracle(net, bp)
 
         monkeypatch.setattr(mincut, "oracle_enumeration", counting)
-        tc_collision_family(fam, 5, seed=1)
-        assert len(swept) == len(set(swept)) == 19
+        assert tc_collision_family(fam, 5, seed=1).ok
+        assert swept == []
+
+    def test_k9_past_the_oracle(self):
+        # n - k = 84 is beyond the oracle's capacity; on its own subset
+        # row u_i costs 6 to the subset and 3 (2 + 1/9) to the rest
+        rep = tc_collision_family(gen_bipartite(9), 3, seed=1)
+        assert rep.ok and rep.min_subset_row_gap == Fraction(1, 3)
 
     def test_one_reduction_per_family(self, monkeypatch):
         # the perturbed copies share the base network's ends, so the

@@ -11,10 +11,14 @@ from mimicknet.generate import random_planar_network
 from mimicknet.lowerbound import gen_bipartite, gen_grid
 from mimicknet.mimick import terminal_cuts, verify_generalized
 from mimicknet.mincut import (
+    GapReport,
+    _closed_gaps,
     _Dinic,
     _edge_tables,
+    _min_gap,
     _reduce,
     _Reduced,
+    _satellite_core,
     _walk,
     gap,
     global_gap,
@@ -274,6 +278,112 @@ class TestGap:
 
     def test_global_gap_path(self):
         assert global_gap(PATH_35) == 2
+
+
+def oracle_gaps(net):
+    """Every row's gap report from the exhaustive sweep alone: a tie
+    between distinct minimum cutsets is gap 0, and a row with one cutset
+    has no gap."""
+    reports = []
+    for bp in enumerate_bipartitions(net.k):
+        res = oracle_enumeration(net, bp)
+        if len(res.min_cutsets) > 1:
+            reports.append(GapReport(Fraction(0), res.value, False))
+        elif res.second_value is None:
+            reports.append(GapReport(None, None, True))
+        else:
+            reports.append(GapReport(res.second_value - res.value, res.second_value, True))
+    return reports
+
+
+def assert_closed_gaps_equal_oracle(net):
+    core = _satellite_core(net)
+    assert core is not None
+    want = oracle_gaps(net)
+    assert list(_closed_gaps(core, [bp.mask for bp in enumerate_bipartitions(net.k)])) == want
+    assert [gap(net, bp) for bp in enumerate_bipartitions(net.k)] == want
+    assert global_gap(net) == _min_gap(want)
+
+
+# Networks the closed form declines, each with a cutset that the
+# satellites' choices do not list: a terminal-terminal edge (in every
+# row's cut or in none), an edge between two non-terminals, a pendant
+# vertex peeled into the satellite 2 or into the terminal 0, and the
+# terminal-free tree 3-4
+DECLINED = {
+    "terminal-terminal edge": Network(3, [(0, 2, 5), (1, 2, 7), (0, 1, 1)], [0, 1]),
+    "non-terminal edge": Network(4, [(0, 2, 5), (1, 2, 7), (0, 3, 2), (1, 3, 3), (2, 3, 1)], [0, 1]),
+    "pendant": Network(4, [(0, 2, 5), (1, 2, 7), (2, 3, 1)], [0, 1]),
+    "pendant on a terminal": Network(4, [(0, 2, 5), (1, 2, 7), (0, 3, 1)], [0, 1]),
+    "terminal-free tree": Network(5, [(0, 2, 5), (1, 2, 7), (3, 4, 1)], [0, 1]),
+}
+
+
+class TestClosedGaps:
+    def test_bipartite_k6_every_row(self):
+        assert_closed_gaps_equal_oracle(gen_bipartite(6).network)
+
+    def test_star(self):
+        # one satellite: a = b only where both sides cost 3
+        net = Network(4, [(3, 0, 1), (3, 1, 2), (3, 2, 3)], [0, 1, 2])
+        assert_closed_gaps_equal_oracle(net)
+        assert [rep.unique for rep in oracle_gaps(net)] == [True, False, True]
+
+    def test_terminals_alone(self):
+        # no satellite, so each row has one cutset: the empty one
+        net = Network(3, [(1, 1, 4)], [2, 0, 1])
+        assert_closed_gaps_equal_oracle(net)
+        assert global_gap(net) is None
+
+    def test_bipartition_of_another_k(self):
+        with pytest.raises(InvalidParameterError):
+            gap(gen_bipartite(6).network, BP2)
+
+    @pytest.mark.parametrize("name", DECLINED)
+    def test_declined_networks_take_the_oracle(self, name):
+        net = DECLINED[name]
+        assert _satellite_core(net) is None
+        want = oracle_gaps(net)
+        assert [gap(net, bp) for bp in enumerate_bipartitions(net.k)] == want
+        assert global_gap(net) == _min_gap(want)
+        # the closed form on the reduced core would report other gaps
+        forced = _closed_gaps(_reduce(net), [bp.mask for bp in enumerate_bipartitions(net.k)])
+        assert list(forced) != want
+
+
+@st.composite
+def satellite_only_networks(draw):
+    """Terminals and zero to seven satellites, each joined only to
+    terminals, to at least two distinct ones, by bundles, with
+    self-loops on satellites and terminals; optionally one satellite
+    joined to two terminals by equal costs, which ties on every row that
+    separates them.  Costs are 1, 2 or 1/2, so sums often tie, all times
+    1 or 10**19 (the scaled sum passes 2**63, so it is held in Python
+    integers)."""
+    scale = draw(st.sampled_from([1, 10**19]))
+    cost = st.sampled_from([Fraction(scale), Fraction(2 * scale), Fraction(scale, 2)])
+    k = draw(st.integers(2, 5))
+    n = k + draw(st.integers(0, 7))
+    edges = []
+    for s in range(k, n):
+        ends = draw(st.lists(st.integers(0, k - 1), min_size=2, max_size=k, unique=True))
+        ends += draw(st.lists(st.sampled_from(ends), max_size=3))
+        edges += [(s, q, draw(cost)) for q in ends]
+    if draw(st.booleans()):
+        c = draw(cost)
+        edges += [(n, q, c) for q in draw(st.lists(st.integers(0, k - 1), min_size=2, max_size=2, unique=True))]
+        n += 1
+    edges += [(v, v, draw(cost)) for v in draw(st.lists(st.integers(0, n - 1), max_size=3))]
+    label = draw(st.permutations(range(n)))
+    edges = draw(st.permutations([(label[u], label[v], c) for u, v, c in edges]))
+    terminals = draw(st.permutations([label[q] for q in range(k)]))
+    return Network(n, edges, terminals)
+
+
+@settings(max_examples=200, deadline=None)
+@given(satellite_only_networks())
+def test_closed_gaps_equal_oracle(net):
+    assert_closed_gaps_equal_oracle(net)
 
 
 class TestUniquenessByFlow:

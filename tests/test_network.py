@@ -13,6 +13,7 @@ from mimicknet.errors import (
 from mimicknet.network import (
     Bipartition,
     ContractionMap,
+    Edge,
     Network,
     connected_components,
     contract,
@@ -212,7 +213,7 @@ class TestWithCosts:
         assert got == want
         assert (got.cost_denominator, got.scaled_costs) == (want.cost_denominator, want.scaled_costs)
         assert got.arcs() == want.arcs()
-        assert all(type(e.cost) is Fraction for e in got.edges)
+        assert all(type(e) is Edge and type(e.cost) is Fraction for e in got.edges)
 
     def test_nonpositive_cost(self):
         net = Network(3, [(0, 1, 1), (1, 2, 1)], [0, 2])
