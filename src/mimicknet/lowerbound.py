@@ -15,13 +15,12 @@ Experiment runners re-derive the claimed cut structure numerically and
 flag any violation; the collision experiment demonstrates that distinct
 small cost functions keep distinct cut-value vectors (the injectivity a
 2^Omega(k)-word storage bound rests on).  The bipartite family's gaps and
-uniqueness are in closed form (:func:`mincut.gap`), so its experiments
+uniqueness are in closed form (:func:`mincut.gaps`), so its experiments
 run past the exhaustive oracle's capacity.
 """
 
 from __future__ import annotations
 
-import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,15 +31,7 @@ import numpy as np
 from .errors import InvalidParameterError
 from .incidence import _pivot_columns, build_incidence, rank
 from .mimick import terminal_cuts
-from .mincut import (
-    _closed_gaps,
-    _cost_array,
-    _min_gap,
-    _satellite_core,
-    gap,
-    min_cut_and_uniqueness,
-    oracle_enumeration,
-)
+from .mincut import _cost_array, _min_gap, gaps, min_cut_and_uniqueness, oracle_enumeration
 from .network import Bipartition, Network, enumerate_bipartitions
 from .planar import PlaneEmbedding
 
@@ -115,9 +106,8 @@ def verify_bipartite_lemma(
     cost comparisons hold exactly on the network's costs (edge
     ``edge_id(i, q)`` joins subset i's non-terminal to terminal q).  The
     sides and values are read from the certified :func:`terminal_cuts`
-    table and the uniqueness from the closed-form gaps
-    (:func:`mincut._closed_gaps`); a network the closed form declines
-    takes one flow per subset instead."""
+    table and the uniqueness from :func:`mincut.gaps`, in closed form as
+    every non-terminal is a satellite."""
     if spot_check is not None and spot_check < 1:
         raise InvalidParameterError(f"spot-check size must be >= 1, got {spot_check}")
     net = fam.network
@@ -131,23 +121,16 @@ def verify_bipartite_lemma(
     d = _cost_array(net).reshape(fam.l, fam.k) @ sign.T
     ineq = (d.diagonal() < 0) & ((d > 0).sum(axis=0) == fam.l - 1)
     bps = [Bipartition.from_indices(fam.k, fam.subsets[i]) for i in indices]
-    core = _satellite_core(net)
-    if core is None:
-        cuts = [min_cut_and_uniqueness(net, bp) for bp in bps]
-        rows = [(cut.value, cut.side, unique) for cut, unique in cuts]
-    else:
-        table = terminal_cuts(net)
-        rows = []
-        for bp, rep in zip(bps, _closed_gaps(core, [bp.mask for bp in bps])):
-            side = np.flatnonzero(table.side_matrix[bp.row_index]).tolist()
-            rows.append((table.values[bp.row_index], frozenset(side), rep.unique))
+    table = terminal_cuts(net)
     records = []
-    for i, (value, side, unique) in zip(indices, rows):
+    for i, bp, rep in zip(indices, bps, gaps(net, bps)):
         subset = fam.subsets[i]
         expected_w = frozenset({fam.u_vertex(i)} | (set(range(fam.k)) - set(subset)))
+        side = frozenset(np.flatnonzero(table.side_matrix[bp.row_index]).tolist())
         if 0 in subset:
             side = frozenset(range(net.n)) - side
-        records.append(BipartiteCutRecord(subset, value, side == expected_w, unique, bool(ineq[i])))
+        value = table.values[bp.row_index]
+        records.append(BipartiteCutRecord(subset, value, side == expected_w, rep.unique, bool(ineq[i])))
     return BipartiteLemmaReport(fam.k, tuple(records))
 
 
@@ -393,7 +376,7 @@ def tc_collision_family(fam: BipartiteFamily, sample_count: int, seed: int) -> C
     Also records that the subset rows (whose gaps exceed the total
     perturbation mass) keep their cutsets; the full matrix may legitimately
     change at rows with tied minimum cuts, which this family has.  The
-    gaps come from :func:`mincut.gap`: in closed form for this family,
+    gaps come from :func:`mincut.gaps`: in closed form for this family,
     from the oracle for a network of another shape.
     """
     if sample_count < 1:
@@ -408,9 +391,9 @@ def tc_collision_family(fam: BipartiteFamily, sample_count: int, seed: int) -> C
     first_l = columns == list(range(fam.l))
 
     # one report per bipartition, shared by the global and row gaps
-    report = functools.cache(functools.partial(gap, net))
-    family_gap = _min_gap(map(report, enumerate_bipartitions(fam.k))) or Fraction(0)
-    min_row_gap = min(d for d in (report(bp).delta for bp in subset_bps) if d is not None)
+    reports = list(gaps(net, enumerate_bipartitions(fam.k)))
+    family_gap = _min_gap(reports) or Fraction(0)
+    min_row_gap = min(d for d in (reports[row].delta for row in subset_rows) if d is not None)
     step = Fraction(1, 6 * fam.k * fam.k * fam.l)
     mass_ok = fam.l * step < min_row_gap
 

@@ -23,10 +23,11 @@ made to the running minimum, its masks and the second distinct value, so
 no array of all 2**p values is built; cutsets are read only for the
 minimizing masks.
 
-Gaps (:func:`gap`, :func:`global_gap`) are in closed form, at any size,
-when every vertex is a terminal or a satellite of one vertex and no edge
-joins two terminals (the bipartite family, stars): each satellite then
-picks its side alone.  Every other network takes the oracle.
+Gaps (:func:`gap`, :func:`gaps`, :func:`global_gap`) are in closed
+form, at any size, when every vertex is a terminal or a satellite of one
+vertex and no edge joins two terminals (the bipartite family, stars):
+each satellite then picks its side alone.  Every other network takes the
+oracle.
 """
 
 from __future__ import annotations
@@ -628,24 +629,29 @@ def oracle_enumeration(net: Network, bp: Bipartition) -> OracleResult:
 
 
 def gap(net: Network, bp: Bipartition) -> GapReport:
-    """Exact gap between the two cheapest distinct cutsets: in closed form
-    when every vertex is a terminal or a satellite (:func:`_closed_gaps`),
-    from the oracle otherwise (so ``OracleCapacityError`` beyond its
-    capacity)."""
-    if bp.k != net.k:
-        raise InvalidParameterError(f"bipartition is for k={bp.k}, network has k={net.k}")
+    """Exact gap between the two cheapest distinct cutsets (:func:`gaps`
+    of one bipartition)."""
+    return next(gaps(net, [bp]))
+
+
+def gaps(net: Network, bps: Sequence[Bipartition]) -> Iterator[GapReport]:
+    """The :func:`gap` report of each bipartition, in order: in closed
+    form from one reduced core when every vertex is a terminal or a
+    satellite (:func:`_closed_gaps`), from one oracle sweep each, as they
+    are read, otherwise (so ``OracleCapacityError`` beyond its capacity)."""
+    for bp in bps:
+        if bp.k != net.k:
+            raise InvalidParameterError(f"bipartition is for k={bp.k}, network has k={net.k}")
     core = _satellite_core(net)
-    return _oracle_gap(net, bp) if core is None else next(_closed_gaps(core, [bp.mask]))
+    if core is None:
+        return (_oracle_gap(net, bp) for bp in bps)
+    return _closed_gaps(core, [bp.mask for bp in bps])
 
 
 def global_gap(net: Network) -> Fraction | None:
     """Minimum gap over all bipartitions (0 when some minimum cut is tied;
     None when no bipartition has more than one possible cutset)."""
-    bps = enumerate_bipartitions(net.k)
-    core = _satellite_core(net)
-    if core is None:
-        return _min_gap(_oracle_gap(net, bp) for bp in bps)
-    return _min_gap(_closed_gaps(core, [bp.mask for bp in bps]))
+    return _min_gap(gaps(net, enumerate_bipartitions(net.k)))
 
 
 def _oracle_gap(net: Network, bp: Bipartition) -> GapReport:

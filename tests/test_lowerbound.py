@@ -9,6 +9,7 @@ from mimicknet import lowerbound, mincut
 from mimicknet.errors import InvalidParameterError
 from mimicknet.fileio import serialize_network
 from mimicknet.lowerbound import (
+    BipartiteCutRecord,
     gen_bipartite,
     gen_grid,
     tc_collision_family,
@@ -17,7 +18,7 @@ from mimicknet.lowerbound import (
     verify_rank_bounds,
 )
 from mimicknet.incidence import IncidenceMatrix, build_incidence
-from mimicknet.mincut import global_gap, min_separating_cut
+from mimicknet.mincut import global_gap, min_cut_and_uniqueness, min_separating_cut
 from mimicknet.network import Bipartition
 
 
@@ -132,18 +133,24 @@ class TestBipartiteLemma:
         assert len(solved) == 0
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_declined_network_gives_the_same_records(self, solved, monkeypatch, seed):
-        # random costs tie some satellites; a network the closed form
-        # declines takes one flow per subset, and its records must be the
-        # table's and the closed form's
+    def test_records_match_flows(self, solved, seed):
+        # random costs tie some satellites; the table's sides and values
+        # and the closed-form uniqueness must be what one flow per subset
+        # finds
         fam = gen_bipartite(6)
         rng = random.Random(seed)
         grid = [Fraction(1, 2), Fraction(1), Fraction(13, 6), Fraction(7, 3), 2 ** 64 + Fraction(1, 3)]
         fam = dataclasses.replace(fam, network=fam.network.with_costs([rng.choice(grid) for _ in range(fam.network.m)]))
-        closed = verify_bipartite_lemma(fam)
+        got = verify_bipartite_lemma(fam)
         assert len(solved) == 0
-        monkeypatch.setattr(lowerbound, "_satellite_core", lambda net: None)
-        assert verify_bipartite_lemma(fam) == closed
+        net = fam.network
+        want = []
+        for i, (subset, rec) in enumerate(zip(fam.subsets, got.checked)):
+            cut, unique = min_cut_and_uniqueness(net, Bipartition.from_indices(fam.k, subset))
+            side = cut.side if 0 not in subset else frozenset(range(net.n)) - cut.side
+            expected_w = frozenset({fam.u_vertex(i)} | (set(range(fam.k)) - set(subset)))
+            want.append(BipartiteCutRecord(subset, cut.value, side == expected_w, unique, rec.inequalities_ok))
+        assert got.checked == tuple(want)
         assert len(solved) == 15
 
     def test_broken_inequality_reported(self):
@@ -269,6 +276,19 @@ class TestCollision:
         monkeypatch.setattr(mincut, "oracle_enumeration", counting)
         assert tc_collision_family(fam, 5, seed=1).ok
         assert swept == []
+
+    def test_one_core_for_every_gap(self, fam, monkeypatch):
+        # the global and subset-row gaps come from one closed-form pass
+        cores = []
+        satellite_core = mincut._satellite_core
+
+        def counting(net):
+            cores.append(net)
+            return satellite_core(net)
+
+        monkeypatch.setattr(mincut, "_satellite_core", counting)
+        assert tc_collision_family(fam, 5, seed=1).ok
+        assert cores == [fam.network]
 
     def test_k9_past_the_oracle(self):
         # n - k = 84 is beyond the oracle's capacity; on its own subset

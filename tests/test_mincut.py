@@ -21,6 +21,7 @@ from mimicknet.mincut import (
     _satellite_core,
     _walk,
     gap,
+    gaps,
     global_gap,
     min_cut_and_uniqueness,
     min_separating_cut,
@@ -302,6 +303,7 @@ def assert_closed_gaps_equal_oracle(net):
     want = oracle_gaps(net)
     assert list(_closed_gaps(core, [bp.mask for bp in enumerate_bipartitions(net.k)])) == want
     assert [gap(net, bp) for bp in enumerate_bipartitions(net.k)] == want
+    assert list(gaps(net, enumerate_bipartitions(net.k))) == want
     assert global_gap(net) == _min_gap(want)
 
 
@@ -345,6 +347,7 @@ class TestClosedGaps:
         assert _satellite_core(net) is None
         want = oracle_gaps(net)
         assert [gap(net, bp) for bp in enumerate_bipartitions(net.k)] == want
+        assert list(gaps(net, enumerate_bipartitions(net.k))) == want
         assert global_gap(net) == _min_gap(want)
         # the closed form on the reduced core would report other gaps
         forced = _closed_gaps(_reduce(net), [bp.mask for bp in enumerate_bipartitions(net.k)])
