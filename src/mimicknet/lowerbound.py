@@ -14,13 +14,22 @@
 Experiment runners re-derive the claimed cut structure numerically and
 flag any violation; the collision experiment demonstrates that distinct
 small cost functions keep distinct cut-value vectors (the injectivity a
-2^Omega(k)-word storage bound rests on).  The bipartite family's gaps and
-uniqueness are in closed form (:func:`mincut.gaps`), so its experiments
-run past the exhaustive oracle's capacity.
+2^Omega(k)-word storage bound rests on).  Every non-terminal of the
+bipartite family is a satellite, so the lemma and the collision
+experiment read the rows they need, values, sides, cuts and gaps, in
+closed form from the network's satellite core
+(:meth:`mincut._Reduced.satellite_rows`, certified row by row), with no
+terminal-cut table and no oracle: the lemma its subset rows alone, the
+collision experiment each perturbed copy as integer costs on that core,
+never as a :class:`Network`.  They run past the exhaustive oracle's
+capacity, and the lemma runs at k=15, where the full table's cut matrix
+alone would take 738 MB.  A network that is not terminals and satellites
+alone is refused.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,10 +37,10 @@ from itertools import combinations
 
 import numpy as np
 
+from . import mincut
 from .errors import InvalidParameterError
 from .incidence import _pivot_columns, build_incidence, rank
-from .mimick import terminal_cuts
-from .mincut import _cost_array, _min_gap, gaps, min_cut_and_uniqueness, oracle_enumeration
+from .mincut import min_cut_and_uniqueness, oracle_enumeration
 from .network import Bipartition, Network, enumerate_bipartitions
 from .planar import PlaneEmbedding
 
@@ -104,34 +113,49 @@ def verify_bipartite_lemma(
     minimum cut isolates exactly that subset's non-terminal with the
     complement terminals, uniquely, and that the proof's per-non-terminal
     cost comparisons hold exactly on the network's costs (edge
-    ``edge_id(i, q)`` joins subset i's non-terminal to terminal q).  The
-    sides and values are read from the certified :func:`terminal_cuts`
-    table and the uniqueness from :func:`mincut.gaps`, in closed form as
-    every non-terminal is a satellite."""
+    ``edge_id(i, q)`` joins subset i's non-terminal to terminal q).  Every
+    non-terminal is a satellite, so the sides, values and uniqueness of
+    the subset rows alone are read in closed form from the network's
+    satellite core, certified row by row
+    (:meth:`mincut._Reduced.satellite_rows`); a network of another shape
+    raises ``InvalidParameterError``."""
     if spot_check is not None and spot_check < 1:
         raise InvalidParameterError(f"spot-check size must be >= 1, got {spot_check}")
     net = fam.network
+    core = _family_core(net)
     indices = list(range(fam.l))
     if spot_check is not None and spot_check < fam.l:
         indices = sorted(random.Random(seed).sample(indices, spot_check))
-    # the proof's comparisons, one integer product: d[j, i] is u_j's cost
-    # to subset i's terminals less its cost to the others (scaled), and
-    # row i holds iff d[i, i] < 0 < d[j, i] for every j != i
-    sign = np.array([[1 if q in subset else -1 for q in range(fam.k)] for subset in fam.subsets])
-    d = _cost_array(net).reshape(fam.l, fam.k) @ sign.T
-    ineq = (d.diagonal() < 0) & ((d > 0).sum(axis=0) == fam.l - 1)
-    bps = [Bipartition.from_indices(fam.k, fam.subsets[i]) for i in indices]
-    table = terminal_cuts(net)
+    # the proof's comparisons for the checked subsets, one integer product:
+    # d[j, c] is u_j's cost to subset i = indices[c]'s terminals less its
+    # cost to the others (scaled), and subset i holds iff d[i, c] < 0 <
+    # d[j, c] for every j != i
+    sign = np.array([[1 if q in fam.subsets[i] else -1 for q in range(fam.k)] for i in indices])
+    d = core.costs.reshape(fam.l, fam.k) @ sign.T
+    ineq = (d[indices, range(len(indices))] < 0) & ((d > 0).sum(axis=0) == fam.l - 1)
+    masks = [Bipartition.from_indices(fam.k, fam.subsets[i]).mask for i in indices]
+    # the terminals' sides are the mask's, so the canonical side (terminal
+    # 0's, complemented when 0 is in the subset) holds the complement
+    # terminals by construction: it is the expected one iff u_i alone of
+    # the satellites is on it.  A row is unique iff no satellite ties.
+    sat_vertex = core.shape.sat_vertex
     records = []
-    for i, bp, rep in zip(indices, bps, gaps(net, bps)):
-        subset = fam.subsets[i]
-        expected_w = frozenset({fam.u_vertex(i)} | (set(range(fam.k)) - set(subset)))
-        side = frozenset(np.flatnonzero(table.side_matrix[bp.row_index]).tolist())
-        if 0 in subset:
-            side = frozenset(range(net.n)) - side
-        value = table.values[bp.row_index]
-        records.append(BipartiteCutRecord(subset, value, side == expected_w, rep.unique, bool(ineq[i])))
+    for part in core.satellite_rows(masks):
+        for pos, (value, delta, on) in enumerate(zip(part.values, part.deltas, part.on), part.lo):
+            i = indices[pos]
+            subset = fam.subsets[i]
+            side_ok = np.array_equal(on != (0 in subset), sat_vertex == fam.u_vertex(i))
+            records.append(BipartiteCutRecord(subset, Fraction(value, core.den), side_ok, delta != 0, bool(ineq[pos])))
     return BipartiteLemmaReport(fam.k, tuple(records))
+
+
+def _family_core(net: Network) -> mincut._Reduced:
+    """``net``'s satellite core (:func:`mincut._satellite_core`), or
+    ``InvalidParameterError`` for a network of another shape."""
+    core = mincut._satellite_core(net)
+    if core is None:
+        raise InvalidParameterError("the bipartite family's network must hold only terminals and satellites")
+    return core
 
 
 # --- grid family ------------------------------------------------------------
@@ -362,10 +386,10 @@ class CollisionReport:
         return not self.collisions and self.subset_rows_stable and self.total_mass_below_gap
 
 
-def _independent_columns(bits: np.ndarray, row_indices: list[int], count: int) -> list[int]:
+def _independent_columns(bits: np.ndarray, count: int) -> list[int]:
     """The first ``count`` columns of a 0/1 matrix, left to right, that
-    are independent on the given rows."""
-    return _pivot_columns(bits[row_indices])[:count]
+    are independent on its rows."""
+    return _pivot_columns(bits)[:count]
 
 
 def tc_collision_family(fam: BipartiteFamily, sample_count: int, seed: int) -> CollisionReport:
@@ -375,24 +399,37 @@ def tc_collision_family(fam: BipartiteFamily, sample_count: int, seed: int) -> C
 
     Also records that the subset rows (whose gaps exceed the total
     perturbation mass) keep their cutsets; the full matrix may legitimately
-    change at rows with tied minimum cuts, which this family has.  The
-    gaps come from :func:`mincut.gaps`: in closed form for this family,
-    from the oracle for a network of another shape.
+    change at rows with tied minimum cuts, which this family has.
+
+    Every non-terminal is a satellite, so every row is read in closed form
+    from the network's satellite core (:meth:`mincut._Reduced.satellite_rows`,
+    certified row by row), with no table: the gaps (:func:`mincut.gaps`'
+    closed form), the subset rows' cut, whose pivots are the columns, and
+    each copy's values and satellite sides.  A copy is the core's costs
+    over the family's one denominator with the step added at its columns,
+    so two copies hold the same values iff their integer values are equal.
+    With the ends fixed, two copies cut a row alike iff they put every
+    satellite on the same side of it, as each satellite has an edge.  A
+    network of another shape raises ``InvalidParameterError``.
     """
     if sample_count < 1:
         raise InvalidParameterError(f"sample count must be >= 1, got {sample_count}")
     net = fam.network
-    base = terminal_cuts(net)
-    subset_bps = [Bipartition.from_indices(fam.k, s) for s in fam.subsets]
-    subset_rows = [bp.row_index for bp in subset_bps]
-    columns = _independent_columns(base.cut_matrix, subset_rows, fam.l)
+    core = _family_core(net)
+    link_eid = core.shape.link_eid
+    masks = [bp.mask for bp in enumerate_bipartitions(fam.k)]
+    subset_rows = [Bipartition.from_indices(fam.k, s).row_index for s in fam.subsets]
+    subset_cut = np.zeros((fam.l, net.m), dtype=bool)
+    for part in core.satellite_rows([masks[row] for row in subset_rows]):
+        subset_cut[part.lo : part.lo + len(part.values), link_eid] = part.cut
+    columns = _independent_columns(subset_cut, fam.l)
     if len(columns) < fam.l:
         raise InvalidParameterError("could not find enough independent columns")
     first_l = columns == list(range(fam.l))
 
     # one report per bipartition, shared by the global and row gaps
-    reports = list(gaps(net, enumerate_bipartitions(fam.k)))
-    family_gap = _min_gap(reports) or Fraction(0)
+    reports = list(mincut._closed_gaps(core, masks))
+    family_gap = mincut._min_gap(reports) or Fraction(0)
     min_row_gap = min(d for d in (reports[row].delta for row in subset_rows) if d is not None)
     step = Fraction(1, 6 * fam.k * fam.k * fam.l)
     mass_ok = fam.l * step < min_row_gap
@@ -400,22 +437,30 @@ def tc_collision_family(fam: BipartiteFamily, sample_count: int, seed: int) -> C
     rng = random.Random(seed)
     space = 1 << fam.l
 
-    base_costs = [e.cost for e in net.edges]
-    base_rows = base.cut_matrix[subset_rows]
+    # every copy's scaled costs over one denominator: the base costs and
+    # the step are integers over it
+    den = math.lcm(net.cost_denominator, step.denominator)
+    base_costs = [c * (den // net.cost_denominator) for c in net.scaled_costs]
+    step_scaled = step.numerator * (den // step.denominator)
 
-    def values_for(bits: int) -> tuple[tuple[int, tuple[int, ...]], bool, bool]:
+    def read_all(graph: mincut._Reduced) -> tuple[tuple[int, ...], np.ndarray]:
+        """Every row's scaled value, and its satellites' sides."""
+        parts = list(graph.satellite_rows(masks))
+        return tuple([v for part in parts for v in part.values]), np.concatenate([part.on for part in parts])
+
+    base_on = read_all(core)[1]
+    base_subset_on = base_on[subset_rows]
+
+    def values_for(bits: int) -> tuple[tuple[int, ...], bool, bool]:
         costs = base_costs.copy()
         for pos, col in enumerate(columns):
             if bits >> pos & 1:
-                costs[col] += step
-        # the copies share the base network's reduction (with_costs); the
-        # values in lowest terms are equal iff the values are
-        table = terminal_cuts(net.with_costs(costs))
-        stable = np.array_equal(table.cut_matrix[subset_rows], base_rows)
-        return table.lowest_terms, stable, np.array_equal(table.cut_matrix, base.cut_matrix)
+                costs[col] += step_scaled
+        values, on = read_all(mincut._Reduced(net, core.shape, costs, den))
+        return values, np.array_equal(on[subset_rows], base_subset_on), np.array_equal(on, base_on)
 
     # one result per distinct sampled pattern
-    results: dict[int, tuple[tuple[int, tuple[int, ...]], bool, bool]] = {}
+    results: dict[int, tuple[tuple[int, ...], bool, bool]] = {}
     collisions = []
     for _ in range(sample_count):
         a = rng.randrange(space)

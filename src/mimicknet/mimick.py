@@ -114,7 +114,7 @@ class TerminalCuts:
             raise InternalError(
                 f"table of {rows} rows over denominator {den} does not fit {net} over {net.cost_denominator}"
             )
-        costs = mincut._cost_array(net)
+        costs = mincut._cost_array(net.scaled_costs)
         block = max(1, _CERTIFY_BLOCK // max(1, net.m))
         for lo in range(0, rows, block):
             got = (self.cut_matrix[lo : lo + block] @ costs).tolist()

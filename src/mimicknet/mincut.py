@@ -23,18 +23,27 @@ made to the running minimum, its masks and the second distinct value, so
 no array of all 2**p values is built; cutsets are read only for the
 minimizing masks.
 
+Satellite rows: with the terminals placed, a satellite (a non-terminal
+whose neighbours are all terminals) picks its side alone, so its share
+of any row is in closed form.  One reader,
+:meth:`_Reduced.satellite_rows`, gives it for a list of row masks, a
+block at a time: the values, the terminals' and satellites' sides and
+the edges those sides cut, each block certified against the edges' own
+costs.  The table's expansion and the closed-form gaps both read it.
+
 Gaps (:func:`gap`, :func:`gaps`, :func:`global_gap`) are in closed
 form, at any size, when every vertex is a terminal or a satellite of one
 vertex and no edge joins two terminals (the bipartite family, stars):
 each satellite then picks its side alone.  Every other network takes the
-oracle.
+oracle.  On such a network any subset of the rows can be read without a
+table, as the lower-bound experiments do.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -43,7 +52,7 @@ from .errors import InternalError, InvalidParameterError, OracleCapacityError
 from .network import Bipartition, Network, enumerate_bipartitions
 
 ORACLE_CAPACITY = 22
-# entries per row-block temporary in _Reduced.expand
+# entries per row-block temporary in _Reduced.satellite_rows
 _SATELLITE_BLOCK = 1 << 18
 
 
@@ -231,18 +240,41 @@ class _Shape:
         self.link_term = np.array([i for _, i, eids in links for _ in eids], dtype=np.intp)
 
 
+class _SatelliteRows(NamedTuple):
+    """One certified block of :meth:`_Reduced.satellite_rows`: its rows
+    are the given masks' from ``lo`` on.  ``src`` (rows x k) marks the
+    source-side terminals, ``on`` (rows x satellites) the satellites on
+    the source side, and ``cut`` (rows x links, the shape's ``link_eid``
+    order) the satellites' edges that the row cuts.  ``values`` is the
+    satellites' scaled share of each row's value, and ``deltas`` each
+    row's least |a - b| over the satellites (None with no satellite)."""
+
+    lo: int
+    values: list[int]
+    deltas: list[int | None]
+    src: np.ndarray
+    on: np.ndarray
+    cut: np.ndarray
+
+
 class _Reduced:
     """A network's reduced core with its costs: the graph the walk runs
     on, ``arcs()`` in the layout of :meth:`Network.arcs`.  A core edge's
-    capacity is its bundle's summed scaled cost, and ``sat_cost[s, i]`` is
-    satellite s's summed scaled cost to terminal index i, both in the
-    dtype of :func:`_cost_array`.  The rest is ``shape``'s."""
+    capacity is its bundle's summed scaled cost, ``sat_cost[s, i]`` is
+    satellite s's summed scaled cost to terminal index i, and ``costs``
+    holds every input edge's scaled cost, all in the dtype of
+    :func:`_cost_array`.  The rest is ``shape``'s.
 
-    __slots__ = ("net", "shape", "n", "terminals", "sat_cost", "_arcs")
+    ``scaled`` and ``den``, when given, stand for ``net``'s scaled costs
+    and denominator: the core of a network with ``net``'s ends and other
+    costs, which need not be built as a :class:`Network`."""
 
-    def __init__(self, net: Network, shape: _Shape):
+    __slots__ = ("net", "shape", "n", "terminals", "den", "costs", "sat_cost", "_arcs")
+
+    def __init__(self, net: Network, shape: _Shape, scaled: Sequence[int] | None = None, den: int | None = None):
         self.net, self.shape, self.n, self.terminals = net, shape, shape.n, shape.terminals
-        costs = _cost_array(net)
+        self.den = net.cost_denominator if den is None else den
+        self.costs = costs = _cost_array(net.scaled_costs if scaled is None else scaled)
         caps = np.zeros(len(shape.bundles), dtype=costs.dtype)
         np.add.at(caps, shape.edge_core, costs[shape.edge_cols])
         # an edge's two arcs carry its capacity
@@ -261,19 +293,45 @@ class _Reduced:
         a = src.astype(self.sat_cost.dtype) @ self.sat_cost.T
         return src, a, self.sat_cost.sum(axis=1) - a
 
+    def satellite_rows(self, masks: Sequence[int]) -> Iterator[_SatelliteRows]:
+        """The satellites' share of each row mask's canonical cut, in
+        closed form, a block of rows at a time.
+
+        With the terminals placed, each satellite's side is decided alone.
+        Let a be its cost to the source-side terminals (bit clear, terminal
+        0's side) and b to the others (:meth:`split`): it joins the source
+        side iff b < a, strictly, so the side stays inclusion-minimal, adds
+        min(a, b), and its edges to the other side's terminals are cut.
+
+        Each block is certified before it is yielded, from the edges' own
+        costs rather than the sums the sides were decided on: the edges
+        that the sides cut cost exactly each row's value, or
+        ``InternalError``."""
+        shape = self.shape
+        masks = np.asarray(masks, dtype=np.int64)
+        sats, link_costs = len(shape.satellites), self.costs[shape.link_eid]
+        block = max(1, _SATELLITE_BLOCK // max(len(shape.link_eid), len(shape.sat_vertex), len(self.terminals)))
+        for lo in range(0, len(masks), block):
+            src, a, b = self.split(masks[lo : lo + block])
+            on = b < a
+            values = np.minimum(a, b).sum(axis=1).tolist()
+            cut = on[:, shape.link_sat] != src[:, shape.link_term]
+            got = (cut @ link_costs).tolist()
+            if got != values:
+                i, x, y = next((i, x, y) for i, (x, y) in enumerate(zip(got, values), lo) if x != y)
+                raise InternalError(
+                    f"row mask {masks[i]:#b} cuts satellite edges of cost {Fraction(x, self.den)}, "
+                    f"its satellites' share is {Fraction(y, self.den)}"
+                )
+            deltas = np.abs(a - b).min(axis=1).tolist() if sats else [None] * len(values)
+            yield _SatelliteRows(lo, values, deltas, src, on, cut)
+
     def expand(self, core_values: list[int], core_cut: np.ndarray, core_side: np.ndarray):
         """The input network's table for the core's: (scaled values, cut
         matrix, side matrix), one row per bipartition in canonical order.
         Core edge and vertex columns are gathered out to their bundles and
-        groups.
-
-        The satellites' share is in closed form.  With the terminals
-        placed, each satellite's side is decided alone.  Let a be its cost
-        to the source-side terminals (bit clear, terminal 0's side) and b
-        to the others: it joins the source side iff b < a, strictly, so the
-        side stays inclusion-minimal, adds min(a, b), and its bundles to
-        the other side's terminals are cut.  Rows are computed a block at a
-        time, as matrix products over the masks."""
+        groups, and the satellites' share is added in closed form
+        (:meth:`satellite_rows`)."""
         shape, net = self.shape, self.net
         rows = len(core_values)
         cut = np.zeros((rows, net.m), dtype=bool)
@@ -282,24 +340,19 @@ class _Reduced:
         side[:, shape.vertex_cols] = core_side[:, shape.vertex_core]
         if not shape.satellites:
             return core_values, cut, side
-        link_eid, link_sat, link_term = shape.link_eid, shape.link_sat, shape.link_term
         sat_values: list[int] = []
-        block = max(1, _SATELLITE_BLOCK // max(len(link_eid), len(shape.sat_vertex)))
-        for lo in range(0, rows, block):
-            hi = min(rows, lo + block)
-            # row i is the bipartition of mask 2 * (i + 1)
-            src, a, b = self.split(np.arange(2 * lo + 2, 2 * hi + 2, 2, dtype=np.int64))
-            on = b < a
-            sat_values += np.minimum(a, b).sum(axis=1).tolist()
-            cut[lo:hi, link_eid] = on[:, link_sat] != src[:, link_term]
-            side[lo:hi, shape.sat_vertex] = on[:, shape.sat_of]
+        # row i is the bipartition of mask 2 * (i + 1)
+        for part in self.satellite_rows(np.arange(2, 2 * rows + 2, 2, dtype=np.int64)):
+            hi = part.lo + len(part.values)
+            sat_values += part.values
+            cut[part.lo : hi, shape.link_eid] = part.cut
+            side[part.lo : hi, shape.sat_vertex] = part.on[:, shape.sat_of]
         return [x + y for x, y in zip(core_values, sat_values)], cut, side
 
 
-def _cost_array(net: Network) -> np.ndarray:
-    """``net``'s scaled costs as an array: int64 when they sum below
-    2**63, so every sum of them is exact, Python integers otherwise."""
-    scaled = net.scaled_costs
+def _cost_array(scaled: Sequence[int]) -> np.ndarray:
+    """Scaled costs as an array: int64 when they sum below 2**63, so every
+    sum of them is exact, Python integers otherwise."""
     return np.array(scaled, dtype=np.int64 if sum(scaled) < 1 << 63 else object)
 
 
@@ -685,20 +738,14 @@ def _closed_gaps(core: _Reduced, masks: Sequence[int]) -> Iterator[GapReport]:
     its costs are positive.  So the minimum is the sum of min(a, b) and
     the cheapest other cutset flips the satellite of least |a - b|: the
     gap, 0 when some a = b, which is a second minimum cutset.  With no
-    satellite the row has one cutset.  Exact, in the dtype of
-    :func:`_cost_array`, a block of rows at a time."""
-    den = core.net.cost_denominator
-    sats = len(core.shape.satellites)
-    if not sats:
-        yield from (GapReport(None, None, True) for _ in masks)
-        return
-    block = max(1, _SATELLITE_BLOCK // max(sats, len(core.terminals)))
-    for lo in range(0, len(masks), block):
-        _, a, b = core.split(np.array(masks[lo : lo + block], dtype=np.int64))
-        values = np.minimum(a, b).sum(axis=1).tolist()
-        deltas = np.abs(a - b).min(axis=1).tolist()
-        for value, delta in zip(values, deltas):
-            if delta:
+    satellite the row has one cutset.  Exact, read with the certified
+    rows of :meth:`_Reduced.satellite_rows`."""
+    den = core.den
+    for part in core.satellite_rows(masks):
+        for value, delta in zip(part.values, part.deltas):
+            if delta is None:
+                yield GapReport(None, None, True)
+            elif delta:
                 yield GapReport(Fraction(delta, den), Fraction(value + delta, den), True)
             else:
                 yield GapReport(Fraction(0), Fraction(value, den), False)

@@ -1,12 +1,13 @@
 import dataclasses
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from mimicknet import lowerbound, mincut
-from mimicknet.errors import InvalidParameterError
+from mimicknet.errors import InternalError, InvalidParameterError
 from mimicknet.fileio import serialize_network
 from mimicknet.lowerbound import (
     BipartiteCutRecord,
@@ -17,9 +18,10 @@ from mimicknet.lowerbound import (
     verify_grid_lemma,
     verify_rank_bounds,
 )
-from mimicknet.incidence import IncidenceMatrix, build_incidence
-from mimicknet.mincut import global_gap, min_cut_and_uniqueness, min_separating_cut
-from mimicknet.network import Bipartition
+from mimicknet.incidence import IncidenceMatrix, _pivot_columns, build_incidence
+from mimicknet.mimick import terminal_cuts
+from mimicknet.mincut import gaps, global_gap, min_cut_and_uniqueness, min_separating_cut
+from mimicknet.network import Bipartition, Network, enumerate_bipartitions
 
 
 class TestBipartiteGenerator:
@@ -132,6 +134,30 @@ class TestBipartiteLemma:
         assert verify_bipartite_lemma(gen_bipartite(6)).ok
         assert len(solved) == 0
 
+    @pytest.mark.parametrize("spot_check", [None, 4])
+    def test_subset_rows_alone(self, certified, monkeypatch, spot_check):
+        # the lemma reads its (sampled) subset rows' masks from the
+        # satellite core, once, and builds no table
+        reads = []
+        satellite_rows = mincut._Reduced.satellite_rows
+        monkeypatch.setattr(mincut._Reduced, "satellite_rows", lambda core, masks: reads.append(list(masks)) or satellite_rows(core, masks))
+        fam = gen_bipartite(6)
+        rep = verify_bipartite_lemma(fam, spot_check, seed=2)
+        assert rep.ok and certified == []
+        assert reads == [[Bipartition.from_indices(6, r.subset).mask for r in rep.checked]]
+
+    def test_flipped_satellite_side_raises(self, monkeypatch):
+        # a reader whose split swaps one satellite's costs in one row flips
+        # that satellite's side: the row's certificate fails
+        monkeypatch.setattr(mincut._Reduced, "split", _flip_one_side(mask=Bipartition.from_indices(6, (1, 2, 3, 4)).mask))
+        with pytest.raises(InternalError):
+            verify_bipartite_lemma(gen_bipartite(6))
+
+    def test_declined_network_raises(self):
+        fam = gen_bipartite(6)
+        with pytest.raises(InvalidParameterError):
+            verify_bipartite_lemma(dataclasses.replace(fam, network=_with_core_edge(fam)))
+
     @pytest.mark.parametrize("seed", range(5))
     def test_records_match_flows(self, solved, seed):
         # random costs tie some satellites; the table's sides and values
@@ -184,6 +210,26 @@ class TestBipartiteLemma:
             others = all(cost(j, subset) > cost(j, rest) for j in range(fam.l) if j != i)
             expected.append(cost(i, subset) < cost(i, rest) and others)
         assert [r.inequalities_ok for r in rep.checked] == expected
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("recost", ["one broken", "random"])
+    def test_spot_check_records_equal_full(self, seed, recost):
+        # one broken comparison (as in test_broken_inequality_reported), or
+        # random costs that break them all and tie some satellites: a
+        # sample's records, comparisons included, must be the full run's
+        fam = gen_bipartite(6)
+        if recost == "one broken":
+            eid = fam.edge_id(0, fam.subsets[0][0])
+            costs = [e.cost + (eid == i) for i, e in enumerate(fam.network.edges)]
+        else:
+            rng = random.Random(seed)
+            grid = [Fraction(1, 2), Fraction(1), Fraction(13, 6), Fraction(7, 3), 2 ** 64 + Fraction(1, 3)]
+            costs = [rng.choice(grid) for _ in range(fam.network.m)]
+        fam = dataclasses.replace(fam, network=fam.network.with_costs(costs))
+        full = {r.subset: r for r in verify_bipartite_lemma(fam).checked}
+        spot = verify_bipartite_lemma(fam, 8, seed)
+        assert len(spot.checked) == 8
+        assert spot.checked == tuple(full[r.subset] for r in spot.checked)
 
 
 class TestGridLemma:
@@ -243,6 +289,73 @@ class TestRankBounds:
 @pytest.fixture(scope="module")
 def fam():
     return gen_bipartite(6)
+
+
+def _flip_one_side(mask):
+    """``_Reduced.split`` with satellite 0's two costs swapped on the row
+    of ``mask``: the row's value, the sum of the minima, is unchanged and
+    only that satellite's side flips."""
+    split = mincut._Reduced.split
+
+    def flipped(core, masks):
+        src, a, b = split(core, masks)
+        for i in np.flatnonzero(masks == mask):
+            a[i, 0], b[i, 0] = b[i, 0], a[i, 0]
+        return src, a, b
+
+    return flipped
+
+
+def _with_core_edge(fam):
+    """The family's network with an edge between two satellites: its core
+    then has an arc, so ``_satellite_core`` declines it."""
+    net = fam.network
+    return Network(net.n, [*net.edges, (fam.u_vertex(0), fam.u_vertex(1), 1)], net.terminals)
+
+
+def _collision_reference(fam, sample_count, seed):
+    """The collision report from one certified table per cost function:
+    the base table's subset-row pivots as the columns, the gaps of
+    ``mincut.gaps``, and ``terminal_cuts`` of a ``with_costs`` copy per
+    sampled pattern, compared by values in lowest terms and cut matrices."""
+    net = fam.network
+    base = terminal_cuts(net)
+    subset_rows = [Bipartition.from_indices(fam.k, s).row_index for s in fam.subsets]
+    columns = _pivot_columns(base.cut_matrix[subset_rows])[: fam.l]
+    reports = list(gaps(net, enumerate_bipartitions(fam.k)))
+    step = Fraction(1, 6 * fam.k * fam.k * fam.l)
+    min_row_gap = min(reports[row].delta for row in subset_rows)
+    tables = {}
+
+    def table(bits):
+        if bits not in tables:
+            costs = [e.cost + (step if bits >> columns.index(eid) & 1 else 0) if eid in columns else e.cost for eid, e in enumerate(net.edges)]
+            tables[bits] = terminal_cuts(net.with_costs(costs))
+        return tables[bits]
+
+    rng = random.Random(seed)
+    collisions = []
+    for _ in range(sample_count):
+        a = rng.randrange(1 << fam.l)
+        b = rng.randrange(1 << fam.l)
+        while b == a:
+            b = rng.randrange(1 << fam.l)
+        if table(a).lowest_terms == table(b).lowest_terms:
+            collisions.append((a, b))
+    return lowerbound.CollisionReport(
+        k=fam.k,
+        l=fam.l,
+        gap=mincut._min_gap(reports) or Fraction(0),
+        step=step,
+        columns=tuple(columns),
+        first_l_columns_independent=columns == list(range(fam.l)),
+        min_subset_row_gap=min_row_gap,
+        total_mass_below_gap=fam.l * step < min_row_gap,
+        pairs_checked=sample_count,
+        collisions=tuple(collisions),
+        subset_rows_stable=all(np.array_equal(t.cut_matrix[subset_rows], base.cut_matrix[subset_rows]) for t in tables.values()),
+        full_matrix_changes=sum(not np.array_equal(t.cut_matrix, base.cut_matrix) for t in tables.values()),
+    )
 
 
 class TestCollision:
@@ -312,13 +425,33 @@ class TestCollision:
         assert rep.ok and len(built) == 1 and built[0] is fam.network
 
     def test_one_certificate_per_table(self, fam, certified, monkeypatch):
-        # the base table and one per distinct sampled pattern, each
-        # certified once, by terminal_cuts
-        walks = []
-        walk = mincut._walk
+        # no copy is a Network or a table: no with_costs, no walk and no
+        # table certificate; the base core is read three times (subset
+        # rows, gaps, sides) and each distinct sampled pattern's core once,
+        # each read certified row by row
+        walks, copies, reads = [], [], []
+        walk, with_costs, satellite_rows = mincut._walk, Network.with_costs, mincut._Reduced.satellite_rows
         monkeypatch.setattr(mincut, "_walk", lambda graph: walks.append(graph) or walk(graph))
-        tc_collision_family(fam, 100, seed=5)
-        assert len(walks) == len(certified) == len({id(t) for t in certified}) == 201
+        monkeypatch.setattr(Network, "with_costs", lambda net, costs: copies.append(net) or with_costs(net, costs))
+        monkeypatch.setattr(mincut._Reduced, "satellite_rows", lambda core, masks: reads.append(core) or satellite_rows(core, masks))
+        assert tc_collision_family(fam, 100, seed=5).ok
+        assert walks == copies == certified == []
+        per_core = Counter(map(id, reads))
+        assert sorted(per_core.values()) == [1] * 200 + [3]
+
+    @pytest.mark.parametrize("k,seed,samples", [(6, seed, 100) for seed in range(1, 6)] + [(9, 1, 20)])
+    def test_report_equals_table_reference(self, k, seed, samples):
+        fam = gen_bipartite(k)
+        assert tc_collision_family(fam, samples, seed) == _collision_reference(fam, samples, seed)
+
+    def test_flipped_satellite_side_raises(self, fam, monkeypatch):
+        monkeypatch.setattr(mincut._Reduced, "split", _flip_one_side(mask=6))
+        with pytest.raises(InternalError):
+            tc_collision_family(fam, 5, seed=1)
+
+    def test_declined_network_raises(self, fam):
+        with pytest.raises(InvalidParameterError):
+            tc_collision_family(dataclasses.replace(fam, network=_with_core_edge(fam)), 5, seed=1)
 
     def test_single_bit_functions_differ(self, fam):
         mat = build_incidence(fam.network)
@@ -370,7 +503,7 @@ class TestIndependentColumns:
         mat = build_incidence(fam.network)
         rows = [Bipartition.from_indices(fam.k, s).row_index for s in fam.subsets]
         expected = _greedy_columns(mat.bits, rows, fam.l)
-        assert lowerbound._independent_columns(mat.bits, rows, fam.l) == expected
+        assert lowerbound._independent_columns(mat.bits[rows], fam.l) == expected
         assert len(expected) == fam.l
 
     @pytest.mark.parametrize("seed", range(40))
@@ -383,4 +516,4 @@ class TestIndependentColumns:
         )
         rows = sorted(rng.sample(range(n_rows), rng.randint(1, n_rows)))
         count = rng.randint(1, n_cols)
-        assert lowerbound._independent_columns(bits, rows, count) == _greedy_columns(bits, rows, count)
+        assert lowerbound._independent_columns(bits[rows], count) == _greedy_columns(bits, rows, count)

@@ -196,7 +196,7 @@ class TestBigIntegerCertificate:
     NET = Network(4, [(0, 2, 2**62), (2, 3, 2**62 + 1), (3, 1, 2**62), (0, 3, 3), (2, 1, 2**61)], [0, 1])
 
     def test_table_equals_cold_flows(self):
-        assert mincut._cost_array(self.NET).dtype == object
+        assert mincut._cost_array(self.NET.scaled_costs).dtype == object
         cold = tuple(min_separating_cut(self.NET, bp) for bp in enumerate_bipartitions(2))
         assert terminal_cuts(self.NET).cuts == cold
 

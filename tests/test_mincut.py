@@ -1,13 +1,14 @@
 from fractions import Fraction
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mimicknet import _kernels
+from mimicknet import _kernels, mincut
 from mimicknet.errors import InternalError, InvalidParameterError, OracleCapacityError
-from mimicknet.generate import random_planar_network
+from mimicknet.generate import random_planar_network, star_network
 from mimicknet.lowerbound import gen_bipartite, gen_grid
 from mimicknet.mimick import terminal_cuts, verify_generalized
 from mimicknet.mincut import (
@@ -387,6 +388,100 @@ def satellite_only_networks(draw):
 @given(satellite_only_networks())
 def test_closed_gaps_equal_oracle(net):
     assert_closed_gaps_equal_oracle(net)
+
+
+def satellite_rows(net, masks):
+    """The reader's rows of a satellite-only network as a table's: scaled
+    values, cut rows over the edge columns and side rows over the
+    vertices (a satellite is its one vertex, a terminal its own group)."""
+    core = _satellite_core(net)
+    shape = core.shape
+    values = []
+    cut = np.zeros((len(masks), net.m), dtype=bool)
+    side = np.zeros((len(masks), net.n), dtype=bool)
+    for part in core.satellite_rows(masks):
+        hi = part.lo + len(part.values)
+        values += part.values
+        cut[part.lo : hi, shape.link_eid] = part.cut
+        side[part.lo : hi, list(net.terminals)] = part.src
+        side[part.lo : hi, shape.sat_vertex] = part.on[:, shape.sat_of]
+    return values, cut, side
+
+
+def assert_satellite_rows_equal_table(net, rows):
+    """The reader on the given rows' masks, in their order, against those
+    rows of the certified table."""
+    table = terminal_cuts(net)
+    values, cut, side = satellite_rows(net, [2 * (row + 1) for row in rows])
+    assert values == [table.scaled_values[row] for row in rows]
+    assert np.array_equal(cut, table.cut_matrix[rows])
+    assert np.array_equal(side, table.side_matrix[rows])
+
+
+class TestSatelliteRows:
+    @pytest.mark.parametrize("k", [6, 9, 12])
+    def test_bipartite_every_row(self, k):
+        # k=12 reads 2047 rows in blocks of 44
+        assert_satellite_rows_equal_table(gen_bipartite(k).network, list(range((1 << (k - 1)) - 1)))
+
+    @pytest.mark.parametrize("k", [6, 9, 12])
+    def test_bipartite_subset_rows(self, k):
+        fam = gen_bipartite(k)
+        rows = [Bipartition.from_indices(k, subset).row_index for subset in fam.subsets]
+        assert_satellite_rows_equal_table(fam.network, rows[::-1])
+
+    @pytest.mark.parametrize("k", [2, 3, 5, 8])
+    @pytest.mark.parametrize("block", [1, 3, 1 << 18])
+    def test_star(self, monkeypatch, k, block):
+        # the centre ties on every row that splits the leaves evenly
+        monkeypatch.setattr(mincut, "_SATELLITE_BLOCK", block)
+        net, _ = star_network(k)
+        assert_satellite_rows_equal_table(net, list(range((1 << (k - 1)) - 1)))
+
+    def test_no_masks(self):
+        assert list(_satellite_core(gen_bipartite(6).network).satellite_rows([])) == []
+
+    @pytest.mark.parametrize("row", [0, 7, 30])
+    def test_flipped_satellite_side_raises(self, monkeypatch, row):
+        # the reader's split swaps one untied satellite's two costs in one
+        # row: the value (the sum of the minima) is unchanged and only the
+        # satellite's side flips, so the edges it cuts no longer cost the
+        # value
+        net = gen_bipartite(6).network
+        split = _Reduced.split
+
+        def flipped(core, masks):
+            src, a, b = split(core, masks)
+            hit = np.flatnonzero(masks == 2 * (row + 1))
+            if hit.size:
+                s = np.flatnonzero(a[hit[0]] != b[hit[0]])[0]
+                a[hit[0], s], b[hit[0], s] = b[hit[0], s], a[hit[0], s]
+            return src, a, b
+
+        monkeypatch.setattr(_Reduced, "split", flipped)
+        with pytest.raises(InternalError, match=f"row mask {2 * (row + 1):#b} cuts"):
+            list(_satellite_core(net).satellite_rows(np.arange(2, 64, 2)))
+        with pytest.raises(InternalError):
+            terminal_cuts(net)
+
+
+@settings(max_examples=200, deadline=None)
+@given(satellite_only_networks(), st.data())
+def test_satellite_rows_equal_table_and_flows(net, data):
+    # any list of row masks, in any order, with repeats, read in blocks of
+    # any size, against the table's rows and one cold flow per row on the
+    # input itself
+    rows = data.draw(st.lists(st.integers(0, (1 << (net.k - 1)) - 2), max_size=20))
+    block = data.draw(st.sampled_from([1, 2, 5, 1 << 18]))
+    with patch.object(mincut, "_SATELLITE_BLOCK", block):
+        assert_satellite_rows_equal_table(net, rows)
+        values, cut, side = satellite_rows(net, [2 * (row + 1) for row in rows])
+    bps = enumerate_bipartitions(net.k)
+    for i, row in enumerate(rows):
+        cold = min_separating_cut(net, bps[row])
+        assert Fraction(values[i], net.cost_denominator) == cold.value
+        assert frozenset(np.flatnonzero(cut[i]).tolist()) == cold.cutset
+        assert frozenset(np.flatnonzero(side[i]).tolist()) == cold.side
 
 
 class TestUniquenessByFlow:
