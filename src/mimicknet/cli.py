@@ -18,6 +18,8 @@ import random
 import sys
 from fractions import Fraction
 
+import numpy as np
+
 from . import __version__
 from .errors import MimicknetError
 from .fileio import load_network, serialize_network
@@ -31,8 +33,8 @@ from .lowerbound import (
     verify_rank_bounds,
 )
 from .mimick import build_by_contraction, build_by_signature, verify, verify_cuts, verify_generalized
-from .network import enumerate_bipartitions
-from .planar import _pair_bounds, build_dual, check_component_bounds, faces_of_subgraph
+from .network import Quotient, enumerate_bipartitions
+from .planar import BoundReport, build_dual, faces_of_subgraph, meeting_vertices
 from .tcscheme import deserialize, preprocess, query, serialize, storage_report
 
 FORMAT_VERSION = 1
@@ -209,37 +211,40 @@ def _experiment_rank(args, rec: _Records) -> bool:
 
 
 def _experiment_bounds(args, rec: _Records) -> bool:
+    """The planar structural bounds on every canonical cutset, on sampled
+    pairs of them, and the class-face correspondence.  Each row's cutset
+    is its row of the table's cut matrix.  Every cutset and pair union is a
+    subset of the union U of all of them, whose components
+    ``build_by_contraction`` already found with one search: the components
+    of the network minus any C ⊆ U are those of the quotient by those
+    classes minus C (:class:`network.Quotient`), so no count searches the
+    network itself."""
     net, emb = load_network(args.input)
     if emb is None:
         raise MimicknetError("bounds experiment needs rotation lines in the input")
     dual = build_dual(emb)
     bps = enumerate_bipartitions(net.k)
     result = build_by_contraction(net)
-    cutsets = [cut.cutset for cut in result.cuts]
+    cut = result.cuts.cut_matrix
+    quotient = Quotient(net, result.contraction_map)
+    singles = quotient.component_counts(cut)
     ok = True
-    singles = []
-    for bp, cutset in zip(bps, cutsets):
-        rep = check_component_bounds(emb, dual, cutset)
-        singles.append(rep.cc_single[0])
+    for bp, cc in zip(bps, singles):
+        rep = BoundReport.of(net.k, (cc,))
         ok &= rep.ok
-        rec.add(
-            "single-cutset-components",
-            f"mask={bp.mask:b}",
-            f"<= {net.k}",
-            rep.cc_single[0],
-            rep.ok,
-        )
+        rec.add("single-cutset-components", f"mask={bp.mask:b}", f"<= {net.k}", cc, rep.ok)
     rng = random.Random(args.seed)
-    for _ in range(args.pairs):
-        a = rng.randrange(len(bps))
-        b = rng.randrange(len(bps))
-        rep = _pair_bounds(emb, dual, cutsets[a], cutsets[b], singles[a], singles[b])
+    pairs = [(rng.randrange(len(bps)), rng.randrange(len(bps))) for _ in range(args.pairs)]
+    unions = cut[[a for a, _ in pairs]] | cut[[b for _, b in pairs]]
+    for (a, b), union, cc in zip(pairs, unions, quotient.component_counts(unions)):
+        meeting = meeting_vertices(dual, np.flatnonzero(union).tolist())
+        rep = BoundReport.of(net.k, (singles[a], singles[b]), cc, meeting)
         ok &= rep.ok
         rec.add(
             "two-cutset-components-and-meeting-vertices",
             f"masks={bps[a].mask:b},{bps[b].mask:b}",
-            f"cc <= {rep.cc_single[0]}+{rep.cc_single[1]}+{net.k}, meeting <= {6 * net.k}",
-            f"cc={rep.cc_union} meeting={rep.meeting_vertices}",
+            f"cc <= {singles[a]}+{singles[b]}+{net.k}, meeting <= {6 * net.k}",
+            f"cc={cc} meeting={meeting}",
             rep.ok,
         )
     faces = faces_of_subgraph(dual.embedding, result.cut_union)

@@ -36,10 +36,6 @@ from .network import (
 )
 
 
-# entries per row-block temporary in TerminalCuts.certify
-_CERTIFY_BLOCK = 1 << 18
-
-
 @dataclass(frozen=True, eq=False)
 class TerminalCuts:
     """Canonical minimum cut (value, cutset, side) of every terminal
@@ -107,21 +103,18 @@ class TerminalCuts:
         :func:`terminal_cuts` this is the max-flow = cut-cost certificate
         of every row: the values come from the flows and the cuts from the
         sides the flows left reachable.  Exact, in the dtype of
-        :func:`mincut._cost_array`, a block of rows at a time."""
+        :func:`mincut._cost_array`, a tile at a time
+        (:func:`mincut._cut_costs`)."""
         rows, den = len(self.scaled_values), self.cost_denominator
         shapes = (self.cut_matrix.shape, self.side_matrix.shape)
         if den != net.cost_denominator or shapes != ((rows, net.m), (rows, net.n)):
             raise InternalError(
                 f"table of {rows} rows over denominator {den} does not fit {net} over {net.cost_denominator}"
             )
-        costs = mincut._cost_array(net.scaled_costs)
-        block = max(1, _CERTIFY_BLOCK // max(1, net.m))
-        for lo in range(0, rows, block):
-            got = (self.cut_matrix[lo : lo + block] @ costs).tolist()
-            want = self.scaled_values[lo : lo + block]
-            if got != list(want):
-                i, x, y = next((i, x, y) for i, (x, y) in enumerate(zip(got, want), lo) if x != y)
-                raise InternalError(f"row {i} cuts edges of cost {Fraction(x, den)}, its value is {Fraction(y, den)}")
+        got = mincut._cut_costs(self.cut_matrix, mincut._cost_array(net.scaled_costs))
+        if got != list(self.scaled_values):
+            i, x, y = next((i, x, y) for i, (x, y) in enumerate(zip(got, self.scaled_values)) if x != y)
+            raise InternalError(f"row {i} cuts edges of cost {Fraction(x, den)}, its value is {Fraction(y, den)}")
 
 
 def terminal_cuts(net: Network) -> TerminalCuts:

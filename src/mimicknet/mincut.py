@@ -54,6 +54,8 @@ from .network import Bipartition, Network, enumerate_bipartitions
 ORACLE_CAPACITY = 22
 # entries per row-block temporary in _Reduced.satellite_rows
 _SATELLITE_BLOCK = 1 << 18
+# entries per cast of a bool block to the costs' dtype in _cut_costs
+_PRODUCT_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -261,15 +263,16 @@ class _Reduced:
     """A network's reduced core with its costs: the graph the walk runs
     on, ``arcs()`` in the layout of :meth:`Network.arcs`.  A core edge's
     capacity is its bundle's summed scaled cost, ``sat_cost[s, i]`` is
-    satellite s's summed scaled cost to terminal index i, and ``costs``
-    holds every input edge's scaled cost, all in the dtype of
-    :func:`_cost_array`.  The rest is ``shape``'s.
+    satellite s's summed scaled cost to terminal index i, ``sat_total[s]``
+    its summed scaled cost to all of them, and ``costs`` holds every input
+    edge's scaled cost, all in the dtype of :func:`_cost_array`.  The rest
+    is ``shape``'s.
 
     ``scaled`` and ``den``, when given, stand for ``net``'s scaled costs
     and denominator: the core of a network with ``net``'s ends and other
     costs, which need not be built as a :class:`Network`."""
 
-    __slots__ = ("net", "shape", "n", "terminals", "den", "costs", "sat_cost", "_arcs")
+    __slots__ = ("net", "shape", "n", "terminals", "den", "costs", "sat_cost", "sat_total", "_arcs")
 
     def __init__(self, net: Network, shape: _Shape, scaled: Sequence[int] | None = None, den: int | None = None):
         self.net, self.shape, self.n, self.terminals = net, shape, shape.n, shape.terminals
@@ -281,6 +284,7 @@ class _Reduced:
         self._arcs = (shape.head, tuple(caps.repeat(2).tolist()), shape.out)
         self.sat_cost = np.zeros((len(shape.satellites), net.k), dtype=costs.dtype)
         np.add.at(self.sat_cost, (shape.link_sat, shape.link_term), costs[shape.link_eid])
+        self.sat_total = self.sat_cost.sum(axis=1)
 
     def arcs(self):
         return self._arcs
@@ -291,7 +295,7 @@ class _Reduced:
         scaled cost a to them and b to the others, rows x satellites."""
         src = (masks[:, None] >> np.arange(len(self.terminals)) & 1) == 0
         a = src.astype(self.sat_cost.dtype) @ self.sat_cost.T
-        return src, a, self.sat_cost.sum(axis=1) - a
+        return src, a, self.sat_total - a
 
     def satellite_rows(self, masks: Sequence[int]) -> Iterator[_SatelliteRows]:
         """The satellites' share of each row mask's canonical cut, in
@@ -316,7 +320,7 @@ class _Reduced:
             on = b < a
             values = np.minimum(a, b).sum(axis=1).tolist()
             cut = on[:, shape.link_sat] != src[:, shape.link_term]
-            got = (cut @ link_costs).tolist()
+            got = _cut_costs(cut, link_costs)
             if got != values:
                 i, x, y = next((i, x, y) for i, (x, y) in enumerate(zip(got, values), lo) if x != y)
                 raise InternalError(
@@ -354,6 +358,26 @@ def _cost_array(scaled: Sequence[int]) -> np.ndarray:
     """Scaled costs as an array: int64 when they sum below 2**63, so every
     sum of them is exact, Python integers otherwise."""
     return np.array(scaled, dtype=np.int64 if sum(scaled) < 1 << 63 else object)
+
+
+def _cut_costs(cut: np.ndarray, costs: np.ndarray) -> list[int]:
+    """Each row's cost: the sum of ``costs`` over the row's set entries of
+    the bool array ``cut``, exact in the dtype of :func:`_cost_array`.  The
+    product casts the bools to that dtype, so a larger array runs on tiles
+    of at most ``_PRODUCT_BLOCK`` entries and no cast copies all of it."""
+    rows, cols = cut.shape
+    if rows * cols <= _PRODUCT_BLOCK:
+        return (cut @ costs).tolist()
+    width = min(cols, _PRODUCT_BLOCK)
+    step = _PRODUCT_BLOCK // width
+    got: list[int] = []
+    for lo in range(0, rows, step):
+        tile = cut[lo : lo + step]
+        total = tile[:, :width] @ costs[:width]
+        for c in range(width, cols, width):
+            total += tile[:, c : c + width] @ costs[c : c + width]
+        got += total.tolist()
+    return got
 
 
 def _flat(lists) -> np.ndarray:

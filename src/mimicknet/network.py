@@ -14,6 +14,8 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
+import numpy as np
+
 from .errors import (
     InvalidEdgeError,
     InvalidParameterError,
@@ -228,6 +230,53 @@ def connected_components(net: Network, removed_edges: frozenset[int] | set[int] 
                     comp.append(w)
         comps.append(frozenset(comp))
     return comps
+
+
+class Quotient:
+    """The graph of a contraction map's classes: one vertex per class and
+    one edge per input edge that joins two different classes, parallel
+    edges kept.
+
+    Let the classes be the components of ``net`` minus an edge set U, as
+    :func:`mimick.build_by_contraction` contracts them.  Then for every
+    C ⊆ U the components of ``net`` minus C are those of the quotient minus
+    C: every edge outside U lies inside a class, and every class is
+    connected without U.  :meth:`component_counts` counts them with no
+    search of ``net``; for a C that is not a subset of U the count is not
+    that of ``net`` minus C."""
+
+    __slots__ = ("m", "size", "edge_ids", "ends")
+
+    def __init__(self, net: Network, cmap: ContractionMap):
+        ends = [(cmap.class_of[e.u], cmap.class_of[e.v]) for e in net.edges]
+        crossing = [eid for eid, (a, b) in enumerate(ends) if a != b]
+        self.m, self.size = net.m, len(cmap)
+        self.edge_ids = np.array(crossing, dtype=np.intp)
+        self.ends = [ends[eid] for eid in crossing]
+
+    def component_counts(self, removed: np.ndarray) -> list[int]:
+        """For each row of ``removed``, a rows x m bool array whose row
+        marks an edge set C ⊆ U, the number of components of ``net`` minus
+        C: the class count less the merges that the quotient's edges
+        outside C make (union-find on the classes)."""
+        if removed.ndim != 2 or removed.shape[1] != self.m:
+            raise InvalidParameterError(f"need a rows x {self.m} edge mask, got shape {removed.shape}")
+        counts = []
+        for row in removed[:, self.edge_ids].tolist():
+            root = list(range(self.size))
+            count = self.size
+            for cut, (a, b) in zip(row, self.ends):
+                if cut:
+                    continue
+                while root[a] != a:
+                    root[a] = a = root[root[a]]
+                while root[b] != b:
+                    root[b] = b = root[root[b]]
+                if a != b:
+                    root[a] = b
+                    count -= 1
+            counts.append(count)
+        return counts
 
 
 class ContractionMap:

@@ -200,6 +200,25 @@ class BoundReport:
     def ok(self) -> bool:
         return self.single_ok and self.union_ok is not False and self.meeting_ok is not False
 
+    @classmethod
+    def of(
+        cls, k: int, cc_single: tuple[int, ...], cc_union: int | None = None, meeting: int | None = None
+    ) -> "BoundReport":
+        """The bounds checked on counts already made: each cutset alone
+        leaves at most k components; with a pair's union count and meeting
+        vertices, the union leaves at most cc(S) + cc(T) + k and meets at
+        most 6k dual vertices."""
+        single_ok = all(cc <= k for cc in cc_single)
+        if cc_union is None:
+            return cls(k, cc_single, None, None, single_ok, None, None)
+        return cls(k, cc_single, cc_union, meeting, single_ok, cc_union <= sum(cc_single) + k, meeting <= 6 * k)
+
+
+def meeting_vertices(dual: DualGraph, edge_ids: Iterable[int]) -> int:
+    """Dual vertices of degree above 2 in the dual subgraph on the given
+    edge ids: where the dual circuits of a union of cutsets meet."""
+    return sum(1 for d in _dual_degrees(dual, edge_ids).values() if d > 2)
+
 
 def check_component_bounds(
     emb: PlaneEmbedding,
@@ -209,31 +228,19 @@ def check_component_bounds(
 ) -> BoundReport:
     """Structural bounds for one or two minimum cutsets: at most k components
     after removing one cutset; at most cc(S) + cc(T) + k after removing both;
-    at most 6k meeting vertices in the dual subgraph of the union."""
+    at most 6k meeting vertices in the dual subgraph of the union.  One
+    search of the network per cutset and one on the union, so the reference
+    for counts read any other way."""
     k = emb.net.k
     es = frozenset(cutset_s)
     cc_s = len(connected_components(emb.net, es))
     if cutset_t is None:
-        return BoundReport(k, (cc_s,), None, None, cc_s <= k, None, None)
+        return BoundReport.of(k, (cc_s,))
     et = frozenset(cutset_t)
-    return _pair_bounds(emb, dual, es, et, cc_s, len(connected_components(emb.net, et)))
-
-
-def _pair_bounds(
-    emb: PlaneEmbedding, dual: DualGraph, es: frozenset[int], et: frozenset[int], cc_s: int, cc_t: int
-) -> BoundReport:
-    """``check_component_bounds`` for two cutsets whose own component
-    counts are already known: one search, on the union."""
-    k = emb.net.k
     union = es | et
-    cc_union = len(connected_components(emb.net, union))
-    meeting = sum(1 for d in _dual_degrees(dual, union).values() if d > 2)
-    return BoundReport(
-        k=k,
-        cc_single=(cc_s, cc_t),
-        cc_union=cc_union,
-        meeting_vertices=meeting,
-        single_ok=cc_s <= k and cc_t <= k,
-        union_ok=cc_union <= cc_s + cc_t + k,
-        meeting_ok=meeting <= 6 * k,
+    return BoundReport.of(
+        k,
+        (cc_s, len(connected_components(emb.net, et))),
+        len(connected_components(emb.net, union)),
+        meeting_vertices(dual, union),
     )

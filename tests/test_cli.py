@@ -1,12 +1,16 @@
+import json
+import random
 from fractions import Fraction
 
 import pytest
 
-from mimicknet import planar
+from mimicknet import mimick, network, planar
 from mimicknet.cli import main
 from mimicknet.fileio import load_network, parse_network
+from mimicknet.mimick import terminal_cuts
 from mimicknet.mincut import min_separating_cut
 from mimicknet.network import enumerate_bipartitions
+from mimicknet.planar import build_dual, check_component_bounds
 
 
 def run(*argv) -> int:
@@ -148,21 +152,55 @@ class TestExperiments:
         assert run("experiment", "bounds", "--input", net_file, "--seed", 0, "--pairs", 10) == 0
 
     @pytest.mark.parametrize("pairs", [0, 30])
-    def test_bounds_one_search_per_cutset_and_pair(self, tmp_path, monkeypatch, pairs):
-        # searches with edges removed: one per cutset, then one per pair (the union)
+    def test_bounds_no_search_per_cutset_or_pair(self, tmp_path, monkeypatch, pairs):
+        # the only search with edges removed is the contraction's, on the
+        # union of all cutsets; every count is read on its quotient
         net_file = tmp_path / "rp.net"
         assert run("gen", "random-planar", "--n", 30, "--k", 5, "--seed", 3, "-o", net_file) == 0
         searches = []
-        components = planar.connected_components
+        components = network.connected_components
 
         def counting(net, removed_edges=frozenset()):
             if removed_edges:
-                searches.append(removed_edges)
+                searches.append(frozenset(removed_edges))
             return components(net, removed_edges)
 
-        monkeypatch.setattr(planar, "connected_components", counting)
+        for module in (network, mimick, planar):
+            monkeypatch.setattr(module, "connected_components", counting)
         assert run("experiment", "bounds", "--input", net_file, "--seed", 0, "--pairs", pairs) == 0
-        assert len(searches) == 2 ** (5 - 1) - 1 + pairs
+        net, _ = load_network(net_file)
+        assert searches == [terminal_cuts(net).union]
+
+    @pytest.mark.parametrize("gen_seed, pairs", [(2, 10), (3, 40), (7, 0)])
+    def test_bounds_records_equal_search_reference(self, tmp_path, gen_seed, pairs):
+        # every record against check_component_bounds, which searches the
+        # network once per cutset and once per union, on the same samples
+        net_file, rec = tmp_path / "rp.net", tmp_path / "rec.jsonl"
+        assert run("gen", "random-planar", "--n", 40, "--k", 5, "--seed", gen_seed, "-o", net_file) == 0
+        assert run("experiment", "bounds", "--input", net_file, "--seed", 9, "--pairs", pairs, "--records", rec) == 0
+        net, emb = load_network(net_file)
+        dual = build_dual(emb)
+        bps = enumerate_bipartitions(net.k)
+        cutsets = [cut.cutset for cut in terminal_cuts(net)]
+        want = []
+        for bp, cutset in zip(bps, cutsets):
+            rep = check_component_bounds(emb, dual, cutset)
+            want.append(("single-cutset-components", f"mask={bp.mask:b}", f"<= {net.k}", str(rep.cc_single[0]), rep.ok))
+        rng = random.Random(9)
+        for _ in range(pairs):
+            a, b = rng.randrange(len(bps)), rng.randrange(len(bps))
+            rep = check_component_bounds(emb, dual, cutsets[a], cutsets[b])
+            want.append((
+                "two-cutset-components-and-meeting-vertices",
+                f"masks={bps[a].mask:b},{bps[b].mask:b}",
+                f"cc <= {rep.cc_single[0]}+{rep.cc_single[1]}+{net.k}, meeting <= {6 * net.k}",
+                f"cc={rep.cc_union} meeting={rep.meeting_vertices}",
+                rep.ok,
+            ))
+        rows = [json.loads(line) for line in rec.read_text().splitlines()[1:]]
+        got = [(r["claim"], r["instance"], r["expected"], r["observed"], r["verdict"] == "PASS") for r in rows]
+        assert got[:-1] == want
+        assert got[-1][0] == "component-face-correspondence"
 
     def test_bounds_needs_seed(self, tmp_path):
         net_file = tmp_path / "rp.net"

@@ -465,6 +465,39 @@ class TestSatelliteRows:
             terminal_cuts(net)
 
 
+class TestCutCosts:
+    @pytest.mark.parametrize("block", [1, 3, 7, 64, 1 << 14])
+    @pytest.mark.parametrize("shape", [(0, 5), (5, 0), (1, 1), (9, 13), (40, 3)])
+    @pytest.mark.parametrize("big", [False, True], ids=["int64", "object"])
+    def test_equal_row_sums(self, monkeypatch, block, shape, big):
+        # tiles of any size, narrower or wider than a row, in either dtype
+        monkeypatch.setattr(mincut, "_PRODUCT_BLOCK", block)
+        rng = np.random.default_rng(block)
+        cut = rng.random(shape) < 0.5
+        scaled = rng.integers(1, 1000, shape[1]).tolist()
+        costs = mincut._cost_array([x << 62 for x in scaled] if big else scaled)
+        assert costs.dtype == (object if big and shape[1] else np.int64)
+        want = [sum(c for c, on in zip(costs.tolist(), row) if on) for row in cut.tolist()]
+        assert mincut._cut_costs(cut, costs) == want
+
+    def test_casts_no_whole_block(self):
+        # a 64 x 2^15 bool block would cast to 16 MB of int64; no
+        # temporary may hold more than a tile of _PRODUCT_BLOCK entries
+        import tracemalloc
+
+        cut = np.zeros((64, 1 << 15), dtype=bool)
+        cut[:, ::3] = True
+        costs = np.arange(1, (1 << 15) + 1, dtype=np.int64)
+        tracemalloc.start()
+        try:
+            got = mincut._cut_costs(cut, costs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == [int(costs[::3].sum())] * 64
+        assert peak < 4 * 8 * mincut._PRODUCT_BLOCK + 64 * 1024
+
+
 @settings(max_examples=200, deadline=None)
 @given(satellite_only_networks(), st.data())
 def test_satellite_rows_equal_table_and_flows(net, data):

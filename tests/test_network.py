@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,11 +11,14 @@ from mimicknet.errors import (
     InvalidTerminalCountError,
     TerminalCollisionError,
 )
+from mimicknet.generate import random_planar_network
+from mimicknet.mimick import build_by_contraction
 from mimicknet.network import (
     Bipartition,
     ContractionMap,
     Edge,
     Network,
+    Quotient,
     connected_components,
     contract,
     enumerate_bipartitions,
@@ -123,6 +127,59 @@ class TestConnectedComponents:
         for v in range(net.n):
             pieces.setdefault(find(v), set()).add(v)
         assert comps == sorted(map(frozenset, pieces.values()), key=min)
+
+
+def edge_mask(m: int, *edge_sets) -> np.ndarray:
+    """One bool row per edge set, over m edge columns."""
+    rows = np.zeros((len(edge_sets), m), dtype=bool)
+    for row, edges in zip(rows, edge_sets):
+        row[list(edges)] = True
+    return rows
+
+
+class TestQuotient:
+    def test_path(self):
+        # the union {1} leaves classes {0, 1} and {2, 3}, joined by edge 1
+        net = Network(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)], [0, 3])
+        q = Quotient(net, ContractionMap(net, connected_components(net, {1})))
+        assert (q.size, q.edge_ids.tolist(), q.ends) == (2, [1], [(0, 1)])
+        assert q.component_counts(edge_mask(3, (), {1})) == [1, 2]
+
+    def test_union_edges_inside_a_class_and_isolated_vertices(self):
+        # edges 0 and 1 are parallel, loop 3 sits on vertex 2, vertex 4 is
+        # isolated: with U = {0, 2, 3}, edge 1 still holds 0 and 1 together
+        net = Network(5, [(0, 1, 1), (0, 1, 2), (1, 2, 3), (2, 2, 1), (2, 3, 5)], [0, 3])
+        union = {0, 2, 3}
+        q = Quotient(net, ContractionMap(net, connected_components(net, union)))
+        assert (q.size, q.edge_ids.tolist()) == (3, [2])
+        subsets = [set(), {0}, {2}, {3}, {0, 3}, union]
+        assert q.component_counts(edge_mask(5, *subsets)) == [len(connected_components(net, c)) for c in subsets]
+
+    def test_no_rows(self):
+        net = Network(3, [(0, 1, 1), (1, 2, 1)], [0, 2])
+        q = Quotient(net, ContractionMap.identity(net))
+        assert q.component_counts(np.zeros((0, 2), dtype=bool)) == []
+
+    @pytest.mark.parametrize("shape", [(2,), (1, 1), (1, 3)])
+    def test_mask_shape_mismatch(self, shape):
+        net = Network(3, [(0, 1, 1), (1, 2, 1)], [0, 2])
+        with pytest.raises(InvalidParameterError):
+            Quotient(net, ContractionMap.identity(net)).component_counts(np.zeros(shape, dtype=bool))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(2, 6), st.integers(0, 30), st.integers(0, 10**6), st.randoms(use_true_random=False))
+    def test_counts_equal_search(self, k, more, seed, rng):
+        # every table row, random pairs of rows and random subsets of the
+        # union, against one search of the network each
+        net, _ = random_planar_network(k + more, k, seed)
+        result = build_by_contraction(net)
+        cut, union = result.cuts.cut_matrix, sorted(result.cut_union)
+        q = Quotient(net, result.contraction_map)
+        rows = [set(np.flatnonzero(row).tolist()) for row in cut]
+        pairs = [rows[rng.randrange(len(rows))] | rows[rng.randrange(len(rows))] for _ in range(10)]
+        subsets = [{e for e in union if rng.random() < p} for p in (0.0, 0.2, 0.5, 0.8, 1.0)]
+        for sets in (rows, pairs, subsets):
+            assert q.component_counts(edge_mask(net.m, *sets)) == [len(connected_components(net, c)) for c in sets]
 
 
 class TestContract:
