@@ -290,34 +290,3 @@ def perturb(
         if mat.same_bits(base_mat):
             return PerturbedNetwork(net, perturbed, w, seed, delta, bound, mat)
     raise PerturbationFailedError(f"validation failed after {MAX_RETRIES} resamples")
-
-
-@dataclass(frozen=True)
-class RankBoundReport:
-    rank: int
-    edge_count: int
-    perturbed_values: tuple[Fraction, ...]
-    seed: int
-    gap: Fraction | None
-    candidate_edge_count: int | None
-    candidate_feasible: bool | None
-    claim: str
-
-
-def rank_bound_experiment(net: Network, candidate_edge_count: int | None = None, seed: int = 0) -> RankBoundReport:
-    """Perturb the costs and report the rank-based size bound: any network
-    matching all terminal cut values of the perturbed instance needs at
-    least rank(A) edges."""
-    pert = perturb(net, seed)
-    r = rank(pert.matrix)
-    feasible = None if candidate_edge_count is None else candidate_edge_count >= r
-    return RankBoundReport(
-        rank=r,
-        edge_count=net.m,
-        perturbed_values=pert.matrix.values,
-        seed=seed,
-        gap=pert.gap,
-        candidate_edge_count=candidate_edge_count,
-        candidate_feasible=feasible,
-        claim=f"every network reproducing the perturbed terminal cut values has >= {r} edges",
-    )

@@ -127,10 +127,9 @@ def terminal_cuts(net: Network) -> TerminalCuts:
     takes one route: reduce, walk, expand, certify.  The walk runs on the
     core of the exactly reduced graph (loops dropped, bundles merged,
     pendant trees peeled, satellites set aside; the identity when nothing
-    reduces), whose shape is built once per ends and terminals and shared
-    by ``with_costs`` copies; :meth:`mincut._Reduced.expand` gathers its
-    cut and side matrices out to the input's edge and vertex columns and
-    adds the satellites in closed form.  One exact certificate per table,
+    reduces); :meth:`mincut._Reduced.expand` gathers its cut and side
+    matrices out to the input's edge and vertex columns and adds the
+    satellites in closed form.  One exact certificate per table,
     :meth:`TerminalCuts.certify`, checks every row's value, which comes
     from a flow, against the cost of its cut, which comes from a side."""
     if net.k < 2:
@@ -175,16 +174,15 @@ def _drop_isolated_nonterminals(net: Network) -> tuple[Network, int]:
     """Remove vertices with no incident edge that are not terminals
     (contracted images of terminal-free components)."""
     touched = set(net.terminals)
-    for e in net.edges:
-        touched.add(e.u)
-        touched.add(e.v)
+    for pair in net.ends:
+        touched.update(pair)
     if len(touched) == net.n:
         return net, 0
     keep = sorted(touched)
     relabel = {v: i for i, v in enumerate(keep)}
-    edges = [(relabel[e.u], relabel[e.v], e.cost) for e in net.edges]
-    terms = [relabel[t] for t in net.terminals]
-    return Network(len(keep), edges, terms), net.n - len(keep)
+    ends = tuple([(relabel[u], relabel[v]) for u, v in net.ends])
+    terms = tuple([relabel[t] for t in net.terminals])
+    return Network._of(len(keep), ends, terms, net.cost_denominator, net.scaled_costs), net.n - len(keep)
 
 
 def build_by_contraction(net: Network) -> MimickingResult:

@@ -12,8 +12,8 @@ network (:func:`_walk`), run on the core of the exactly reduced graph of
 solved in closed form, and expanded to the input's edge and vertex
 columns.  The canonical side only grows when a terminal joins the source
 side, so such a step searches only what that terminal newly reaches.  The
-reduction depends on the ends and the terminals alone, so networks that
-differ only in their costs share it.
+reduction's shape depends on the ends and the terminals alone, so one
+shape serves any costs on those ends (:class:`_Reduced`).
 
 Oracle route: exhaustive sweep over all side assignments of the
 non-terminal vertices (capacity ``n - k <= 22``) by the blocked kernel in
@@ -209,8 +209,8 @@ class _Dinic:
 
 class _Shape:
     """What the reduction of :func:`_reduce` takes from a network's ends
-    and terminals alone.  No cost enters it, so every network with those
-    ends shares one (:meth:`Network.with_costs` passes it along).
+    and terminals alone.  No cost enters it, so one shape serves every
+    cost vector on those ends (:class:`_Reduced`).
 
     Core vertex ``r`` stands for the input vertices ``groups[r]`` and core
     edge ``j`` for the input edges ``bundles[j]``; ``head`` and ``out``
@@ -392,19 +392,8 @@ def _owners(lists) -> np.ndarray:
 
 def _reduce(net: Network) -> _Reduced:
     """The graph a terminal-cut table is solved on: ``net``'s reduced core
-    with ``net``'s costs.  The shape (:func:`_shape_of`) is built on the
-    first table of a network's ends and terminals and kept with them, so a
-    ``with_costs`` copy pays only for summing its costs into the core."""
-    return _Reduced(net, _kept_shape(net))
-
-
-def _kept_shape(net: Network) -> _Shape:
-    """``net``'s :func:`_shape_of`, built on first use and kept in the
-    list that ``net`` shares with its ``with_costs`` copies."""
-    kept = net._shape
-    if not kept:
-        kept.append(_shape_of(net))
-    return kept[0]
+    (:func:`_shape_of`) with ``net``'s costs."""
+    return _Reduced(net, _shape_of(net))
 
 
 def _shape_of(net: Network) -> _Shape:
@@ -426,7 +415,7 @@ def _shape_of(net: Network) -> _Shape:
     for q in net.terminals:
         terminal[q] = True
     bundle_of: dict[tuple[int, int], list[int]] = {}
-    for eid, (u, v, _) in enumerate(net.edges):
+    for eid, (u, v) in enumerate(net.ends):
         if u != v:
             bundle_of.setdefault((u, v) if u < v else (v, u), []).append(eid)
     # distinct neighbours: the count, the XOR of their ids (the neighbour
@@ -609,7 +598,7 @@ def _walk(graph: _Reduced) -> tuple[list[int], np.ndarray, np.ndarray]:
 
 def _cutset(net: Network, in_side: Sequence[bool]) -> frozenset[int]:
     """Ids of the edges with exactly one end on the side."""
-    return frozenset({eid for eid, e in enumerate(net.edges) if in_side[e.u] != in_side[e.v]})
+    return frozenset({eid for eid, (u, v) in enumerate(net.ends) if in_side[u] != in_side[v]})
 
 
 def min_separating_cut(net: Network, bp: Bipartition) -> CutResult:
@@ -660,20 +649,20 @@ def _edge_tables(net: Network, bp: Bipartition):
     base = 0
     one_bit, one_flip, one_cost = [], [], []
     two_a, two_b, two_cost = [], [], []
-    for e, c in zip(net.edges, net.scaled_costs):
-        if e.u == e.v:
+    for (u, v), c in zip(net.ends, net.scaled_costs):
+        if u == v:
             continue
-        su, sv = term_side.get(e.u), term_side.get(e.v)
+        su, sv = term_side.get(u), term_side.get(v)
         if su is not None and sv is not None:
             if su != sv:
                 base += c
         elif su is None and sv is None:
-            two_a.append(bit_of[e.u])
-            two_b.append(bit_of[e.v])
+            two_a.append(bit_of[u])
+            two_b.append(bit_of[v])
             two_cost.append(c)
         else:
             term = su if su is not None else sv
-            free = e.v if su is not None else e.u
+            free = v if su is not None else u
             one_bit.append(bit_of[free])
             one_flip.append(term)
             one_cost.append(c)
@@ -746,7 +735,7 @@ def _satellite_core(net: Network) -> _Reduced | None:
     stars; None otherwise.  A peeled or dropped vertex, or a core arc,
     gives cutsets that the satellites' choices do not list, so
     :func:`_closed_gaps` declines those networks."""
-    shape = _kept_shape(net)
+    shape = _shape_of(net)
     # the core's vertices are the terminals alone, each satellite holds one
     # vertex, and none was dropped
     one_each = len(shape.vertex_cols) == net.k and len(shape.sat_vertex) == len(shape.satellites) == net.n - net.k

@@ -2,8 +2,9 @@
 
 Vertices are dense ids ``0..n-1``.  Edges keep their position in the edge
 list as a stable id, so column ``j`` of any incidence matrix built from a
-network always refers to edge ``j``.  All costs are ``fractions.Fraction``;
-no floating point enters any cut value.
+network always refers to edge ``j``.  Costs are given as exact rationals
+(``int``, ``fractions.Fraction``) and held as integers over one least
+common denominator; no floating point enters any cut value.
 """
 
 from __future__ import annotations
@@ -11,7 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
+from numbers import Rational
+from operator import attrgetter, index
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -30,32 +32,53 @@ class Edge(NamedTuple):
     cost: Fraction
 
 
-def _as_cost(value) -> Fraction:
-    # a Fraction is immutable, so it is kept as it is (no per-edge copy);
-    # its sign is its numerator's
-    cost = value if type(value) is Fraction else Fraction(value)
-    if cost.numerator <= 0:
-        raise InvalidParameterError(f"edge cost must be positive, got {cost}")
-    return cost
+def _scaled(costs: Iterable) -> tuple[int, tuple[int, ...]]:
+    """Exact costs as (their least common denominator, each cost times
+    it).  A cost that is not a ``numbers.Rational`` (a float, say) or not
+    positive raises ``InvalidParameterError``."""
+    costs = tuple(costs)
+    types = set(map(type, costs))
+    if not all(issubclass(t, Rational) for t in types):
+        bad = next(c for c in costs if not isinstance(c, Rational))
+        raise InvalidParameterError(f"edge cost must be an exact rational, got {bad!r}")
+    nums, dens = list(map(attrgetter("numerator"), costs)), list(map(attrgetter("denominator"), costs))
+    if not types <= {int, Fraction}:
+        # numpy integers and other rationals: their parts as Python integers
+        nums, dens = list(map(int, nums)), list(map(int, dens))
+    if nums and min(nums) <= 0:
+        bad = next(c for c, x in zip(costs, nums) if x <= 0)
+        raise InvalidParameterError(f"edge cost must be positive, got {bad}")
+    den = math.lcm(*dens)
+    return den, tuple([x * (den // d) for x, d in zip(nums, dens)])
 
 
 class Network:
     """Undirected multigraph (parallel edges and self-loops allowed) with
     an ordered tuple of distinct terminal vertices.
 
+    Its data are ``n``, ``ends`` (edge i joins ``ends[i]``), ``terminals``
+    and the costs: ``scaled_costs`` over ``cost_denominator``, the least
+    common denominator, so two networks are equal iff these are.
+    ``edges`` is a view of them, built on first read.
+
     Immutable after construction; safe to share across threads.
     """
 
-    __slots__ = ("n", "edges", "terminals", "cost_denominator", "scaled_costs", "_arcs", "_shape")
+    __slots__ = ("n", "ends", "terminals", "cost_denominator", "scaled_costs", "_arcs", "_edges")
 
     def __init__(self, n: int, edges: Iterable[tuple], terminals: Sequence[int]):
         if n <= 0:
             raise InvalidParameterError(f"need at least one vertex, got n={n}")
-        edge_list = []
+        ends, costs = [], []
         for u, v, cost in edges:
+            try:
+                u, v = index(u), index(v)
+            except TypeError:
+                raise InvalidEdgeError(f"edge ({u},{v}) has an endpoint that is not an integer") from None
             if not (0 <= u < n and 0 <= v < n):
                 raise InvalidEdgeError(f"edge ({u},{v}) out of range for n={n}")
-            edge_list.append(Edge(u, v, _as_cost(cost)))
+            ends.append((u, v))
+            costs.append(cost)
         terms = tuple(terminals)
         if len(set(terms)) != len(terms):
             raise InvalidTerminalCountError(f"terminals not distinct: {terms}")
@@ -63,23 +86,23 @@ class Network:
             raise InvalidTerminalCountError(f"terminal out of range: {terms}")
         # terminals may be empty for derived graphs (duals); every operation
         # that needs terminals checks k itself.
-        self.n = n
-        self.terminals = terms
-        # what mincut's reduction takes from the ends and the terminals
-        # alone, appended on first use; with_costs copies share this list
-        self._shape: list = []
-        self._set_edges(tuple(edge_list))
+        self.n, self.ends, self.terminals = n, tuple(ends), terms
+        self.cost_denominator, self.scaled_costs = _scaled(costs)
+        self._arcs = self._edges = None
 
-    def _set_edges(self, edges: tuple[Edge, ...]) -> None:
-        """Stores checked edges with their shared denominator."""
-        self.edges = edges
-        dens = [e.cost.denominator for e in edges]
-        den = math.lcm(*dens)
-        self.cost_denominator = den
-        # edge costs times the shared denominator: exact integers for flows,
-        # the oracle and the max-flow = cut-cost certificates
-        self.scaled_costs = tuple([e.cost.numerator * (den // d) for e, d in zip(edges, dens)])
-        self._arcs = None
+    @classmethod
+    def _of(cls, n: int, ends: tuple, terminals: tuple, den: int, scaled: Sequence[int]) -> "Network":
+        """The network of checked ends and terminals and positive integer
+        costs ``scaled`` over ``den``, with no second check.  Dividing by
+        gcd(den, *scaled) leaves the least common denominator of the costs
+        in lowest terms, as the public constructor has it."""
+        g = math.gcd(den, *scaled)
+        net = cls.__new__(cls)
+        net.n, net.ends, net.terminals = n, ends, terminals
+        net.cost_denominator = den // g
+        net.scaled_costs = tuple([c // g for c in scaled]) if g > 1 else tuple(scaled)
+        net._arcs = net._edges = None
+        return net
 
     @property
     def k(self) -> int:
@@ -87,23 +110,25 @@ class Network:
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self.ends)
+
+    @property
+    def edges(self) -> tuple[Edge, ...]:
+        """Each edge as ``Edge(u, v, cost)``, its cost a ``Fraction``;
+        built on first read."""
+        if self._edges is None:
+            den = self.cost_denominator
+            self._edges = tuple([Edge(u, v, Fraction(c, den)) for (u, v), c in zip(self.ends, self.scaled_costs)])
+        return self._edges
 
     def total_cost(self) -> Fraction:
-        return sum((e.cost for e in self.edges), Fraction(0))
+        return Fraction(sum(self.scaled_costs), self.cost_denominator)
 
     def with_costs(self, costs: Sequence[Fraction]) -> "Network":
         """Same graph, new edge costs (edge ids preserved)."""
         if len(costs) != self.m:
             raise InvalidParameterError("cost vector length mismatch")
-        # the ends and the terminals are this network's, checked already
-        net = Network.__new__(Network)
-        net.n, net.terminals, net._shape = self.n, self.terminals, self._shape
-        us, vs = map(itemgetter(0), self.edges), map(itemgetter(1), self.edges)
-        # Edge._make packs each (u, v, cost) tuple as it is; Edge(u, v, c)
-        # would unpack and repack it in the namedtuple's Python-level __new__
-        net._set_edges(tuple(map(Edge._make, zip(us, vs, map(_as_cost, costs)))))
-        return net
+        return Network._of(self.n, self.ends, self.terminals, *_scaled(costs))
 
     def arcs(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, ...], ...]]:
         """Directed view of the multigraph: arc ``2*i`` runs along edge ``i``
@@ -115,8 +140,8 @@ class Network:
             # slice assignments: every new plane network in the generator
             # builds these once
             head, tail, cap = [0] * (2 * self.m), [0] * (2 * self.m), [0] * (2 * self.m)
-            head[1::2] = tail[0::2] = [e.u for e in self.edges]
-            head[0::2] = tail[1::2] = [e.v for e in self.edges]
+            head[1::2] = tail[0::2] = [u for u, _ in self.ends]
+            head[0::2] = tail[1::2] = [v for _, v in self.ends]
             cap[0::2] = cap[1::2] = self.scaled_costs
             out: list[list[int]] = [[] for _ in range(self.n)]
             for a, v in enumerate(tail):
@@ -124,16 +149,19 @@ class Network:
             self._arcs = (tuple(head), tuple(cap), tuple(map(tuple, out)))
         return self._arcs
 
+    def _key(self) -> tuple:
+        return (self.n, self.ends, self.terminals, self.cost_denominator, self.scaled_costs)
+
     def __repr__(self) -> str:
         return f"Network(n={self.n}, m={self.m}, k={self.k})"
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Network):
             return NotImplemented
-        return (self.n, self.edges, self.terminals) == (other.n, other.edges, other.terminals)
+        return self._key() == other._key()
 
     def __hash__(self):
-        return hash((self.n, self.edges, self.terminals))
+        return hash(self._key())
 
 
 @dataclass(frozen=True)
@@ -248,7 +276,7 @@ class Quotient:
     __slots__ = ("m", "size", "edge_ids", "ends")
 
     def __init__(self, net: Network, cmap: ContractionMap):
-        ends = [(cmap.class_of[e.u], cmap.class_of[e.v]) for e in net.edges]
+        ends = [(cmap.class_of[u], cmap.class_of[v]) for u, v in net.ends]
         crossing = [eid for eid, (a, b) in enumerate(ends) if a != b]
         self.m, self.size = net.m, len(cmap)
         self.edge_ids = np.array(crossing, dtype=np.intp)
@@ -332,13 +360,13 @@ def contract(net: Network, cmap: ContractionMap) -> Network:
     the exact sum of the originals; edges internal to a class disappear.
     Terminal order is preserved.
     """
-    merged: dict[tuple[int, int], Fraction] = {}
-    for e in net.edges:
-        a, b = cmap.class_of[e.u], cmap.class_of[e.v]
+    class_of = cmap.class_of
+    merged: dict[tuple[int, int], int] = {}
+    for (u, v), c in zip(net.ends, net.scaled_costs):
+        a, b = class_of[u], class_of[v]
         if a == b:
             continue
         key = (a, b) if a < b else (b, a)
-        merged[key] = merged.get(key, Fraction(0)) + e.cost
-    new_edges = [(a, b, cost) for (a, b), cost in merged.items()]
-    new_terminals = [cmap.class_of[t] for t in net.terminals]
-    return Network(len(cmap), new_edges, new_terminals)
+        merged[key] = merged.get(key, 0) + c
+    terminals = tuple([class_of[t] for t in net.terminals])
+    return Network._of(len(cmap), tuple(merged), terminals, net.cost_denominator, tuple(merged.values()))

@@ -77,8 +77,8 @@ class PlaneEmbedding:
         v_count = [len(c) for c in comps]
         e_count = [0] * len(comps)
         f_count = [0] * len(comps)
-        for e in self.net.edges:
-            e_count[comp_of[e.u]] += 1
+        for u, _ in self.net.ends:
+            e_count[comp_of[u]] += 1
         head = self.net.arcs()[0]
         for orbit in self.faces:
             f_count[comp_of[head[orbit[0] ^ 1]]] += 1
@@ -116,12 +116,9 @@ class DualGraph:
 def build_dual(emb: PlaneEmbedding) -> DualGraph:
     if len(emb.components) != 1:
         raise InvalidEmbeddingError("dual construction needs a connected primal")
-    face_of = emb.face_of_dart
-    n_faces = max(len(emb.faces), 1)
-    dual_edges = [
-        (face_of[2 * e], face_of[2 * e + 1], emb.net.edges[e].cost) for e in range(emb.net.m)
-    ]
-    dual_net = Network(n_faces, dual_edges, terminals=())
+    face_of, net = emb.face_of_dart, emb.net
+    ends = tuple(zip(face_of[0::2], face_of[1::2]))
+    dual_net = Network._of(max(len(emb.faces), 1), ends, (), net.cost_denominator, net.scaled_costs)
     dual_rotations = [tuple(orbit) for orbit in emb.faces]
     if not dual_rotations:
         dual_rotations = [()]
@@ -138,7 +135,9 @@ def _subembedding(emb: PlaneEmbedding, edge_subset: Iterable[int]) -> PlaneEmbed
         if not (0 <= eid < emb.net.m):
             raise InvalidEdgeError(f"unknown edge id {eid}")
     new_id = {eid: i for i, eid in enumerate(kept)}
-    sub = Network(emb.net.n, [emb.net.edges[eid] for eid in kept], terminals=())
+    net = emb.net
+    ends, scaled = tuple([net.ends[e] for e in kept]), [net.scaled_costs[e] for e in kept]
+    sub = Network._of(net.n, ends, (), net.cost_denominator, scaled)
     rotations = [[2 * new_id[d >> 1] + (d & 1) for d in rot if d >> 1 in new_id] for rot in emb.rotations]
     return PlaneEmbedding(sub, rotations)
 
@@ -155,9 +154,8 @@ def _dual_degrees(dual: DualGraph, edge_ids: Iterable[int]) -> dict[int, int]:
     (vertices it does not touch are left out)."""
     degrees: dict[int, int] = {}
     for eid in edge_ids:
-        e = dual.dual.edges[eid]
-        degrees[e.u] = degrees.get(e.u, 0) + 1
-        degrees[e.v] = degrees.get(e.v, 0) + 1
+        for v in dual.dual.ends[eid]:
+            degrees[v] = degrees.get(v, 0) + 1
     return degrees
 
 

@@ -18,7 +18,6 @@ from mimicknet.incidence import (
     integer_rank,
     perturb,
     rank,
-    rank_bound_experiment,
 )
 from mimicknet.lowerbound import gen_bipartite, gen_grid
 from mimicknet import incidence, mincut
@@ -327,35 +326,33 @@ class TestPerturb:
 
 
 class TestRankBoundExperiment:
+    # the paper's rank bound: any network reproducing every terminal cut
+    # value of the perturbed instance has at least rank(A) edges
     def test_single_edge(self):
-        rep = rank_bound_experiment(Network(2, [(0, 1, 5)], [0, 1]), seed=2)
-        assert rep.rank == 1
-        assert "1" in rep.claim
+        pert = perturb(Network(2, [(0, 1, 5)], [0, 1]), seed=2)
+        assert rank(pert.matrix) == 1
 
     def test_grid3(self):
-        rep = rank_bound_experiment(gen_grid(3).network, candidate_edge_count=3, seed=2)
-        assert rep.rank >= 4
-        assert rep.candidate_feasible is False
+        assert rank(perturb(gen_grid(3).network, seed=2).matrix) >= 4
 
     def test_weighted_star(self):
         # costs 1,2,4,8: all cuts unique; the cost-8 edge never enters a
         # minimum cutset (the other three sum to 7), so the rank is 3
         net = Network(5, [(0, 4, 1), (1, 4, 2), (2, 4, 4), (3, 4, 8)], [0, 1, 2, 3])
-        rep = rank_bound_experiment(net, seed=6)
-        assert rep.rank == 3
+        assert rank(perturb(net, seed=6).matrix) == 3
 
     def test_unit_star_refused_nonunique(self):
         net, _ = star_network(4)  # pair splits tie at 2 vs 2
         with pytest.raises(NonUniqueCutsError):
-            rank_bound_experiment(net, seed=6)
+            perturb(net, seed=6)
 
     def test_one_flow_per_row_and_network(self, solved):
         # the base matrix and the validated perturbed matrix, nothing more;
         # the star's spokes are paths, so its walk runs flows (a plain
         # star reduces to a core with no arcs, where no flow runs)
         edges = [(i, 5 + i, 1) for i in range(5)] + [(5 + i, 10, 2) for i in range(5)]
-        rep = rank_bound_experiment(Network(11, edges, range(5)), seed=0)
-        assert rep.rank == 5 and len(rep.perturbed_values) == 15
+        pert = perturb(Network(11, edges, range(5)), seed=0)
+        assert rank(pert.matrix) == 5 and len(pert.matrix.values) == 15
         assert len(solved) == 30
         # one residual network per table
         assert len(set(map(id, solved))) == 2
@@ -363,4 +360,4 @@ class TestRankBoundExperiment:
     def test_bipartite_refused_nonunique(self):
         # the family's odd-size splits tie, so the uniqueness precondition fails
         with pytest.raises(NonUniqueCutsError):
-            rank_bound_experiment(gen_bipartite(6).network, seed=0)
+            perturb(gen_bipartite(6).network, seed=0)

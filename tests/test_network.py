@@ -13,6 +13,7 @@ from mimicknet.errors import (
 )
 from mimicknet.generate import random_planar_network
 from mimicknet.mimick import build_by_contraction
+from mimicknet.planar import PlaneEmbedding, _subembedding, build_dual
 from mimicknet.network import (
     Bipartition,
     ContractionMap,
@@ -255,6 +256,83 @@ class TestNetworkValidation:
         net = Network(2, [(0, 1, Fraction(7, 3))], [0, 1])
         assert net.edges[0].cost == Fraction(7, 3)
         assert net.cost_denominator == 3
+
+    def test_float_cost_refused(self):
+        # a float's binary value is not the cost its text names: 0.1 would
+        # be stored as 3602879701896397/36028797018963968
+        with pytest.raises(InvalidParameterError):
+            Network(2, [(0, 1, 0.1)], [0, 1])
+
+    def test_non_integer_endpoint_refused(self):
+        with pytest.raises(InvalidEdgeError):
+            Network(3, [(0.5, 1, 1)], [0, 1])
+
+    def test_numpy_integers_accepted(self):
+        net = Network(2, [(np.int64(0), np.int64(1), np.int64(3))], [0, 1])
+        assert net == Network(2, [(0, 1, 3)], [0, 1])
+        assert type(net.ends[0][0]) is int and type(net.scaled_costs[0]) is int
+
+
+def assert_as_public(net):
+    """``net`` equals the network that the public constructor builds from
+    its ``edges`` view, down to the denominator and the scaled costs."""
+    want = Network(net.n, net.edges, net.terminals)
+    assert net == want and hash(net) == hash(want)
+    assert (net.cost_denominator, net.scaled_costs) == (want.cost_denominator, want.scaled_costs)
+
+
+# costs over the denominator 6, so a subset of the edges can share a factor
+SIXTHS = st.sampled_from([Fraction(1, 6), Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(2)])
+
+
+class TestIntegerConstructor:
+    """Every internal builder goes through ``Network._of``: its networks
+    must be those of the public constructor."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_networks(), st.data())
+    def test_with_costs_and_contract(self, net, data):
+        copy = net.with_costs(data.draw(st.lists(SIXTHS, min_size=net.m, max_size=net.m)))
+        assignment = data.draw(st.lists(st.integers(0, 2), min_size=net.n, max_size=net.n))
+        for graph in (net, copy):
+            assert_as_public(graph)
+            groups = {}
+            for v, c in enumerate(assignment):
+                groups.setdefault(c, []).append(v)
+            try:
+                cmap = ContractionMap(graph, groups.values())
+            except TerminalCollisionError:
+                cmap = ContractionMap.identity(graph)
+            assert_as_public(contract(graph, cmap))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(3, 30), st.integers(0, 10**6), st.data())
+    def test_dual_and_subembeddings(self, n, seed, data):
+        net, emb = random_planar_network(n, 2, seed)
+        emb = PlaneEmbedding(net.with_costs(data.draw(st.lists(SIXTHS, min_size=net.m, max_size=net.m))), emb.rotations)
+        dual = build_dual(emb)
+        assert_as_public(dual.dual)
+        assert_as_public(build_dual(dual.embedding).dual)
+        # the edges whose scaled cost is even share the factor 2 with the
+        # denominator 6, so the gcd step divides it out
+        even = [eid for eid, c in enumerate(emb.net.scaled_costs) if c % 2 == 0]
+        drawn = data.draw(st.sets(st.integers(0, emb.net.m - 1)))
+        for subset in (even, drawn, ()):
+            sub = _subembedding(emb, subset).net
+            assert_as_public(sub)
+            if subset is even and even and emb.net.cost_denominator == 6:
+                assert sub.cost_denominator < 6
+
+    @settings(max_examples=30, deadline=None)
+    @given(small_networks(), st.integers(1, 4), st.data())
+    def test_contraction_drops_isolated_classes(self, net, extra, data):
+        # a terminal-free path beside the network: its class is dropped
+        ends = [(net.n + i, net.n + i + 1) for i in range(extra)]
+        costs = data.draw(st.lists(SIXTHS, min_size=extra, max_size=extra))
+        edges = [*net.edges, *((u, v, c) for (u, v), c in zip(ends, costs))]
+        res = build_by_contraction(Network(net.n + extra + 1, edges, net.terminals))
+        assert res.stats.dropped_classes >= 1
+        assert_as_public(res.network)
 
 
 class TestWithCosts:
