@@ -19,9 +19,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InternalError, InvalidParameterError, NonUniqueCutsError, PerturbationFailedError
-from .mimick import terminal_cuts
-from .mincut import global_gap
-from .network import Network
+from . import mincut
+from .mimick import TerminalCuts, _table, terminal_cuts
+from .network import Network, enumerate_bipartitions
 
 DEFAULT_RESOLUTION = 1 << 40
 MAX_RETRIES = 4
@@ -51,8 +51,11 @@ def build_incidence(net: Network) -> IncidenceMatrix:
     """Incidence matrix and value vector from canonical minimum cuts.
     ``terminal_cuts`` has certified ``A . c = values`` exactly on the
     read-only table this views."""
-    cuts = terminal_cuts(net)
-    return IncidenceMatrix(net.k, cuts.cut_matrix.view(np.uint8), cuts.values)
+    return _matrix(terminal_cuts(net))
+
+
+def _matrix(cuts: TerminalCuts) -> IncidenceMatrix:
+    return IncidenceMatrix(cuts.k, cuts.cut_matrix.view(np.uint8), cuts.values)
 
 
 def integer_rank(rows: Sequence[Sequence[int]]) -> int:
@@ -271,22 +274,26 @@ def perturb(
 
     Each w(e) is drawn from the grid ``{t * B / resolution : t in 0..resolution-1}``
     where B is the per-edge bound derived from the minimum cut gap (obtained
-    from the oracle unless ``delta`` is supplied).  The invariance of the
-    incidence matrix is validated, not assumed; deterministic given ``seed``.
+    from :func:`mincut.global_gap` unless ``delta`` is supplied).  The
+    invariance of the incidence matrix is validated, not assumed;
+    deterministic given ``seed``.  The gap, the base table and each
+    copy's table read one reduction shape, as the copies keep ``net``'s
+    ends and terminals.
     """
     if net.m == 0:
         raise NonUniqueCutsError("network has no edges to perturb")
+    core = mincut._reduce(net)
     if delta is _UNSET:
-        delta = global_gap(net)
+        delta = mincut._min_gap(mincut._gaps(core, enumerate_bipartitions(net.k)))
     if delta is not None and delta == 0:
         raise NonUniqueCutsError("minimum terminal cuts are not unique (gap 0)")
     bound = _per_edge_bound(delta, net.m)
-    base_mat = build_incidence(net)
+    base_mat = _matrix(_table(core))
     rng = random.Random(seed)
     for _ in range(MAX_RETRIES):
         w = tuple(bound * rng.randrange(resolution) / resolution for _ in range(net.m))
         perturbed = net.with_costs([e.cost + we for e, we in zip(net.edges, w)])
-        mat = build_incidence(perturbed)
+        mat = _matrix(_table(mincut._Reduced(perturbed, core.shape)))
         if mat.same_bits(base_mat):
             return PerturbedNetwork(net, perturbed, w, seed, delta, bound, mat)
     raise PerturbationFailedError(f"validation failed after {MAX_RETRIES} resamples")

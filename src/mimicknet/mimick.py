@@ -126,15 +126,24 @@ def terminal_cuts(net: Network) -> TerminalCuts:
     the table equals the one from-scratch flows would give.  Every table
     takes one route: reduce, walk, expand, certify.  The walk runs on the
     core of the exactly reduced graph (loops dropped, bundles merged,
-    pendant trees peeled, satellites set aside; the identity when nothing
+    pendant trees peeled, satellites set aside, series chains contracted
+    to one edge of their cheapest link's cost; the identity when nothing
     reduces); :meth:`mincut._Reduced.expand` gathers its cut and side
-    matrices out to the input's edge and vertex columns and adds the
-    satellites in closed form.  One exact certificate per table,
-    :meth:`TerminalCuts.certify`, checks every row's value, which comes
-    from a flow, against the cost of its cut, which comes from a side."""
+    matrices out to the input's edge and vertex columns, cuts each chain
+    whose ends the row separates at the first cheapest link from its
+    source-side end, and adds the satellites in closed form.  One exact
+    certificate per table, :meth:`TerminalCuts.certify`, checks every
+    row's value, which comes from a flow, against the cost of its cut,
+    which comes from a side."""
+    return _table(mincut._reduce(net))
+
+
+def _table(core: mincut._Reduced) -> TerminalCuts:
+    """:func:`terminal_cuts` of ``core``'s network, given its reduced core
+    (a shape serves every network with the same ends and terminals)."""
+    net = core.net
     if net.k < 2:
         raise InvalidTerminalCountError(f"need k >= 2 terminals, got {net.k}")
-    core = mincut._reduce(net)
     values, cut, side = core.expand(*mincut._walk(core))
     cut.flags.writeable = side.flags.writeable = False
     table = TerminalCuts(net.k, net.cost_denominator, tuple(values), cut, side)

@@ -8,12 +8,15 @@ from the contracted super-source.  One constructor, :class:`_Dinic`,
 builds every residual network from a graph and the two vertex sets it
 contracts.  A terminal-cut table is one Gray-code walk on one residual
 network (:func:`_walk`), run on the core of the exactly reduced graph of
-:func:`_reduce` (the identity when nothing reduces), its satellites
-solved in closed form, and expanded to the input's edge and vertex
-columns.  The canonical side only grows when a terminal joins the source
-side, so such a step searches only what that terminal newly reaches.  The
-reduction's shape depends on the ends and the terminals alone, so one
-shape serves any costs on those ends (:class:`_Reduced`).
+:func:`_reduce` (the identity when nothing reduces): loops dropped,
+bundles merged, pendant trees peeled, satellites set aside and series
+chains contracted to their cheapest link.  The walk's rows are expanded
+to the input's edge and vertex columns, each chain cut at the first
+cheapest link from its source-side end and the satellites solved in
+closed form.  The canonical side only grows when a terminal joins the
+source side, so such a step searches only what that terminal newly
+reaches.  The reduction's shape depends on the ends and the terminals
+alone, so one shape serves any costs on those ends (:class:`_Reduced`).
 
 Oracle route: exhaustive sweep over all side assignments of the
 non-terminal vertices (capacity ``n - k <= 22``) by the blocked kernel in
@@ -213,33 +216,50 @@ class _Shape:
     cost vector on those ends (:class:`_Reduced`).
 
     Core vertex ``r`` stands for the input vertices ``groups[r]`` and core
-    edge ``j`` for the input edges ``bundles[j]``; ``head`` and ``out``
-    are the core's arcs in the layout of :meth:`Network.arcs`.  Satellite
-    ``s`` stands for the input vertices ``satellites[s]``, and each
-    ``links`` entry ``(s, i, eids)`` is one of its bundles to terminal
-    index i.  The index arrays gather a core table out to the input's
-    columns, one entry per input edge or vertex: ``edge_cols`` and
-    ``edge_core`` (a core edge's input edges), ``vertex_cols`` and
-    ``vertex_core`` (a core vertex's input vertices), ``link_eid``,
-    ``link_sat`` and ``link_term`` (a satellite's edges to terminals),
-    ``sat_vertex`` and ``sat_of`` (a satellite's input vertices)."""
+    edge ``j`` for the input edges ``bundles[j]`` (none for an edge made
+    only of chains); ``head`` and ``out`` are the core's arcs in the
+    layout of :meth:`Network.arcs`.  Satellite ``s`` stands for the input
+    vertices ``satellites[s]``, and each ``links`` entry ``(s, i, eids)``
+    is one of its bundles to terminal index i.  Each ``chains`` entry
+    ``(j, u, w, links, inner)`` is a series chain on core edge j from core
+    vertex u to core vertex w: its links (input-edge bundles) and the
+    groups of its interior vertices, in order from u.  The index arrays
+    gather a core table out to the input's columns, one entry per input
+    edge or vertex: ``edge_cols`` and ``edge_core`` (a core edge's input
+    edges), ``vertex_cols`` and ``vertex_core`` (a core vertex's input
+    vertices), ``link_eid``, ``link_sat`` and ``link_term`` (a satellite's
+    edges to terminals), ``sat_vertex`` and ``sat_of`` (a satellite's
+    input vertices), ``chain_eid`` (a chain's links' input edges) and
+    ``inner_vertex`` (its interiors' input vertices), both in the order of
+    ``chains``, with ``eid_u``, ``eid_w``, ``vertex_u`` and ``vertex_w``
+    (the core ends of each one's chain); ``chain_edge`` is each chain's
+    core edge.  The chain arrays are None with no chain."""
 
     __slots__ = (
-        "n", "terminals", "groups", "bundles", "head", "out", "satellites", "links",
+        "n", "terminals", "groups", "bundles", "head", "out", "satellites", "links", "chains",
         "edge_cols", "edge_core", "vertex_cols", "vertex_core",
         "link_eid", "link_sat", "link_term", "sat_vertex", "sat_of",
+        "chain_eid", "eid_u", "eid_w", "inner_vertex", "vertex_u", "vertex_w", "chain_edge",
     )
 
-    def __init__(self, terminals: tuple[int, ...], groups, bundles, head, out, satellites, links):
+    def __init__(self, terminals: tuple[int, ...], groups, bundles, head, out, satellites, links, chains):
         self.n, self.terminals = len(groups), terminals
         self.groups, self.bundles, self.head, self.out = groups, bundles, head, out
-        self.satellites, self.links = satellites, links
+        self.satellites, self.links, self.chains = satellites, links, chains
         self.edge_cols, self.edge_core = _flat(bundles), _owners(bundles)
         self.vertex_cols, self.vertex_core = _flat(groups), _owners(groups)
         self.sat_vertex, self.sat_of = _flat(satellites), _owners(satellites)
         self.link_eid = _flat([eids for _, _, eids in links])
         self.link_sat = np.array([s for s, _, eids in links for _ in eids], dtype=np.intp)
         self.link_term = np.array([i for _, i, eids in links for _ in eids], dtype=np.intp)
+        self.chain_eid = self.eid_u = self.eid_w = self.inner_vertex = self.vertex_u = self.vertex_w = None
+        self.chain_edge = None
+        if chains:
+            eids = [y for _, u, w, links, _ in chains for link in links for e in link for y in (e, u, w)]
+            vertices = [y for _, u, w, _, inner in chains for group in inner for x in group for y in (x, u, w)]
+            self.chain_eid, self.eid_u, self.eid_w = np.array(eids, dtype=np.intp).reshape(-1, 3).T
+            self.inner_vertex, self.vertex_u, self.vertex_w = np.array(vertices, dtype=np.intp).reshape(-1, 3).T
+            self.chain_edge = np.array([chain[0] for chain in chains], dtype=np.intp)
 
 
 class _SatelliteRows(NamedTuple):
@@ -262,24 +282,55 @@ class _SatelliteRows(NamedTuple):
 class _Reduced:
     """A network's reduced core with its costs: the graph the walk runs
     on, ``arcs()`` in the layout of :meth:`Network.arcs`.  A core edge's
-    capacity is its bundle's summed scaled cost, ``sat_cost[s, i]`` is
-    satellite s's summed scaled cost to terminal index i, ``sat_total[s]``
-    its summed scaled cost to all of them, and ``costs`` holds every input
-    edge's scaled cost, all in the dtype of :func:`_cost_array`.  The rest
-    is ``shape``'s.
+    capacity is its bundle's summed scaled cost plus, for each chain on
+    it, the chain's least link cost; ``sat_cost[s, i]`` is satellite s's
+    summed scaled cost to terminal index i, ``sat_total[s]`` its summed
+    scaled cost to all of them, and ``costs`` holds every input edge's
+    scaled cost, all in the dtype of :func:`_cost_array`.  The rest is
+    ``shape``'s.
+
+    With chains, each chain's cut link is the first cheapest counted from
+    its source-side end: ``cut_u`` marks, in the shape's ``chain_eid``
+    order, the edges of the first cheapest link from u and ``cut_w`` from
+    w, and ``side_u`` marks, in its ``inner_vertex`` order, the interiors
+    between u and the first and ``side_w`` between w and the second
+    (None with no chain).
 
     ``scaled`` and ``den``, when given, stand for ``net``'s scaled costs
     and denominator: the core of a network with ``net``'s ends and other
     costs, which need not be built as a :class:`Network`."""
 
-    __slots__ = ("net", "shape", "n", "terminals", "den", "costs", "sat_cost", "sat_total", "_arcs")
+    __slots__ = (
+        "net", "shape", "n", "terminals", "den", "costs", "sat_cost", "sat_total", "_arcs",
+        "cut_u", "cut_w", "side_u", "side_w",
+    )
 
     def __init__(self, net: Network, shape: _Shape, scaled: Sequence[int] | None = None, den: int | None = None):
         self.net, self.shape, self.n, self.terminals = net, shape, shape.n, shape.terminals
         self.den = net.cost_denominator if den is None else den
-        self.costs = costs = _cost_array(net.scaled_costs if scaled is None else scaled)
+        scaled = net.scaled_costs if scaled is None else scaled
+        self.costs = costs = _cost_array(scaled)
         caps = np.zeros(len(shape.bundles), dtype=costs.dtype)
         np.add.at(caps, shape.edge_core, costs[shape.edge_cols])
+        self.cut_u = self.cut_w = self.side_u = self.side_w = None
+        if shape.chains:
+            least, cut_u, cut_w, side_u, side_w = [], [], [], [], []
+            for _, _, _, links, inner in shape.chains:
+                cost = [sum([scaled[e] for e in link]) for link in links]
+                low = min(cost)
+                least.append(low)
+                # the first cheapest link from u and from w
+                a, b = cost.index(low), len(cost) - 1 - cost[::-1].index(low)
+                for i, link in enumerate(links):
+                    cut_u += [i == a] * len(link)
+                    cut_w += [i == b] * len(link)
+                # interior i lies between links i - 1 and i
+                for i, group in enumerate(inner, 1):
+                    side_u += [i <= a] * len(group)
+                    side_w += [i > b] * len(group)
+            np.add.at(caps, shape.chain_edge, np.array(least, dtype=costs.dtype))
+            self.cut_u, self.cut_w = np.array(cut_u), np.array(cut_w)
+            self.side_u, self.side_w = np.array(side_u), np.array(side_w)
         # an edge's two arcs carry its capacity
         self._arcs = (shape.head, tuple(caps.repeat(2).tolist()), shape.out)
         self.sat_cost = np.zeros((len(shape.satellites), net.k), dtype=costs.dtype)
@@ -342,6 +393,16 @@ class _Reduced:
         side = np.zeros((rows, net.n), dtype=bool)
         cut[:, shape.edge_cols] = core_cut[:, shape.edge_core]
         side[:, shape.vertex_cols] = core_side[:, shape.vertex_core]
+        if shape.chains:
+            # a chain whose ends lie on one side is not cut and its
+            # interiors lie there too; otherwise it is cut at the first
+            # cheapest link from its source-side end, the source-minimal
+            # choice, and the interiors before that link are on the source
+            # side
+            on_u, on_w = core_side[:, shape.eid_u], core_side[:, shape.eid_w]
+            cut[:, shape.chain_eid] = np.where(on_u, ~on_w & self.cut_u, on_w & self.cut_w)
+            on_u, on_w = core_side[:, shape.vertex_u], core_side[:, shape.vertex_w]
+            side[:, shape.inner_vertex] = np.where(on_u, on_w | self.side_u, on_w & self.side_w)
         if not shape.satellites:
             return core_values, cut, side
         sat_values: list[int] = []
@@ -398,18 +459,27 @@ def _reduce(net: Network) -> _Reduced:
 
 def _shape_of(net: Network) -> _Shape:
     """The reduction of ``net``'s ends and terminals: the identity (one
-    group per vertex, one bundle per edge) when nothing reduces, as in the
-    grid family.  Costs are positive, so in every minimum cut a self-loop
-    is uncut, a parallel bundle is cut whole or not at all, and a
-    non-terminal with one neighbour lies on that neighbour's side (moving
-    it would save the edge between them).  Peeling repeats that last rule
-    to a fixpoint; a vertex left with no neighbour is in a terminal-free
-    tree, which no source reaches, and is dropped with the tree.  A kept
-    non-terminal whose neighbours are all terminals (a satellite) is set
-    aside with its peeled trees: its side depends on the terminals'
-    alone (:meth:`_Reduced.expand`).  Every minimum cut of the
-    input is thus the lift of one of the core's with the satellites'
-    choices, the source-minimal one included, whatever the costs."""
+    group per vertex, one bundle per edge) when nothing reduces.  Costs
+    are positive, so in every minimum cut a self-loop is uncut, a parallel
+    bundle is cut whole or not at all, and a non-terminal with one
+    neighbour lies on that neighbour's side (moving it would save the edge
+    between them).  Peeling repeats that last rule to a fixpoint; a vertex
+    left with no neighbour is in a terminal-free tree, which no source
+    reaches, and is dropped with the tree.  A kept non-terminal whose
+    neighbours are all terminals (a satellite) is set aside with its
+    peeled trees: its side depends on the terminals' alone
+    (:meth:`_Reduced.expand`).
+
+    Then one pass contracts series chains: maximal paths of core
+    non-terminals that each have exactly two distinct core neighbours.  A
+    minimum cut cuts no link of a chain whose two ends lie on one side and
+    exactly one, a cheapest, otherwise.  So a chain between core vertices
+    u != w becomes one u-w core edge of its cheapest link's cost
+    (:class:`_Reduced`), and a chain that closes on one vertex joins that
+    vertex's group.  A cycle of such vertices with no end stays as it is.
+    Every minimum cut of the input is thus the lift of one of the core's
+    with the chains' and satellites' choices, the source-minimal one
+    included, whatever the costs."""
     n = net.n
     terminal = [False] * n
     for q in net.terminals:
@@ -446,34 +516,70 @@ def _shape_of(net: Network) -> _Shape:
     for v in reversed(peel):
         if root[v] >= 0:
             root[v] = root[root[v]]
-    # a kept vertex (root[v] == v) gets its core id, or ~s as satellite s:
-    # peeling never removes a terminal, so a non-terminal whose neighbours
-    # left are as many as its terminal neighbours touches only terminals
+    # a kept vertex (root[v] == v) is a core vertex unless it is a
+    # satellite: peeling never removes a terminal, so a non-terminal whose
+    # neighbours left are as many as its terminal neighbours touches only
+    # terminals.  No core non-terminal touches a satellite, so one with
+    # two neighbours left, not both terminals, has two core neighbours,
+    # whose XOR is nbr
+    two = [root[v] == v and degree[v] == 2 and outer[v] < 2 and not terminal[v] for v in range(n)]
+    # each chain's ends, links and interior vertices, in order from u; a
+    # chain is walked once, from the first bundle met that joins an end to
+    # it, and a cycle of such vertices with no end is never entered
+    chains: list[tuple[int, int, list[list[int]], list[int]]] = []
+    inner: set[int] = set()
+    if any(two):
+        for (a, b), eids in bundle_of.items():
+            if two[a] != two[b]:
+                u, v = (a, b) if two[b] else (b, a)
+                if root[u] == u and v not in inner:
+                    prev, w, links, path = u, v, [eids], []
+                    while two[w]:
+                        path.append(w)
+                        prev, w = w, nbr[w] ^ prev
+                        links.append(bundle_of[(prev, w) if prev < w else (w, prev)])
+                    inner.update(path)
+                    chains.append((u, w, links, path))
+    # each kept vertex's list, which its peeled trees join; rid is a core
+    # vertex's id, or ~s for satellite s
+    home: list[list[int] | None] = [None] * n
     rid = [-1] * n
     groups: list[list[int]] = []
     satellites: list[list[int]] = []
     for v in range(n):
         if root[v] == v:
+            home[v] = []
+            if v in inner:
+                continue
             if terminal[v] or degree[v] != outer[v]:
                 rid[v] = len(groups)
-                groups.append([])
+                groups.append(home[v])
             else:
                 rid[v] = ~len(satellites)
-                satellites.append([])
+                satellites.append(home[v])
+    for u, w, _, path in chains:
+        if u == w:
+            # a closed chain's links are never cut
+            for x in path:
+                home[x] = home[u]
     for v in range(n):
-        r = root[v]
-        if r >= 0:
-            (groups[rid[r]] if rid[r] >= 0 else satellites[~rid[r]]).append(v)
+        if root[v] >= 0:
+            home[root[v]].append(v)
     head: list[int] = []
     out: list[list[int]] = [[] for _ in groups]
     bundles: list[tuple[int, ...]] = []
     index = {q: i for i, q in enumerate(net.terminals)}
     links: list[tuple[int, int, tuple[int, ...]]] = []
+    # a chain shares the core edge of its ends with their bundle and the
+    # other chains between them
+    edge_of: dict[tuple[int, int], int] = {}
     for (u, v), eids in bundle_of.items():
-        if root[u] != u or root[v] != v:
+        if root[u] != u or root[v] != v or u in inner or v in inner:
             continue
         ru, rv = rid[u], rid[v]
         if ru >= 0 and rv >= 0:
+            if chains:
+                edge_of[u, v] = len(bundles)
             out[ru].append(len(head))
             out[rv].append(len(head) + 1)
             head += (rv, ru)
@@ -482,8 +588,19 @@ def _shape_of(net: Network) -> _Shape:
             # a satellite's bundle to a terminal
             s, q = (~ru, v) if ru < 0 else (~rv, u)
             links.append((s, index[q], tuple(eids)))
+    series = []
+    for u, w, chain, path in chains:
+        if u != w:
+            j = edge_of.setdefault((u, w) if u < w else (w, u), len(bundles))
+            u, w = rid[u], rid[w]
+            if j == len(bundles):
+                out[u].append(len(head))
+                out[w].append(len(head) + 1)
+                head += (w, u)
+                bundles.append(())
+            series.append((j, u, w, tuple(map(tuple, chain)), [home[x] for x in path]))
     terminals = tuple(rid[q] for q in net.terminals)
-    return _Shape(terminals, groups, bundles, tuple(head), tuple(map(tuple, out)), satellites, links)
+    return _Shape(terminals, groups, bundles, tuple(head), tuple(map(tuple, out)), satellites, links, series)
 
 
 def _solve_flow(net: Network, bp: Bipartition) -> tuple[CutResult, _Dinic]:
@@ -708,9 +825,13 @@ def gaps(net: Network, bps: Sequence[Bipartition]) -> Iterator[GapReport]:
     for bp in bps:
         if bp.k != net.k:
             raise InvalidParameterError(f"bipartition is for k={bp.k}, network has k={net.k}")
-    core = _satellite_core(net)
-    if core is None:
-        return (_oracle_gap(net, bp) for bp in bps)
+    return _gaps(_reduce(net), bps)
+
+
+def _gaps(core: _Reduced, bps: Sequence[Bipartition]) -> Iterator[GapReport]:
+    """:func:`gaps` of ``core``'s network, given its reduced core."""
+    if not _satellite_only(core):
+        return (_oracle_gap(core.net, bp) for bp in bps)
     return _closed_gaps(core, [bp.mask for bp in bps])
 
 
@@ -730,16 +851,22 @@ def _oracle_gap(net: Network, bp: Bipartition) -> GapReport:
 
 
 def _satellite_core(net: Network) -> _Reduced | None:
-    """``net``'s reduced core when it has no arc and every vertex is a
+    """``net``'s reduced core when :func:`_satellite_only`, else None."""
+    core = _reduce(net)
+    return core if _satellite_only(core) else None
+
+
+def _satellite_only(core: _Reduced) -> bool:
+    """True iff the core has no arc and every vertex of its network is a
     terminal or a satellite of one vertex, as in the bipartite family and
-    stars; None otherwise.  A peeled or dropped vertex, or a core arc,
-    gives cutsets that the satellites' choices do not list, so
-    :func:`_closed_gaps` declines those networks."""
-    shape = _shape_of(net)
+    stars.  A peeled or dropped vertex, or a core arc, gives cutsets that
+    the satellites' choices do not list, so :func:`_closed_gaps` declines
+    those networks."""
+    shape, net = core.shape, core.net
     # the core's vertices are the terminals alone, each satellite holds one
     # vertex, and none was dropped
     one_each = len(shape.vertex_cols) == net.k and len(shape.sat_vertex) == len(shape.satellites) == net.n - net.k
-    return _Reduced(net, shape) if one_each and not shape.head else None
+    return one_each and not shape.head
 
 
 def _closed_gaps(core: _Reduced, masks: Sequence[int]) -> Iterator[GapReport]:

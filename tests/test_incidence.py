@@ -286,6 +286,24 @@ class TestPerturb:
         after = build_incidence(pert.network)
         assert after.same_bits(base) and after.values == base.values
 
+    @pytest.mark.parametrize(
+        "net",
+        [gen_grid(3).network, Network(5, [(0, 4, 1), (1, 4, 2), (2, 4, 4), (3, 4, 8)], [0, 1, 2, 3])],
+        ids=["grid3", "weighted-star"],
+    )
+    def test_one_shape_per_perturb(self, monkeypatch, net):
+        # the gap (from the oracle on the grid, in closed form on the
+        # star), the base table and each copy's table read one reduction
+        # shape; the copy's table equals a fresh one
+        built = []
+        shape_of = mincut._shape_of
+        monkeypatch.setattr(mincut, "_shape_of", lambda net: built.append(net) or shape_of(net))
+        pert = perturb(net, seed=2)
+        monkeypatch.undo()
+        assert built == [net]
+        mat = build_incidence(pert.network)
+        assert pert.matrix.same_bits(mat) and pert.matrix.values == mat.values
+
     def test_path_cut_row_stays(self):
         net = Network(3, [(0, 1, 3), (1, 2, 5)], [0, 2])
         for seed in range(5):

@@ -31,6 +31,14 @@ PATH_35 = Network(3, [(0, 1, 3), (1, 2, 5)], [0, 2])
 SINGLE = Network(2, [(0, 1, 3)], [0, 1])
 
 
+def cornered_grid(k):
+    """``gen_grid(k)``'s network with one more edge, u(k, k) - u(k-1, k-1):
+    its corner then has three neighbours, so nothing reduces."""
+    fam = gen_grid(k)
+    net = fam.network
+    return Network(net.n, [*net.edges, (fam.u_vertex(k, k), fam.u_vertex(k - 1, k - 1), 1)], net.terminals)
+
+
 class TestTerminalCuts:
     def test_walk_equals_cold_flows(self, campaign):
         nets = [net for net, _ in campaign] + [gen_grid(4).network, gen_bipartite(6).network]
@@ -41,8 +49,9 @@ class TestTerminalCuts:
     def test_grid_walk_equals_cold_flows(self, monkeypatch):
         # 8 terminals on an identity core: 127 rows, and the 63 steps that
         # move a terminal to the source side search from its arcs alone,
-        # with the last side settled
-        net = gen_grid(4).network
+        # with the last side settled.  The grid's corner has two
+        # neighbours, a chain; an edge to a third leaves nothing to reduce
+        net = cornered_grid(4)
         assert net.k == 8 and mincut._reduce(net).shape.bundles == [(eid,) for eid in range(net.m)]
         max_flow = _Dinic.max_flow
         settled = []
@@ -105,6 +114,25 @@ class TestTerminalCuts:
         with pytest.raises(InternalError):
             terminal_cuts(net)
 
+    def test_expanded_costlier_chain_link_raises(self, monkeypatch):
+        # the chain 0-2-3-1 (links costing 2, 1, 2) runs parallel to the
+        # edge 0-1, so the core edge costs 5 + 1; an expansion that cuts
+        # the chain's first link, not its cheapest, maps back a cutset
+        # that costs more than the flow's value
+        net = Network(4, [(0, 2, 2), (2, 3, 1), (3, 1, 2), (0, 1, 5)], [0, 1])
+        assert terminal_cuts(net).cuts[0].cutset == frozenset({1, 3})
+        reduce = mincut._reduce
+
+        def costlier(net):
+            red = reduce(net)
+            assert red.cut_u.tolist() == red.cut_w.tolist() == [False, True, False]
+            red.cut_u = red.cut_w = np.array([True, False, False])
+            return red
+
+        monkeypatch.setattr(mincut, "_reduce", costlier)
+        with pytest.raises(InternalError):
+            terminal_cuts(net)
+
     def test_expanded_column_mismatch_raises(self, monkeypatch):
         # the core's one edge (the bundle of edges 0 and 1, cost 5) gathered
         # out to edges 0 and 2 (cost 9): every core cut still certifies,
@@ -123,11 +151,11 @@ class TestTerminalCuts:
             terminal_cuts(net)
 
     def test_unreduced_table_cost_mismatch_raises(self, monkeypatch):
-        # nothing reduces in the grid family, so its walk runs on the
-        # identity core; a flow whose last level BFS lost a reached vertex
-        # leaves its row's side short, and a source-minimal side less a
-        # vertex cuts more than the flow's value
-        net = gen_grid(3).network
+        # nothing reduces in a grid whose corner has a third neighbour, so
+        # its walk runs on the identity core; a flow whose last level BFS
+        # lost a reached vertex leaves its row's side short, and a
+        # source-minimal side less a vertex cuts more than the flow's value
+        net = cornered_grid(3)
         shape = mincut._reduce(net).shape
         assert shape.groups == [[v] for v in range(net.n)] and shape.bundles == [(eid,) for eid in range(net.m)]
         assert shape.satellites == []

@@ -12,6 +12,7 @@ from mimicknet.generate import random_planar_network, star_network
 from mimicknet.lowerbound import gen_bipartite, gen_grid
 from mimicknet.mimick import terminal_cuts, verify_generalized
 from mimicknet.mincut import (
+    CutResult,
     GapReport,
     _closed_gaps,
     _Dinic,
@@ -148,11 +149,13 @@ class TestReduce:
     def test_satellite_bundles_and_pendant_tree(self):
         # 3 joins terminal 0 by a bundle of two edges and terminal 1 by
         # one, has a loop and the pendant path 3-4-5; 2 and 6 are core
-        # vertices (each touches the other)
+        # vertices (each touches the other and both terminals, so neither
+        # is a chain's interior)
         edges = [(3, 0, 1), (0, 3, 2), (3, 1, 4), (3, 3, 5), (3, 4, 1), (4, 5, 1)]
-        edges += [(0, 2, 1), (2, 1, 1), (2, 6, 1), (6, 1, 1)]
+        edges += [(0, 2, 1), (2, 1, 1), (2, 6, 1), (6, 1, 1), (6, 0, 1)]
         red = _reduce(Network(7, edges, [0, 1]))
-        assert red.shape.groups == [[0], [1], [2], [6]] and red.shape.bundles == [(6,), (7,), (8,), (9,)]
+        assert red.shape.groups == [[0], [1], [2], [6]] and red.shape.bundles == [(6,), (7,), (8,), (9,), (10,)]
+        assert red.shape.chains == []
         assert red.shape.satellites == [[3, 4, 5]] and red.sat_cost.tolist() == [[3, 4]]
         assert red.shape.links == [(0, 0, (0, 1)), (0, 1, (2,))]
 
@@ -167,10 +170,44 @@ class TestReduce:
         scaled = fam.network.scaled_costs
         assert red.sat_cost.tolist() == [[scaled[fam.edge_id(i, q)] for q in range(6)] for i in range(fam.l)]
 
+    def test_chain_with_tied_links_and_parallel_edge(self):
+        # 0-2-3-4-1 is a chain of links costing 2, 1, 1, 2 between the
+        # terminals, parallel to the edge 0-1 (cost 5); 5 hangs off the
+        # interior 3.  The core is the two terminals and one edge of cost
+        # 5 + 1; the first cheapest link is the second from 0 and the
+        # third from 1
+        edges = [(0, 2, 2), (2, 3, 1), (3, 4, 1), (4, 1, 2), (0, 1, 5), (3, 5, 1)]
+        red = _reduce(Network(6, edges, [0, 1]))
+        shape = red.shape
+        assert shape.groups == [[0], [1]] and shape.bundles == [(4,)] and shape.satellites == []
+        assert shape.chains == [(0, 0, 1, ((0,), (1,), (2,), (3,)), [[2], [3, 5], [4]])]
+        assert red.arcs() == ((1, 0), (6, 6), ((0,), (1,)))
+        assert shape.chain_eid.tolist() == [0, 1, 2, 3] and shape.inner_vertex.tolist() == [2, 3, 5, 4]
+        assert shape.eid_u.tolist() == [0] * 4 and shape.eid_w.tolist() == [1] * 4
+        assert shape.vertex_u.tolist() == [0] * 4 and shape.vertex_w.tolist() == [1] * 4
+        assert red.cut_u.tolist() == [False, True, False, False] and red.cut_w.tolist() == [False, False, True, False]
+        assert red.side_u.tolist() == [True, False, False, False] and red.side_w.tolist() == [False, False, False, True]
+        # the source-side end's first cheapest link is cut, and the
+        # interiors before it are on the source side
+        assert terminal_cuts(Network(6, edges, [0, 1])).cuts[0] == CutResult(6, frozenset({1, 4}), frozenset({0, 2}))
+        assert terminal_cuts(Network(6, edges, [1, 0])).cuts[0] == CutResult(6, frozenset({2, 4}), frozenset({1, 4}))
+
+    def test_closed_chain_and_cycle_with_no_end(self):
+        # 1-2-3-1 closes on the terminal 1, so 2 and 3 join its group;
+        # 4-5-6 is a cycle of non-terminals with no end and stays
+        edges = [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 1, 1), (4, 5, 1), (5, 6, 1), (6, 4, 1)]
+        red = _reduce(Network(7, edges, [0, 1]))
+        assert red.shape.groups == [[0], [1, 2, 3], [4], [5], [6]] and red.shape.chains == []
+        assert red.shape.bundles == [(0,), (4,), (5,), (6,)] and red.cut_u is None
+
     @pytest.mark.parametrize("family", [gen_grid(3)])
     def test_nothing_reduces_returns_input(self, family):
-        # the input itself, as its identity core
-        assert_identity(_reduce(family.network), family.network)
+        # the grid's corner u(k, k) has two neighbours, a chain; with an
+        # edge to a third, nothing reduces: the input itself, as its
+        # identity core
+        k, net = family.k, family.network
+        net = Network(net.n, [*net.edges, (family.u_vertex(k, k), family.u_vertex(k - 1, k - 1), 1)], net.terminals)
+        assert_identity(_reduce(net), net)
 
     def test_terminal_only_neighbours_decline_the_input(self):
         # distinct simple edges and no pendant vertex; with the edge 2-3
@@ -192,7 +229,7 @@ def assert_identity(red, net):
     shape = red.shape
     assert shape.groups == [[v] for v in range(net.n)] and red.terminals == net.terminals
     assert shape.bundles == [(eid,) for eid in range(net.m)]
-    assert shape.satellites == [] and shape.links == []
+    assert shape.satellites == [] and shape.links == [] and shape.chains == []
 
 
 class TestOracle:
@@ -703,13 +740,56 @@ def test_satellite_table_equals_cold_flows(drawn):
 
 
 @st.composite
+def subdivided_networks(draw):
+    """A multigraph on the terminals and up to three more vertices whose
+    edges are subdivided into chains of 1-4 links, so chains end at
+    terminals and at core non-terminals, run parallel to direct edges and
+    to other chains, and close on one vertex (a subdivided self-loop);
+    pendant trees hang off interior vertices.  A chain's links cost 1, 2
+    or 1/2, or all one of them, so cheapest links tie, and relabelling
+    orients each chain either way; all times 1 or 10**19 (past int64)."""
+    scale = draw(st.sampled_from([1, 10**19]))
+    cost = st.sampled_from([Fraction(scale), Fraction(2 * scale), Fraction(scale, 2)])
+    k = draw(st.integers(2, 5))
+    core = k + draw(st.integers(0, 3))
+    end = st.integers(0, core - 1)
+    pairs = [(draw(end), draw(end)) for _ in range(draw(st.integers(1, 8)))]
+    pairs += draw(st.lists(st.sampled_from(pairs), max_size=3))
+    edges, inner, n = [], [], core
+    for u, w in pairs:
+        path = [u, *range(n, n + draw(st.integers(0, 3))), w]
+        n += len(path) - 2
+        inner += path[1:-1]
+        tied = draw(st.one_of(st.none(), cost))
+        edges += [(a, b, tied or draw(cost)) for a, b in zip(path, path[1:])]
+    for _ in range(draw(st.integers(0, 3)) if inner else 0):
+        # each new vertex hangs off an interior or a vertex added here
+        edges.append((draw(st.sampled_from(inner)), n, draw(cost)))
+        inner.append(n)
+        n += 1
+    label = draw(st.permutations(range(n)))
+    edges = draw(st.permutations([(label[u], label[v], c) for u, v, c in edges]))
+    terminals = draw(st.permutations([label[q] for q in range(k)]))
+    return Network(n, edges, terminals)
+
+
+@settings(max_examples=200, deadline=None)
+@given(subdivided_networks())
+def test_chain_table_equals_cold_flows(net):
+    # chains contracted, walked and mapped back, against one flow per row
+    # on the input itself: value, cutset and side
+    cold = tuple(min_separating_cut(net, bp) for bp in enumerate_bipartitions(net.k))
+    assert terminal_cuts(net).cuts == cold
+
+
+@st.composite
 def recosted_networks(draw):
     """A network with what the reduction removes (loops, bundles, pendant
-    trees, satellites; with no core edge drawn, a satellite network's
-    core has no arcs), new costs for its edges (1, 2 or 1/2, so ties
+    trees, satellites, chains; with no core edge drawn, a satellite
+    network's core has no arcs), new costs for its edges (1, 2 or 1/2, so ties
     occur, times 1 or 10**19), and whether the base network's table is
     asked for before the copy's."""
-    net = draw(st.one_of(reducible_networks(), satellite_networks().map(lambda drawn: drawn[0])))
+    net = draw(st.one_of(reducible_networks(), satellite_networks().map(lambda drawn: drawn[0]), subdivided_networks()))
     scale = draw(st.sampled_from([1, 10**19]))
     cost = st.sampled_from([Fraction(scale), Fraction(2 * scale), Fraction(scale, 2)])
     return net, draw(st.lists(cost, min_size=net.m, max_size=net.m)), draw(st.booleans())
