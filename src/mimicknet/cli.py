@@ -16,13 +16,12 @@ import argparse
 import json
 import random
 import sys
-from fractions import Fraction
 
 import numpy as np
 
 from . import __version__
 from .errors import MimicknetError
-from .fileio import load_network, serialize_network
+from .fileio import format_value, load_network, serialize_network
 from .generate import random_planar_network, star_network
 from .lowerbound import (
     gen_bipartite,
@@ -42,10 +41,6 @@ FORMAT_VERSION = 1
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
-
-
-def _frac(value: Fraction) -> str:
-    return f"{value.numerator}/{value.denominator}"
 
 
 class _Records:
@@ -142,20 +137,17 @@ def _cmd_verify(args) -> int:
     orig, _ = load_network(args.original)
     cand, _ = load_network(args.candidate)
     report = verify_generalized(orig, cand) if args.generalized else verify(orig, cand)
-    for row in report.rows:
-        status = "ok" if row.equal else "MISMATCH"
-        print(
-            f"bipartition mask={row.bipartition.mask:0{orig.k}b} "
-            f"original={_frac(row.value_original)} candidate={_frac(row.value_candidate)} {status}"
-        )
-    if report.generalized is not None:
-        for row in report.generalized:
-            status = "ok" if row.equal else "MISMATCH"
-            print(
-                f"pair S={row.source_mask:0{orig.k}b} T={row.sink_mask:0{orig.k}b} "
-                f"original={_frac(row.value_original)} candidate={_frac(row.value_candidate)} {status}"
-            )
-    print(f"verify: {'PASS' if report.all_equal else 'FAIL'}")
+    k, pairs = orig.k, report.generalized or ()
+    heads = [f"bipartition mask={row.bipartition.mask:0{k}b}" for row in report.rows]
+    heads += [f"pair S={row.source_mask:0{k}b} T={row.sink_mask:0{k}b}" for row in pairs]
+    # every line is formatted before any is printed, so a value too wide
+    # to print leaves no partial report
+    lines = [
+        f"{head} original={format_value(row.value_original)} candidate={format_value(row.value_candidate)} "
+        + ("ok" if row.equal else "MISMATCH")
+        for head, row in zip(heads, report.rows + pairs)
+    ]
+    print("\n".join([*lines, f"verify: {'PASS' if report.all_equal else 'FAIL'}"]))
     return EXIT_OK if report.all_equal else EXIT_FAIL
 
 
@@ -172,10 +164,10 @@ def _experiment_bipartite_lemma(args, rec: _Records) -> bool:
             "bipartite-min-cut-side-and-uniqueness",
             f"k={args.k} subset={r.subset}",
             "side={u_S} U complement, unique",
-            f"side_ok={r.side_ok} unique={r.unique} ineq={r.inequalities_ok} value={_frac(r.value)}",
+            f"side_ok={r.side_ok} unique={r.unique} ineq={r.inequalities_ok} value={format_value(r.value)}",
             r.ok,
         )
-        print(f"subset {r.subset}: value {_frac(r.value)} {'PASS' if r.ok else 'FAIL'}")
+        print(f"subset {r.subset}: value {format_value(r.value)} {'PASS' if r.ok else 'FAIL'}")
     return rep.ok
 
 
@@ -186,11 +178,11 @@ def _experiment_grid_lemma(args, rec: _Records) -> bool:
         rec.add(
             "grid-staircase-cut",
             f"k={args.k} i={r.i} j={r.j}",
-            _frac(r.expected),
-            f"value={_frac(r.value)} side_ok={r.side_ok} cutset_ok={r.cutset_ok} unique={r.unique}",
+            format_value(r.expected),
+            f"value={format_value(r.value)} side_ok={r.side_ok} cutset_ok={r.cutset_ok} unique={r.unique}",
             r.ok,
         )
-        print(f"cut ({r.i},{r.j}): value {_frac(r.value)} {'PASS' if r.ok else 'FAIL'}")
+        print(f"cut ({r.i},{r.j}): value {format_value(r.value)} {'PASS' if r.ok else 'FAIL'}")
     return rep.ok
 
 
@@ -271,7 +263,7 @@ def _experiment_tc_collision(args, rec: _Records) -> bool:
         f"bipartite k={args.k} samples={args.samples} seed={args.seed}",
         "no cut-value collisions",
         f"collisions={len(rep.collisions)} subset_rows_stable={rep.subset_rows_stable} "
-        f"gap={_frac(rep.gap)} step={_frac(rep.step)}",
+        f"gap={format_value(rep.gap)} step={format_value(rep.step)}",
         rep.ok,
     )
     print(
@@ -333,7 +325,7 @@ def _cmd_tc(args) -> int:
         store = deserialize(fh.read())
     indices = _parse_terminal_set(args.set, store.k)
     value = query(store, indices)
-    print(_frac(value))
+    print(format_value(value))
     return EXIT_OK
 
 

@@ -22,9 +22,10 @@ as a 52-byte one whose header reads ``p mimick 200000 1 2``.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
-from .errors import ParseError
+from .errors import InvalidParameterError, ParseError
 from .network import Network
 from .planar import PlaneEmbedding
 
@@ -123,6 +124,17 @@ def parse_network(text: str) -> tuple[Network, PlaneEmbedding | None]:
     return net, PlaneEmbedding(net, rotation_lists)
 
 
+def format_value(value: Fraction) -> str:
+    """``num/den``, or ``InvalidParameterError`` past the int-to-str digit
+    limit (4300 by default), which stays: without it, printing a value
+    from untrusted input takes time quadratic in its size."""
+    try:
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError:
+        digits = sys.get_int_max_str_digits()
+        raise InvalidParameterError(f"an exact value has more than {digits} digits, too many to print") from None
+
+
 def serialize_network(net: Network, emb: PlaneEmbedding | None = None, comment: str | None = None) -> str:
     lines = []
     if comment:
@@ -131,7 +143,7 @@ def serialize_network(net: Network, emb: PlaneEmbedding | None = None, comment: 
     lines.append(f"p mimick {net.n} {net.m} {net.k}")
     lines.append("t " + " ".join(str(t) for t in net.terminals))
     for e in net.edges:
-        lines.append(f"e {e.u} {e.v} {e.cost.numerator}/{e.cost.denominator}")
+        lines.append(f"e {e.u} {e.v} {format_value(e.cost)}")
     if emb is not None:
         for v, rot in enumerate(emb.rotations):
             if rot:

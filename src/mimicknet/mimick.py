@@ -44,8 +44,9 @@ class TerminalCuts:
     by the constructions, verification, the store and the incidence matrix.
 
     Held as arrays: the values times the network's ``cost_denominator``,
-    a rows x m bool ``cut_matrix`` whose row i marks row i's cutset, and a
-    rows x n bool ``side_matrix`` whose row i marks its canonical side.
+    a rows x n bool ``side_matrix`` whose row i marks row i's canonical
+    side, and a C-ordered rows x m bool ``cut_matrix`` whose row i marks
+    its cutset, the edges that side cuts.
     ``lowest_terms`` is the values' one exact form that does not depend
     on the network's denominator; ``cuts`` (and iteration) builds the
     rows as :class:`CutResult` on first use."""
@@ -99,12 +100,12 @@ class TerminalCuts:
     def certify(self, net: Network) -> None:
         """Raises ``InternalError`` unless the table has ``net``'s shape
         and denominator and each row's cut edges cost exactly its value
-        (``A . c = values`` over the shared denominator).  For a table of
-        :func:`terminal_cuts` this is the max-flow = cut-cost certificate
-        of every row: the values come from the flows and the cuts from the
-        sides the flows left reachable.  Exact, in the dtype of
-        :func:`mincut._cost_array`, a tile at a time
-        (:func:`mincut._cut_costs`)."""
+        (``A . c = values`` over the shared denominator), exactly, a tile
+        at a time (:func:`mincut._cut_costs`).  A table of
+        :func:`terminal_cuts` reads each row's cut from its side, so this
+        proves that each row's side cuts edges that cost exactly the value
+        the walk's flow bookkeeping reports.  That a feasible flow of that
+        value exists, which makes the cut minimum, is not checked."""
         rows, den = len(self.scaled_values), self.cost_denominator
         shapes = (self.cut_matrix.shape, self.side_matrix.shape)
         if den != net.cost_denominator or shapes != ((rows, net.m), (rows, net.n)):
@@ -128,13 +129,14 @@ def terminal_cuts(net: Network) -> TerminalCuts:
     core of the exactly reduced graph (loops dropped, bundles merged,
     pendant trees peeled, satellites set aside, series chains contracted
     to one edge of their cheapest link's cost; the identity when nothing
-    reduces); :meth:`mincut._Reduced.expand` gathers its cut and side
-    matrices out to the input's edge and vertex columns, cuts each chain
-    whose ends the row separates at the first cheapest link from its
-    source-side end, and adds the satellites in closed form.  One exact
-    certificate per table, :meth:`TerminalCuts.certify`, checks every
-    row's value, which comes from a flow, against the cost of its cut,
-    which comes from a side."""
+    reduces) and gives each row's value and core side;
+    :meth:`mincut._Reduced.expand` lifts the sides to the input's
+    vertices (a chain whose ends the row separates is cut at the first
+    cheapest link from its source-side end, and the satellites are
+    placed in closed form).  Every row's cut is then read once from its
+    side, by the input's own edge ends, so the one exact certificate per
+    table, :meth:`TerminalCuts.certify`, checks each row's value, which
+    comes from a flow, against the cost of the edges its side cuts."""
     return _table(mincut._reduce(net))
 
 
@@ -144,7 +146,10 @@ def _table(core: mincut._Reduced) -> TerminalCuts:
     net = core.net
     if net.k < 2:
         raise InvalidTerminalCountError(f"need k >= 2 terminals, got {net.k}")
-    values, cut, side = core.expand(*mincut._walk(core))
+    values, side = core.expand(*mincut._walk(core))
+    # each row's cut is its side's, by the input's own ends; np.take keeps
+    # it C-ordered (fancy indexing gives F order, slow in the certificate)
+    cut = np.take(side, [u for u, _ in net.ends], axis=1) != np.take(side, [v for _, v in net.ends], axis=1)
     cut.flags.writeable = side.flags.writeable = False
     table = TerminalCuts(net.k, net.cost_denominator, tuple(values), cut, side)
     table.certify(net)

@@ -10,13 +10,15 @@ contracts.  A terminal-cut table is one Gray-code walk on one residual
 network (:func:`_walk`), run on the core of the exactly reduced graph of
 :func:`_reduce` (the identity when nothing reduces): loops dropped,
 bundles merged, pendant trees peeled, satellites set aside and series
-chains contracted to their cheapest link.  The walk's rows are expanded
-to the input's edge and vertex columns, each chain cut at the first
-cheapest link from its source-side end and the satellites solved in
-closed form.  The canonical side only grows when a terminal joins the
-source side, so such a step searches only what that terminal newly
-reaches.  The reduction's shape depends on the ends and the terminals
-alone, so one shape serves any costs on those ends (:class:`_Reduced`).
+chains contracted to their cheapest link.  The walk's sides alone are
+lifted to the input's vertices, each chain's interiors placed by the
+first cheapest link from its source-side end and the satellites' sides
+solved in closed form; every row's cut is then read from its lifted
+side, once, so the table's one certificate covers the sides.  The
+canonical side only grows when a terminal joins the source side, so
+such a step searches only what that terminal newly reaches.  The
+reduction's shape depends on the ends and the terminals alone, so one
+shape serves any costs on those ends (:class:`_Reduced`).
 
 Oracle route: exhaustive sweep over all side assignments of the
 non-terminal vertices (capacity ``n - k <= 22``) by the blocked kernel in
@@ -32,7 +34,9 @@ of any row is in closed form.  One reader,
 :meth:`_Reduced.satellite_rows`, gives it for a list of row masks, a
 block at a time: the values, the terminals' and satellites' sides and
 the edges those sides cut, each block certified against the edges' own
-costs.  The table's expansion and the closed-form gaps both read it.
+costs.  The closed-form gaps and the lower-bound experiments read it;
+the table's expansion takes the same sides from :meth:`_Reduced.split`
+and leaves the cut to the table.
 
 Gaps (:func:`gap`, :func:`gaps`, :func:`global_gap`) are in closed
 form, at any size, when every vertex is a terminal or a satellite of one
@@ -224,22 +228,22 @@ class _Shape:
     ``(j, u, w, links, inner)`` is a series chain on core edge j from core
     vertex u to core vertex w: its links (input-edge bundles) and the
     groups of its interior vertices, in order from u.  The index arrays
-    gather a core table out to the input's columns, one entry per input
-    edge or vertex: ``edge_cols`` and ``edge_core`` (a core edge's input
-    edges), ``vertex_cols`` and ``vertex_core`` (a core vertex's input
-    vertices), ``link_eid``, ``link_sat`` and ``link_term`` (a satellite's
-    edges to terminals), ``sat_vertex`` and ``sat_of`` (a satellite's
-    input vertices), ``chain_eid`` (a chain's links' input edges) and
-    ``inner_vertex`` (its interiors' input vertices), both in the order of
-    ``chains``, with ``eid_u``, ``eid_w``, ``vertex_u`` and ``vertex_w``
-    (the core ends of each one's chain); ``chain_edge`` is each chain's
-    core edge.  The chain arrays are None with no chain."""
+    map the core's edges and sides to the input's: ``edge_cols`` and
+    ``edge_core`` (a core edge's input edges), ``link_eid``, ``link_sat``
+    and ``link_term`` (a satellite's edges to terminals), which the costs
+    are summed by; ``vertex_cols`` and ``vertex_core`` (a core vertex's
+    input vertices), ``sat_vertex`` and ``sat_of`` (a satellite's input
+    vertices) and ``inner_vertex`` (the chains' interiors' input vertices,
+    in the order of ``chains``, with ``vertex_u`` and ``vertex_w``, the
+    core ends of each one's chain), which the sides are lifted by;
+    ``chain_edge`` is each chain's core edge.  The chain arrays are None
+    with no chain."""
 
     __slots__ = (
         "n", "terminals", "groups", "bundles", "head", "out", "satellites", "links", "chains",
         "edge_cols", "edge_core", "vertex_cols", "vertex_core",
         "link_eid", "link_sat", "link_term", "sat_vertex", "sat_of",
-        "chain_eid", "eid_u", "eid_w", "inner_vertex", "vertex_u", "vertex_w", "chain_edge",
+        "inner_vertex", "vertex_u", "vertex_w", "chain_edge",
     )
 
     def __init__(self, terminals: tuple[int, ...], groups, bundles, head, out, satellites, links, chains):
@@ -252,12 +256,9 @@ class _Shape:
         self.link_eid = _flat([eids for _, _, eids in links])
         self.link_sat = np.array([s for s, _, eids in links for _ in eids], dtype=np.intp)
         self.link_term = np.array([i for _, i, eids in links for _ in eids], dtype=np.intp)
-        self.chain_eid = self.eid_u = self.eid_w = self.inner_vertex = self.vertex_u = self.vertex_w = None
-        self.chain_edge = None
+        self.inner_vertex = self.vertex_u = self.vertex_w = self.chain_edge = None
         if chains:
-            eids = [y for _, u, w, links, _ in chains for link in links for e in link for y in (e, u, w)]
             vertices = [y for _, u, w, _, inner in chains for group in inner for x in group for y in (x, u, w)]
-            self.chain_eid, self.eid_u, self.eid_w = np.array(eids, dtype=np.intp).reshape(-1, 3).T
             self.inner_vertex, self.vertex_u, self.vertex_w = np.array(vertices, dtype=np.intp).reshape(-1, 3).T
             self.chain_edge = np.array([chain[0] for chain in chains], dtype=np.intp)
 
@@ -289,21 +290,17 @@ class _Reduced:
     scaled cost, all in the dtype of :func:`_cost_array`.  The rest is
     ``shape``'s.
 
-    With chains, each chain's cut link is the first cheapest counted from
-    its source-side end: ``cut_u`` marks, in the shape's ``chain_eid``
-    order, the edges of the first cheapest link from u and ``cut_w`` from
-    w, and ``side_u`` marks, in its ``inner_vertex`` order, the interiors
-    between u and the first and ``side_w`` between w and the second
-    (None with no chain).
+    With chains, each chain is cut at the first cheapest link counted
+    from its source-side end: ``side_u`` marks, in the shape's
+    ``inner_vertex`` order, the interiors between u and the first
+    cheapest link from u, and ``side_w`` those between w and the first
+    cheapest link from w (None with no chain).
 
     ``scaled`` and ``den``, when given, stand for ``net``'s scaled costs
     and denominator: the core of a network with ``net``'s ends and other
     costs, which need not be built as a :class:`Network`."""
 
-    __slots__ = (
-        "net", "shape", "n", "terminals", "den", "costs", "sat_cost", "sat_total", "_arcs",
-        "cut_u", "cut_w", "side_u", "side_w",
-    )
+    __slots__ = ("net", "shape", "n", "terminals", "den", "costs", "sat_cost", "sat_total", "_arcs", "side_u", "side_w")
 
     def __init__(self, net: Network, shape: _Shape, scaled: Sequence[int] | None = None, den: int | None = None):
         self.net, self.shape, self.n, self.terminals = net, shape, shape.n, shape.terminals
@@ -312,24 +309,20 @@ class _Reduced:
         self.costs = costs = _cost_array(scaled)
         caps = np.zeros(len(shape.bundles), dtype=costs.dtype)
         np.add.at(caps, shape.edge_core, costs[shape.edge_cols])
-        self.cut_u = self.cut_w = self.side_u = self.side_w = None
+        self.side_u = self.side_w = None
         if shape.chains:
-            least, cut_u, cut_w, side_u, side_w = [], [], [], [], []
+            least, side_u, side_w = [], [], []
             for _, _, _, links, inner in shape.chains:
                 cost = [sum([scaled[e] for e in link]) for link in links]
                 low = min(cost)
                 least.append(low)
                 # the first cheapest link from u and from w
                 a, b = cost.index(low), len(cost) - 1 - cost[::-1].index(low)
-                for i, link in enumerate(links):
-                    cut_u += [i == a] * len(link)
-                    cut_w += [i == b] * len(link)
                 # interior i lies between links i - 1 and i
                 for i, group in enumerate(inner, 1):
                     side_u += [i <= a] * len(group)
                     side_w += [i > b] * len(group)
             np.add.at(caps, shape.chain_edge, np.array(least, dtype=costs.dtype))
-            self.cut_u, self.cut_w = np.array(cut_u), np.array(cut_w)
             self.side_u, self.side_w = np.array(side_u), np.array(side_w)
         # an edge's two arcs carry its capacity
         self._arcs = (shape.head, tuple(caps.repeat(2).tolist()), shape.out)
@@ -340,23 +333,23 @@ class _Reduced:
     def arcs(self):
         return self._arcs
 
-    def split(self, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def split(self, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """For each row mask: a rows x k bool array of the source-side
-        terminals (bit clear, terminal 0's side), and each satellite's
-        scaled cost a to them and b to the others, rows x satellites."""
+        terminals (bit clear, terminal 0's side); each satellite's scaled
+        cost a to them and b to the others, rows x satellites; and each
+        satellite's side, rows x satellites.  With the terminals placed, a
+        satellite's side is decided alone: it joins the source side iff
+        b < a, strictly, so the side stays inclusion-minimal, and it adds
+        min(a, b) to the row's value."""
         src = (masks[:, None] >> np.arange(len(self.terminals)) & 1) == 0
         a = src.astype(self.sat_cost.dtype) @ self.sat_cost.T
-        return src, a, self.sat_total - a
+        b = self.sat_total - a
+        return src, a, b, b < a
 
     def satellite_rows(self, masks: Sequence[int]) -> Iterator[_SatelliteRows]:
         """The satellites' share of each row mask's canonical cut, in
-        closed form, a block of rows at a time.
-
-        With the terminals placed, each satellite's side is decided alone.
-        Let a be its cost to the source-side terminals (bit clear, terminal
-        0's side) and b to the others (:meth:`split`): it joins the source
-        side iff b < a, strictly, so the side stays inclusion-minimal, adds
-        min(a, b), and its edges to the other side's terminals are cut.
+        closed form (:meth:`split`), a block of rows at a time: a
+        satellite's edges to the other side's terminals are cut.
 
         Each block is certified before it is yielded, from the edges' own
         costs rather than the sums the sides were decided on: the edges
@@ -367,8 +360,7 @@ class _Reduced:
         sats, link_costs = len(shape.satellites), self.costs[shape.link_eid]
         block = max(1, _SATELLITE_BLOCK // max(len(shape.link_eid), len(shape.sat_vertex), len(self.terminals)))
         for lo in range(0, len(masks), block):
-            src, a, b = self.split(masks[lo : lo + block])
-            on = b < a
+            src, a, b, on = self.split(masks[lo : lo + block])
             values = np.minimum(a, b).sum(axis=1).tolist()
             cut = on[:, shape.link_sat] != src[:, shape.link_term]
             got = _cut_costs(cut, link_costs)
@@ -381,17 +373,17 @@ class _Reduced:
             deltas = np.abs(a - b).min(axis=1).tolist() if sats else [None] * len(values)
             yield _SatelliteRows(lo, values, deltas, src, on, cut)
 
-    def expand(self, core_values: list[int], core_cut: np.ndarray, core_side: np.ndarray):
-        """The input network's table for the core's: (scaled values, cut
-        matrix, side matrix), one row per bipartition in canonical order.
-        Core edge and vertex columns are gathered out to their bundles and
-        groups, and the satellites' share is added in closed form
-        (:meth:`satellite_rows`)."""
+    def expand(self, core_values: list[int], core_side: np.ndarray) -> tuple[list[int], np.ndarray]:
+        """The input network's (scaled values, rows x n side matrix) for
+        the core's, one row per bipartition in canonical order: the sides
+        alone are lifted, and the cuts are read from them
+        (:func:`mimick._table`).  Core vertex columns are gathered out to
+        their groups, each chain's interiors are placed by its cut link,
+        and the satellites' sides and share of the value come from
+        :meth:`split`, a block of rows at a time."""
         shape, net = self.shape, self.net
         rows = len(core_values)
-        cut = np.zeros((rows, net.m), dtype=bool)
         side = np.zeros((rows, net.n), dtype=bool)
-        cut[:, shape.edge_cols] = core_cut[:, shape.edge_core]
         side[:, shape.vertex_cols] = core_side[:, shape.vertex_core]
         if shape.chains:
             # a chain whose ends lie on one side is not cut and its
@@ -399,20 +391,19 @@ class _Reduced:
             # cheapest link from its source-side end, the source-minimal
             # choice, and the interiors before that link are on the source
             # side
-            on_u, on_w = core_side[:, shape.eid_u], core_side[:, shape.eid_w]
-            cut[:, shape.chain_eid] = np.where(on_u, ~on_w & self.cut_u, on_w & self.cut_w)
             on_u, on_w = core_side[:, shape.vertex_u], core_side[:, shape.vertex_w]
             side[:, shape.inner_vertex] = np.where(on_u, on_w | self.side_u, on_w & self.side_w)
         if not shape.satellites:
-            return core_values, cut, side
-        sat_values: list[int] = []
+            return core_values, side
+        values: list[int] = []
         # row i is the bipartition of mask 2 * (i + 1)
-        for part in self.satellite_rows(np.arange(2, 2 * rows + 2, 2, dtype=np.int64)):
-            hi = part.lo + len(part.values)
-            sat_values += part.values
-            cut[part.lo : hi, shape.link_eid] = part.cut
-            side[part.lo : hi, shape.sat_vertex] = part.on[:, shape.sat_of]
-        return [x + y for x, y in zip(core_values, sat_values)], cut, side
+        masks = np.arange(2, 2 * rows + 2, 2, dtype=np.int64)
+        block = max(1, _SATELLITE_BLOCK // max(len(shape.sat_vertex), len(self.terminals)))
+        for lo in range(0, rows, block):
+            _, a, b, on = self.split(masks[lo : lo + block])
+            values += np.minimum(a, b).sum(axis=1).tolist()
+            side[lo : lo + block, shape.sat_vertex] = on[:, shape.sat_of]
+        return [x + y for x, y in zip(core_values, values)], side
 
 
 def _cost_array(scaled: Sequence[int]) -> np.ndarray:
@@ -606,8 +597,9 @@ def _shape_of(net: Network) -> _Shape:
 def _solve_flow(net: Network, bp: Bipartition) -> tuple[CutResult, _Dinic]:
     """The one flow of a bipartition, from the zero flow: its complement
     side (terminal 0's) is the source, its S side the sink.  Returns its
-    canonical cut, certified (the cut's cost must equal the flow's value),
-    and the residual network it was read from."""
+    canonical cut, its cutset read from its side (:func:`_cutset`) and
+    certified (the cut's cost must equal the flow's value), and the
+    residual network it was read from."""
     if bp.k != net.k:
         raise InvalidParameterError(f"bipartition is for k={bp.k}, network has k={net.k}")
     n, sources = net.n, bp.coside_vertices(net)
@@ -615,29 +607,24 @@ def _solve_flow(net: Network, bp: Bipartition) -> tuple[CutResult, _Dinic]:
     scaled = d.max_flow(n, n + 1)
 
     # the side is what the last level BFS reached, plus the sources (the
-    # arcs into them run to s); an arc leaves it iff its redirected head
-    # is unreached
-    level, to = d.level, d.to
-    _, cap, out = net.arcs()
-    side = {v for v in range(n) if level[v] >= 0}
-    side.update(sources)
-    crossing = [a for v in side for a in out[v] if level[to[a]] < 0]
-    cut_cost = sum([cap[a] for a in crossing])
-    den = net.cost_denominator
+    # arcs into them run to s)
+    in_side = [x >= 0 for x in d.level[:n]]
+    for q in sources:
+        in_side[q] = True
+    cutset, den = _cutset(net, in_side), net.cost_denominator
+    cut_cost = sum([net.scaled_costs[eid] for eid in cutset])
     if cut_cost != scaled:
-        raise InternalError(
-            f"max-flow {Fraction(scaled, den)} differs from its cut cost {Fraction(cut_cost, den)}"
-        )
+        raise InternalError(f"max-flow {Fraction(scaled, den)} differs from its cut cost {Fraction(cut_cost, den)}")
     # frozenset() of a set sizes its table to fit; from a generator it
     # keeps the slack of incremental growth
-    cutset = frozenset({a >> 1 for a in crossing})
-    return CutResult(Fraction(scaled, den), cutset, frozenset(side)), d
+    return CutResult(Fraction(scaled, den), cutset, frozenset({v for v in range(n) if in_side[v]})), d
 
 
-def _walk(graph: _Reduced) -> tuple[list[int], np.ndarray, np.ndarray]:
+def _walk(graph: _Reduced) -> tuple[list[int], np.ndarray]:
     """The canonical cut of every bipartition of ``graph``'s terminals:
-    (scaled values, rows x m bool cut matrix, rows x n bool side matrix),
-    row i for the bipartition of mask 2 * (i + 1).
+    (scaled values, rows x n bool side matrix), row i for the bipartition
+    of mask 2 * (i + 1).  The cuts are read from the sides, once, for the
+    input network (:func:`mimick._table`).
 
     One Gray-code walk on one residual network.  Consecutive bipartitions
     differ by one terminal, so a step moves only that terminal between the
@@ -647,7 +634,7 @@ def _walk(graph: _Reduced) -> tuple[list[int], np.ndarray, np.ndarray]:
     augments it to a maximum flow (the reuse of Gallo, Grigoriadis and
     Tarjan's parametric flow and of Kohli and Torr's dynamic graph cuts).
     The canonical side is what the last level BFS reached plus the source
-    terminals, and the cut is read from the sides.
+    terminals.
 
     Sides are nested: with more terminals on the source side the canonical
     side can only grow (the lattice argument behind Gallo, Grigoriadis and
@@ -662,9 +649,10 @@ def _walk(graph: _Reduced) -> tuple[list[int], np.ndarray, np.ndarray]:
     side, s's arc list is every source terminal's, and the search stays
     inside R by itself.
 
-    Nothing is checked here: :meth:`mimick.TerminalCuts.certify` is the
-    max-flow = cut-cost certificate of every row.  Of ``graph`` it reads
-    ``n``, ``terminals`` and ``arcs()``."""
+    Nothing is checked here: :meth:`mimick.TerminalCuts.certify` checks
+    that each row's side, lifted to the input, cuts edges that cost
+    exactly the value this flow bookkeeping reports.  Of ``graph`` it
+    reads ``n``, ``terminals`` and ``arcs()``."""
     n, terminals = graph.n, graph.terminals
     k = len(terminals)
     rows = (1 << (k - 1)) - 1
@@ -709,8 +697,7 @@ def _walk(graph: _Reduced) -> tuple[list[int], np.ndarray, np.ndarray]:
     # unset; a terminal is on the side iff its bit of the row's mask is clear
     masks = np.arange(2, 2 * rows + 2, 2, dtype=np.int64)
     side[:, list(terminals)] = (masks[:, None] >> np.arange(k) & 1) == 0
-    ends = np.array(head, dtype=np.intp)
-    return values, side[:, ends[1::2]] != side[:, ends[0::2]], side
+    return values, side
 
 
 def _cutset(net: Network, in_side: Sequence[bool]) -> frozenset[int]:

@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from mimicknet.mimick import terminal_cuts
 from mimicknet.mincut import min_separating_cut
 from mimicknet.network import enumerate_bipartitions
 from mimicknet.planar import build_dual, check_component_bounds
+from mimicknet.tcscheme import TCStore, serialize
 
 
 def run(*argv) -> int:
@@ -128,6 +130,61 @@ class TestCompressVerify:
         assert run(*argv) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
+
+
+class TestWideValues:
+    """A value with more digits than the interpreter's int-to-str limit
+    (4300 by default) cannot be printed: exit 2 with one ``error:`` line,
+    nothing on stdout and no ``-o`` file.  Exit 1 is kept for a failed
+    check."""
+
+    @pytest.fixture(autouse=True)
+    def default_limit(self):
+        if not hasattr(sys, "set_int_max_str_digits"):
+            pytest.skip("no int-to-str digit limit in this interpreter")
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        yield
+        sys.set_int_max_str_digits(limit)
+
+    @pytest.fixture
+    def wide_net(self, tmp_path):
+        # each cost's denominator has 2201 digits, so the file parses; the
+        # bundle 0-1 costs their sum, whose denominator has 4401
+        a, b = 10**2200 + 1, 10**2200 + 3
+        path = tmp_path / "w.net"
+        path.write_text(f"p mimick 3 3 2\nt 0 1\ne 0 1 1/{a}\ne 0 1 1/{b}\ne 0 2 1\n")
+        return path
+
+    def assert_refused(self, argv, capsys, out=None):
+        assert run(*argv) == 2
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "4300 digits" in err[0]
+        assert captured.out == ""
+        assert out is None or not out.exists()
+
+    def test_compress(self, tmp_path, wide_net, capsys):
+        out = tmp_path / "w.mim"
+        self.assert_refused(("compress", wide_net, "-o", out, "--map-out", tmp_path / "w.map"), capsys, out)
+        assert not (tmp_path / "w.map").exists()
+
+    @pytest.mark.parametrize("flags", [(), ("--generalized",)], ids=["plain", "generalized"])
+    def test_verify(self, wide_net, capsys, flags):
+        self.assert_refused(("verify", wide_net, wide_net, *flags), capsys)
+
+    def test_query_of_built_store(self, tmp_path, wide_net, capsys):
+        # the store is binary, so building it prints no value
+        store = tmp_path / "w.tcs"
+        assert run("tc", "build", wide_net, "-o", store) == 0
+        capsys.readouterr()
+        self.assert_refused(("tc", "query", store, "--set", "q2"), capsys)
+
+    def test_query_of_crafted_store(self, tmp_path, capsys):
+        store = tmp_path / "c.tcs"
+        store.write_bytes(serialize(TCStore(2, 1, (1 << 20000,))))
+        assert store.stat().st_size < 3000
+        self.assert_refused(("tc", "query", store, "--set", "q2"), capsys)
 
 
 class TestExperiments:

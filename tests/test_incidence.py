@@ -47,9 +47,9 @@ class TestBuild:
         walk = mincut._walk
 
         def wrong(graph):
-            values, cut, side = walk(graph)
-            assert values == [7] and cut.tolist() == [[True]]
-            return [8], cut, side
+            values, side = walk(graph)
+            assert values == [7] and side.tolist() == [[True, False]]
+            return [8], side
 
         monkeypatch.setattr(mincut, "_walk", wrong)
         with pytest.raises(InternalError):

@@ -298,10 +298,10 @@ def _flip_one_side(mask):
     split = mincut._Reduced.split
 
     def flipped(core, masks):
-        src, a, b = split(core, masks)
+        src, a, b, _ = split(core, masks)
         for i in np.flatnonzero(masks == mask):
             a[i, 0], b[i, 0] = b[i, 0], a[i, 0]
-        return src, a, b
+        return src, a, b, b < a
 
     return flipped
 

@@ -79,54 +79,54 @@ class TestTerminalCuts:
         assert table.cuts == tuple(min_separating_cut(net, bp) for bp in enumerate_bipartitions(net.k))
 
     def test_lifted_cost_mismatch_raises(self, monkeypatch):
-        # a gather that lost one of the bundle's edges: the flow on the
-        # reduced graph still certifies, its mapped-back cutset does not
+        # a shape whose bundle lost one of its edges: the core edge's
+        # capacity misses that edge's cost, so the walk's value does too,
+        # while the side read back cuts the whole bundle
         net = Network(3, [(0, 1, 2), (0, 1, 3), (1, 2, 7), (2, 2, 1)], [0, 1])
-        reduce = mincut._reduce
+        shape_of = mincut._shape_of
 
         def lossy(net):
-            red = reduce(net)
-            shape = red.shape
+            shape = shape_of(net)
             assert shape.edge_cols.tolist() == [0, 1] and shape.edge_core.tolist() == [0, 0]
             shape.edge_cols, shape.edge_core = shape.edge_cols[:1], shape.edge_core[:1]
-            return red
+            return shape
 
-        monkeypatch.setattr(mincut, "_reduce", lossy)
+        monkeypatch.setattr(mincut, "_shape_of", lossy)
         with pytest.raises(InternalError):
             terminal_cuts(net)
 
     def test_lifted_satellite_cost_mismatch_raises(self, monkeypatch):
         # 2 is a satellite (a bundle of cost 3 to q0, an edge of cost 5 to
-        # q1), so its bundle to q0 is cut; a link that lost an edge id
-        # still counts in the value, not in the mapped-back cutset
+        # q1), so its bundle to q0 is cut; a shape whose link lost an edge
+        # id leaves that edge's cost out of sat_cost, so out of the value,
+        # while the satellite's side still cuts it
         net = Network(3, [(2, 0, 1), (2, 0, 2), (2, 1, 5)], [0, 1])
         assert terminal_cuts(net).cuts[0].cutset == frozenset({0, 1})
-        reduce = mincut._reduce
+        shape_of = mincut._shape_of
 
         def lossy(net):
-            red = reduce(net)
-            shape = red.shape
+            shape = shape_of(net)
             assert shape.link_eid.tolist() == [0, 1, 2]
             shape.link_eid, shape.link_sat, shape.link_term = shape.link_eid[1:], shape.link_sat[1:], shape.link_term[1:]
-            return red
+            return shape
 
-        monkeypatch.setattr(mincut, "_reduce", lossy)
+        monkeypatch.setattr(mincut, "_shape_of", lossy)
         with pytest.raises(InternalError):
             terminal_cuts(net)
 
     def test_expanded_costlier_chain_link_raises(self, monkeypatch):
         # the chain 0-2-3-1 (links costing 2, 1, 2) runs parallel to the
-        # edge 0-1, so the core edge costs 5 + 1; an expansion that cuts
-        # the chain's first link, not its cheapest, maps back a cutset
-        # that costs more than the flow's value
+        # edge 0-1, so the core edge costs 5 + 1; a lift that leaves the
+        # interior 2 off the source side cuts the chain's first link, not
+        # its cheapest, and that side cuts more than the flow's value
         net = Network(4, [(0, 2, 2), (2, 3, 1), (3, 1, 2), (0, 1, 5)], [0, 1])
         assert terminal_cuts(net).cuts[0].cutset == frozenset({1, 3})
         reduce = mincut._reduce
 
         def costlier(net):
             red = reduce(net)
-            assert red.cut_u.tolist() == red.cut_w.tolist() == [False, True, False]
-            red.cut_u = red.cut_w = np.array([True, False, False])
+            assert red.side_u.tolist() == [True, False]
+            red.side_u = np.array([False, False])
             return red
 
         monkeypatch.setattr(mincut, "_reduce", costlier)
@@ -134,21 +134,82 @@ class TestTerminalCuts:
             terminal_cuts(net)
 
     def test_expanded_column_mismatch_raises(self, monkeypatch):
-        # the core's one edge (the bundle of edges 0 and 1, cost 5) gathered
-        # out to edges 0 and 2 (cost 9): every core cut still certifies,
-        # the table's cut matrix does not
+        # a shape that sums the core's one edge (the bundle of edges 0 and
+        # 1, cost 5) from edges 0 and 2 (cost 9): the walk's value is 9,
+        # and the side read back cuts edges 0 and 1
         net = Network(3, [(0, 1, 2), (0, 1, 3), (1, 2, 7), (2, 2, 1)], [0, 1])
-        reduce = mincut._reduce
+        shape_of = mincut._shape_of
 
         def misplaced(net):
-            red = reduce(net)
-            assert red.shape.edge_cols.tolist() == [0, 1]
-            red.shape.edge_cols = np.array([0, 2])
-            return red
+            shape = shape_of(net)
+            assert shape.edge_cols.tolist() == [0, 1]
+            shape.edge_cols = np.array([0, 2])
+            return shape
 
-        monkeypatch.setattr(mincut, "_reduce", misplaced)
+        monkeypatch.setattr(mincut, "_shape_of", misplaced)
         with pytest.raises(InternalError):
             terminal_cuts(net)
+
+    def test_peeled_vertex_in_another_group_raises(self, monkeypatch):
+        # 2 hangs off terminal 1, so it joins 1's group; a gather that
+        # gives it terminal 0's column puts it on the source side, and
+        # that side also cuts the edge 1-2
+        net = Network(3, [(0, 1, 5), (1, 2, 1)], [0, 1])
+        assert terminal_cuts(net).cuts[0] == mincut.CutResult(5, frozenset({0}), frozenset({0}))
+        reduce = mincut._reduce
+
+        def regrouped(net):
+            red = reduce(net)
+            shape = red.shape
+            assert shape.vertex_cols.tolist() == [0, 1, 2] and shape.vertex_core.tolist() == [0, 1, 1]
+            shape.vertex_core = np.array([0, 1, 0])
+            return red
+
+        monkeypatch.setattr(mincut, "_reduce", regrouped)
+        with pytest.raises(InternalError):
+            terminal_cuts(net)
+
+    def test_chain_interior_past_cheapest_link_raises(self, monkeypatch):
+        # the chain 0-2-3-1 (links costing 2, 1, 2) is cut at its middle
+        # link; a lift that puts the interior 3 on the source side too
+        # gives the side {0, 2, 3}, which cuts the last link instead
+        net = Network(4, [(0, 2, 2), (2, 3, 1), (3, 1, 2), (0, 1, 5)], [0, 1])
+        reduce = mincut._reduce
+
+        def past(net):
+            red = reduce(net)
+            assert red.side_u.tolist() == [True, False]
+            red.side_u = np.array([True, True])
+            return red
+
+        monkeypatch.setattr(mincut, "_reduce", past)
+        with pytest.raises(InternalError):
+            terminal_cuts(net)
+
+    def test_satellite_side_in_wrong_column_raises(self, monkeypatch):
+        # satellites 2 (cost 1 to q0, 5 to q1) and 3 (5 to q0, 1 to q1)
+        # take opposite sides; scattering each one's side to the other's
+        # column cuts both costlier edges
+        net = Network(4, [(2, 0, 1), (2, 1, 5), (3, 0, 5), (3, 1, 1)], [0, 1])
+        assert terminal_cuts(net).cuts[0] == mincut.CutResult(2, frozenset({0, 3}), frozenset({0, 3}))
+        reduce = mincut._reduce
+
+        def swapped(net):
+            red = reduce(net)
+            shape = red.shape
+            assert shape.sat_vertex.tolist() == [2, 3] and shape.sat_of.tolist() == [0, 1]
+            shape.sat_vertex = np.array([3, 2])
+            return red
+
+        monkeypatch.setattr(mincut, "_reduce", swapped)
+        with pytest.raises(InternalError):
+            terminal_cuts(net)
+
+    def test_cut_matrix_is_c_contiguous(self):
+        # the certificate's product runs on rows of the cut matrix
+        for net in (cornered_grid(3), gen_bipartite(6).network, random_planar_network(40, 4, 1, 30)[0]):
+            table = terminal_cuts(net)
+            assert table.cut_matrix.flags.c_contiguous and table.side_matrix.flags.c_contiguous
 
     def test_unreduced_table_cost_mismatch_raises(self, monkeypatch):
         # nothing reduces in a grid whose corner has a third neighbour, so
@@ -232,8 +293,8 @@ class TestBigIntegerCertificate:
         walk = mincut._walk
 
         def off_by_one(graph):
-            values, cut, side = walk(graph)
-            return [v + 1 for v in values], cut, side
+            values, side = walk(graph)
+            return [v + 1 for v in values], side
 
         monkeypatch.setattr(mincut, "_walk", off_by_one)
         with pytest.raises(InternalError, match=r"^row 0 "):

@@ -15,6 +15,7 @@ from mimicknet.mincut import (
     CutResult,
     GapReport,
     _closed_gaps,
+    _cutset,
     _Dinic,
     _edge_tables,
     _min_gap,
@@ -182,13 +183,11 @@ class TestReduce:
         assert shape.groups == [[0], [1]] and shape.bundles == [(4,)] and shape.satellites == []
         assert shape.chains == [(0, 0, 1, ((0,), (1,), (2,), (3,)), [[2], [3, 5], [4]])]
         assert red.arcs() == ((1, 0), (6, 6), ((0,), (1,)))
-        assert shape.chain_eid.tolist() == [0, 1, 2, 3] and shape.inner_vertex.tolist() == [2, 3, 5, 4]
-        assert shape.eid_u.tolist() == [0] * 4 and shape.eid_w.tolist() == [1] * 4
+        assert shape.inner_vertex.tolist() == [2, 3, 5, 4]
         assert shape.vertex_u.tolist() == [0] * 4 and shape.vertex_w.tolist() == [1] * 4
-        assert red.cut_u.tolist() == [False, True, False, False] and red.cut_w.tolist() == [False, False, True, False]
         assert red.side_u.tolist() == [True, False, False, False] and red.side_w.tolist() == [False, False, False, True]
-        # the source-side end's first cheapest link is cut, and the
-        # interiors before it are on the source side
+        # the interiors before the source-side end's first cheapest link
+        # are on the source side, so the side cuts that link
         assert terminal_cuts(Network(6, edges, [0, 1])).cuts[0] == CutResult(6, frozenset({1, 4}), frozenset({0, 2}))
         assert terminal_cuts(Network(6, edges, [1, 0])).cuts[0] == CutResult(6, frozenset({2, 4}), frozenset({1, 4}))
 
@@ -198,7 +197,7 @@ class TestReduce:
         edges = [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 1, 1), (4, 5, 1), (5, 6, 1), (6, 4, 1)]
         red = _reduce(Network(7, edges, [0, 1]))
         assert red.shape.groups == [[0], [1, 2, 3], [4], [5], [6]] and red.shape.chains == []
-        assert red.shape.bundles == [(0,), (4,), (5,), (6,)] and red.cut_u is None
+        assert red.shape.bundles == [(0,), (4,), (5,), (6,)] and red.side_u is None
 
     @pytest.mark.parametrize("family", [gen_grid(3)])
     def test_nothing_reduces_returns_input(self, family):
@@ -488,12 +487,12 @@ class TestSatelliteRows:
         split = _Reduced.split
 
         def flipped(core, masks):
-            src, a, b = split(core, masks)
+            src, a, b, _ = split(core, masks)
             hit = np.flatnonzero(masks == 2 * (row + 1))
             if hit.size:
                 s = np.flatnonzero(a[hit[0]] != b[hit[0]])[0]
                 a[hit[0], s], b[hit[0], s] = b[hit[0], s], a[hit[0], s]
-            return src, a, b
+            return src, a, b, b < a
 
         monkeypatch.setattr(_Reduced, "split", flipped)
         with pytest.raises(InternalError, match=f"row mask {2 * (row + 1):#b} cuts"):
@@ -837,9 +836,10 @@ def test_long_walk_equals_cold_flows(net):
     # at terminals included); every row against one cold flow
     cold = tuple(min_separating_cut(net, bp) for bp in enumerate_bipartitions(net.k))
     assert terminal_cuts(net).cuts == cold
-    values, cut, side = _walk(net)
+    values, side = _walk(net)
     assert values == [c.value * net.cost_denominator for c in cold]
-    assert [frozenset(np.flatnonzero(row).tolist()) for row in cut] == [c.cutset for c in cold]
+    # each row's cut is the cut of its side
+    assert [_cutset(net, row) for row in side] == [c.cutset for c in cold]
     assert [frozenset(np.flatnonzero(row).tolist()) for row in side] == [c.side for c in cold]
 
 
