@@ -9,7 +9,7 @@ terminal cut values.  All cut arithmetic is exact rational.
 """
 
 from .errors import MimicknetError
-from .incidence import IncidenceMatrix, build_incidence, perturb, rank
+from .incidence import IncidenceMatrix, build_incidence, perturb
 from .mimick import build_by_contraction, build_by_signature, verify, verify_generalized
 from .mincut import (
     CutResult,
@@ -68,7 +68,6 @@ __all__ = [
     "perturb",
     "preprocess",
     "query",
-    "rank",
     "storage_report",
     "uniqueness_by_flow",
     "verify",

@@ -15,9 +15,9 @@ and one number to a running offset (``b``'s step minus twice its cost to
 each set high neighbour), so each move is a single in-place vector add.
 :func:`minimum` reduces each block as it is made, so the oracle never
 holds all 2**p values; :func:`cut_values` writes the blocks into one
-natural-order array.  The kernel runs on int64 when the scaled costs fit
-(:func:`fits_int64`) and on Python integers (``dtype=object``) otherwise,
-by the same code.
+natural-order array.  The kernel runs on int64 when the scaled costs sum
+below ``INT64_SAFE_LIMIT`` and on Python integers (``dtype=object``)
+otherwise, by the same code.
 """
 
 from __future__ import annotations
@@ -34,10 +34,6 @@ BLOCK_BITS = 14
 
 # One kernel; the name stays for run metadata that records it.
 kernel_backend = "numpy"
-
-
-def fits_int64(total_scaled_cost: int) -> bool:
-    return total_scaled_cost < INT64_SAFE_LIMIT
 
 
 def blocks(n_masks: int, base: int, one_bit, one_flip, one_cost, two_a, two_b, two_cost) -> Iterator[tuple[int, np.ndarray, int]]:
@@ -77,7 +73,7 @@ def blocks(n_masks: int, base: int, one_bit, one_flip, one_cost, two_a, two_b, t
     # The first block (high part 0) by prefix doubling over the low bits.
     # An entry only ever holds its final value, in [0, total], plus twice
     # the cost to lower neighbours not yet subtracted: below 2 * total.
-    dtype = np.int64 if fits_int64(total) else object
+    dtype = np.int64 if total < INT64_SAFE_LIMIT else object
     block = np.empty(1 << low, dtype=dtype)
     block[0] = v0
     for j in range(low):

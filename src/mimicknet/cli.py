@@ -13,7 +13,9 @@ invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import random
 import sys
 
@@ -71,12 +73,31 @@ class _Records:
                 fh.write(json.dumps({**self.header, **row}) + "\n")
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _emit(*outputs: tuple[str, str | None]) -> None:
+    """Write each ``(text, path)``, a path of None to stdout.  No output
+    lands unless every file can be written: each is written to a temporary
+    file beside its target, and all are moved into place after the last
+    write succeeds."""
+    staged: list[tuple[str, str]] = []
+    try:
+        for text, path in outputs:
+            if not path:
+                continue
+            staged.append((f"{path}.{os.getpid()}.tmp", path))
+            try:
+                if os.path.isdir(path):
+                    raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+                with open(staged[-1][0], "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise OSError(exc.errno, exc.strerror, path) from None
+        for tmp, path in staged:
+            os.replace(tmp, path)
+    finally:
+        for tmp, _ in staged:
+            if os.path.exists(tmp):
+                os.remove(tmp)
+    sys.stdout.write("".join(text for text, path in outputs if not path))
 
 
 # --- gen ---------------------------------------------------------------------
@@ -99,7 +120,7 @@ def _cmd_gen(args) -> int:
         text = serialize_network(
             net, emb, comment=f"random planar n={args.n} k={args.k} seed={args.seed}"
         )
-    _emit(text, args.out)
+    _emit((text, args.out))
     return EXIT_OK
 
 
@@ -112,11 +133,11 @@ def _cmd_compress(args) -> int:
     result = build(net)
     report = verify_cuts(result.cuts, result.network)
     comment = f"mimicking network ({result.construction}) of {args.input}"
-    _emit(serialize_network(result.network, None, comment=comment), args.out)
+    outputs = [(serialize_network(result.network, None, comment=comment), args.out)]
     if args.map_out:
-        with open(args.map_out, "w", encoding="utf-8") as fh:
-            for cid, members in enumerate(result.contraction_map.classes):
-                fh.write(f"class {cid} " + " ".join(str(v) for v in members) + "\n")
+        classes = enumerate(result.contraction_map.classes)
+        outputs.append(("".join(f"class {cid} " + " ".join(map(str, vs)) + "\n" for cid, vs in classes), args.map_out))
+    _emit(*outputs)
     s = result.stats
     print(
         f"compress: {net.n} -> {s.vertices} vertices, {net.m} -> {s.edges} edges, "
@@ -239,7 +260,7 @@ def _experiment_bounds(args, rec: _Records) -> bool:
             f"cc={cc} meeting={meeting}",
             rep.ok,
         )
-    faces = faces_of_subgraph(dual.embedding, result.cut_union)
+    faces = faces_of_subgraph(dual.embedding, result.cuts.union)
     size_ok = result.stats.class_count == faces
     ok &= size_ok
     rec.add(

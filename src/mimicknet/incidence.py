@@ -1,11 +1,12 @@
-"""Cutset-edge incidence matrix, exact rank, and cost perturbation.
+"""Exact rank of the cutset-edge incidence matrix, and cost perturbation.
 
-Row ``i`` of the matrix marks the edges of the canonical minimum cut of the
-``i``-th bipartition (canonical enumeration order); the companion value
-vector holds the exact cut values, and ``A . c = values`` is the table's
-certificate (``TerminalCuts.certify``).  The exact rank comes from a
-modular elimination whose answer is certified over the integers (see
-``_pivot_columns``).
+The incidence matrix is ``TerminalCuts.cut_matrix``: row ``i`` marks the
+edges of the canonical minimum cut of the ``i``-th bipartition (canonical
+enumeration order), the table's values are the companion vector, and
+``A . c = values`` is the table's certificate (``TerminalCuts.certify``).
+:func:`build_incidence` is a uint8 view of that table.  The exact rank
+comes from a modular elimination whose answer is certified over the
+integers (see ``_pivot_columns``); it takes the bool matrix as it is.
 """
 
 from __future__ import annotations
@@ -43,29 +44,17 @@ class IncidenceMatrix:
     def cols(self) -> int:
         return self.bits.shape[1]
 
-    def same_bits(self, other: "IncidenceMatrix") -> bool:
-        return self.bits.shape == other.bits.shape and bool(np.array_equal(self.bits, other.bits))
-
 
 def build_incidence(net: Network) -> IncidenceMatrix:
-    """Incidence matrix and value vector from canonical minimum cuts.
-    ``terminal_cuts`` has certified ``A . c = values`` exactly on the
-    read-only table this views."""
-    return _matrix(terminal_cuts(net))
-
-
-def _matrix(cuts: TerminalCuts) -> IncidenceMatrix:
+    """A view of ``terminal_cuts(net)``: its cut matrix as uint8, and its
+    values.  The table has certified ``A . c = values`` exactly."""
+    cuts = terminal_cuts(net)
     return IncidenceMatrix(cuts.k, cuts.cut_matrix.view(np.uint8), cuts.values)
 
 
 def integer_rank(rows: Sequence[Sequence[int]]) -> int:
     """Exact rank of an integer matrix (certified modular elimination)."""
     return len(_pivot_columns(rows))
-
-
-def rank(mat: IncidenceMatrix) -> int:
-    """Exact rank of the incidence matrix over the rationals."""
-    return integer_rank(mat.bits)
 
 
 # --- certified modular elimination -------------------------------------------
@@ -238,8 +227,8 @@ def _pivot_columns(rows: Sequence[Sequence[int]]) -> list[int]:
 
 @dataclass(frozen=True)
 class PerturbedNetwork:
-    """A validated perturbation; ``matrix`` is the perturbed network's
-    incidence matrix, whose bits equal the base network's."""
+    """A validated perturbation; ``cuts`` is the perturbed network's
+    terminal-cut table, whose cut matrix equals the base network's."""
 
     base: Network
     network: Network
@@ -247,7 +236,7 @@ class PerturbedNetwork:
     seed: int
     gap: Fraction | None
     per_edge_bound: Fraction
-    matrix: IncidenceMatrix
+    cuts: TerminalCuts
 
 
 def _per_edge_bound(delta: Fraction | None, m: int) -> Fraction:
@@ -288,12 +277,12 @@ def perturb(
     if delta is not None and delta == 0:
         raise NonUniqueCutsError("minimum terminal cuts are not unique (gap 0)")
     bound = _per_edge_bound(delta, net.m)
-    base_mat = _matrix(_table(core))
+    base_cut = _table(core).cut_matrix
     rng = random.Random(seed)
     for _ in range(MAX_RETRIES):
         w = tuple(bound * rng.randrange(resolution) / resolution for _ in range(net.m))
         perturbed = net.with_costs([e.cost + we for e, we in zip(net.edges, w)])
-        mat = _matrix(_table(mincut._Reduced(perturbed, core.shape)))
-        if mat.same_bits(base_mat):
-            return PerturbedNetwork(net, perturbed, w, seed, delta, bound, mat)
+        cuts = _table(mincut._Reduced(perturbed, core.shape))
+        if np.array_equal(cuts.cut_matrix, base_cut):
+            return PerturbedNetwork(net, perturbed, w, seed, delta, bound, cuts)
     raise PerturbationFailedError(f"validation failed after {MAX_RETRIES} resamples")

@@ -39,7 +39,8 @@ import numpy as np
 
 from . import mincut
 from .errors import InvalidParameterError
-from .incidence import _pivot_columns, build_incidence, rank
+from .incidence import _pivot_columns, integer_rank
+from .mimick import terminal_cuts
 from .mincut import min_cut_and_uniqueness, oracle_enumeration
 from .network import Bipartition, Network, enumerate_bipartitions
 from .planar import PlaneEmbedding
@@ -122,7 +123,7 @@ def verify_bipartite_lemma(
     if spot_check is not None and spot_check < 1:
         raise InvalidParameterError(f"spot-check size must be >= 1, got {spot_check}")
     net = fam.network
-    core = _family_core(net)
+    core = mincut._satellite_core(net)
     indices = list(range(fam.l))
     if spot_check is not None and spot_check < fam.l:
         indices = sorted(random.Random(seed).sample(indices, spot_check))
@@ -147,15 +148,6 @@ def verify_bipartite_lemma(
             side_ok = np.array_equal(on != (0 in subset), sat_vertex == fam.u_vertex(i))
             records.append(BipartiteCutRecord(subset, Fraction(value, core.den), side_ok, delta != 0, bool(ineq[pos])))
     return BipartiteLemmaReport(fam.k, tuple(records))
-
-
-def _family_core(net: Network) -> mincut._Reduced:
-    """``net``'s satellite core (:func:`mincut._satellite_core`), or
-    ``InvalidParameterError`` for a network of another shape."""
-    core = mincut._satellite_core(net)
-    if core is None:
-        raise InvalidParameterError("the bipartite family's network must hold only terminals and satellites")
-    return core
 
 
 # --- grid family ------------------------------------------------------------
@@ -344,8 +336,8 @@ def verify_rank_bounds(fam: BipartiteFamily | GridFamily) -> RankReport:
     """Exact incidence rank against the family's lower bound; for grids the
     (k-1)^2 staircase-rows x interior-horizontal-columns submatrix is also
     verified entrywise to be lower triangular with unit diagonal."""
-    mat = build_incidence(fam.network)
-    r = rank(mat)
+    cut = terminal_cuts(fam.network).cut_matrix
+    r = integer_rank(cut)
     if isinstance(fam, BipartiteFamily):
         return RankReport("bipartite", fam.k, r, fam.l, r >= fam.l, None)
     bound = (fam.k - 1) ** 2
@@ -359,7 +351,7 @@ def verify_rank_bounds(fam: BipartiteFamily | GridFamily) -> RankReport:
     # exactly when jc == j and ic <= i: blocks eye(side) on and below the
     # block diagonal, a lower triangle with a unit diagonal
     expected = np.kron(np.tril(np.ones((side, side))), np.eye(side))
-    sub_ok = np.array_equal(mat.bits[rows][:, : side * side], expected)
+    sub_ok = np.array_equal(cut[rows][:, : side * side], expected)
     return RankReport("grid", fam.k, r, bound, r >= bound, sub_ok)
 
 
@@ -386,12 +378,6 @@ class CollisionReport:
         return not self.collisions and self.subset_rows_stable and self.total_mass_below_gap
 
 
-def _independent_columns(bits: np.ndarray, count: int) -> list[int]:
-    """The first ``count`` columns of a 0/1 matrix, left to right, that
-    are independent on its rows."""
-    return _pivot_columns(bits)[:count]
-
-
 def tc_collision_family(fam: BipartiteFamily, sample_count: int, seed: int) -> CollisionReport:
     """Sample pairs of two-valued cost functions supported on independent
     incidence columns and check that every pair is distinguished by some
@@ -415,14 +401,14 @@ def tc_collision_family(fam: BipartiteFamily, sample_count: int, seed: int) -> C
     if sample_count < 1:
         raise InvalidParameterError(f"sample count must be >= 1, got {sample_count}")
     net = fam.network
-    core = _family_core(net)
+    core = mincut._satellite_core(net)
     link_eid = core.shape.link_eid
     masks = [bp.mask for bp in enumerate_bipartitions(fam.k)]
     subset_rows = [Bipartition.from_indices(fam.k, s).row_index for s in fam.subsets]
     subset_cut = np.zeros((fam.l, net.m), dtype=bool)
     for part in core.satellite_rows([masks[row] for row in subset_rows]):
         subset_cut[part.lo : part.lo + len(part.values), link_eid] = part.cut
-    columns = _independent_columns(subset_cut, fam.l)
+    columns = _pivot_columns(subset_cut)[: fam.l]
     if len(columns) < fam.l:
         raise InvalidParameterError("could not find enough independent columns")
     first_l = columns == list(range(fam.l))

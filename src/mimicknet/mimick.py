@@ -174,10 +174,6 @@ class MimickingResult:
     stats: MimickingStats
     cuts: TerminalCuts  # of the input network
 
-    @property
-    def cut_union(self) -> frozenset[int]:
-        return self.cuts.union
-
 
 def _size_bound(k: int) -> int:
     # telemetry only: constant-1 version of the k^2 * 4^k face bound

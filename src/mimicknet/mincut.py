@@ -837,10 +837,13 @@ def _oracle_gap(net: Network, bp: Bipartition) -> GapReport:
     return GapReport(res.second_value - res.value, res.second_value, True)
 
 
-def _satellite_core(net: Network) -> _Reduced | None:
-    """``net``'s reduced core when :func:`_satellite_only`, else None."""
+def _satellite_core(net: Network) -> _Reduced:
+    """``net``'s reduced core when :func:`_satellite_only`, else
+    ``InvalidParameterError``."""
     core = _reduce(net)
-    return core if _satellite_only(core) else None
+    if not _satellite_only(core):
+        raise InvalidParameterError("the network must hold only terminals and satellites")
+    return core
 
 
 def _satellite_only(core: _Reduced) -> bool:

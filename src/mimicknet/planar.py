@@ -110,7 +110,6 @@ class DualGraph:
     primal: PlaneEmbedding
     dual: Network
     embedding: PlaneEmbedding
-    face_of_dart: tuple[int, ...]
 
 
 def build_dual(emb: PlaneEmbedding) -> DualGraph:
@@ -123,7 +122,7 @@ def build_dual(emb: PlaneEmbedding) -> DualGraph:
     if not dual_rotations:
         dual_rotations = [()]
     dual_emb = PlaneEmbedding(dual_net, dual_rotations)
-    return DualGraph(emb, dual_net, dual_emb, face_of)
+    return DualGraph(emb, dual_net, dual_emb)
 
 
 def _subembedding(emb: PlaneEmbedding, edge_subset: Iterable[int]) -> PlaneEmbedding:

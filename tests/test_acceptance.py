@@ -10,10 +10,11 @@ import random
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from mimicknet.errors import NonUniqueCutsError
-from mimicknet.incidence import build_incidence, perturb
+from mimicknet.incidence import perturb
 from mimicknet.lowerbound import (
     gen_bipartite,
     gen_grid,
@@ -25,6 +26,7 @@ from mimicknet.lowerbound import (
 from mimicknet.mimick import (
     build_by_contraction,
     build_by_signature,
+    terminal_cuts,
     verify,
     verify_generalized,
 )
@@ -52,7 +54,7 @@ def test_c01_contraction_mimicking_correctness(campaign):
         result = build_by_contraction(net)
         assert verify(net, result.network).all_equal, f"cut value drift on {net}"
         # minor witness: every class is connected once the cut union is removed
-        comps = connected_components(net, result.cut_union)
+        comps = connected_components(net, result.cuts.union)
         assert set(result.contraction_map.classes) == {
             tuple(sorted(c)) for c in comps
         }
@@ -100,8 +102,8 @@ def test_c04_structural_bounds(campaign):
             assert rep.ok, f"instance {idx}: {rep}"
             pair_checks += 1
         result = build_by_contraction(net)
-        n_components = len(connected_components(net, result.cut_union))
-        n_faces = faces_of_subgraph(dual.embedding, result.cut_union)
+        n_components = len(connected_components(net, result.cuts.union))
+        n_faces = faces_of_subgraph(dual.embedding, result.cuts.union)
         assert result.network.n == n_components == n_faces
     _report("C4 structural bounds", t0, pair_checks=pair_checks)
 
@@ -146,13 +148,13 @@ def test_c08_perturbation_preserves_incidence(campaign):
     # 50-seed campaign there plus 50 seeds spread over positive-gap random
     # planar instances
     fam = gen_grid(3)
-    base = build_incidence(fam.network)
+    base = terminal_cuts(fam.network).cut_matrix
     delta = global_gap(fam.network)
     assert delta == Fraction(1, 81)
     for seed in range(50):
         pert = perturb(fam.network, seed=seed, delta=delta)
         assert all(0 <= w <= 1 / (delta * fam.network.m) for w in pert.w)
-        assert build_incidence(pert.network).same_bits(base)
+        assert np.array_equal(terminal_cuts(pert.network).cut_matrix, base)
 
     done = 0
     for net, _ in campaign:
@@ -162,7 +164,7 @@ def test_c08_perturbation_preserves_incidence(campaign):
         if d is None or d == 0:
             continue
         pert = perturb(net, seed=done, delta=d)
-        assert build_incidence(pert.network).same_bits(build_incidence(net))
+        assert np.array_equal(terminal_cuts(pert.network).cut_matrix, terminal_cuts(net).cut_matrix)
         done += 1
     assert done >= 25, f"too few unique-cut campaign instances ({done})"
 

@@ -78,6 +78,22 @@ class TestCompressVerify:
         assert net.n == 2 and net.edges[0].cost == 3
         assert sidecar.read_text().splitlines() == ["class 0 0", "class 1 1 2"]
 
+    @pytest.mark.parametrize(
+        "flag, target",
+        [("--map-out", "adir"), ("-o", "adir"), ("-o", "none/p.mim")],
+        ids=["map-out-directory", "out-directory", "out-missing-directory"],
+    )
+    def test_no_partial_output(self, tmp_path, path_file, capsys, flag, target):
+        # one target cannot be written: exit 2 with one error line naming
+        # it, and neither file lands, nor any temporary file
+        (tmp_path / "adir").mkdir()
+        paths = {"-o": tmp_path / "p.mim", "--map-out": tmp_path / "p.map", flag: tmp_path / target}
+        assert run("compress", path_file, *[x for pair in paths.items() for x in pair]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: [Errno ") and err[0].endswith(f"'{tmp_path / target}'")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "p.net"]
+        assert list((tmp_path / "adir").iterdir()) == []
+
     def test_verify_pass_and_fail(self, tmp_path, path_file):
         good = tmp_path / "good.net"
         good.write_text("p mimick 2 1 2\nt 0 1\ne 0 1 3/1\n")

@@ -17,10 +17,10 @@ from mimicknet.incidence import (
     build_incidence,
     integer_rank,
     perturb,
-    rank,
 )
 from mimicknet.lowerbound import gen_bipartite, gen_grid
 from mimicknet import incidence, mincut
+from mimicknet.mimick import terminal_cuts
 from mimicknet.mincut import global_gap
 from mimicknet.network import Network
 
@@ -77,24 +77,22 @@ class TestBuild:
 
 class TestRank:
     def test_star3_full_rank(self):
-        assert rank(build_incidence(STAR3)) == 3
+        assert integer_rank(terminal_cuts(STAR3).cut_matrix) == 3
 
     def test_bipartite_k6_at_least_15(self):
-        mat = build_incidence(gen_bipartite(6).network)
-        assert rank(mat) >= 15
+        assert integer_rank(terminal_cuts(gen_bipartite(6).network).cut_matrix) >= 15
 
     def test_grid_k4_at_least_9(self):
-        mat = build_incidence(gen_grid(4).network)
-        assert rank(mat) >= 9
+        assert integer_rank(terminal_cuts(gen_grid(4).network).cut_matrix) >= 9
 
     def test_row_permutation_invariant(self):
-        mat = build_incidence(gen_grid(3).network)
-        rows = mat.bits.tolist()
+        cut = terminal_cuts(gen_grid(3).network).cut_matrix
+        rows = cut.view(np.uint8).tolist()
         rng = random.Random(5)
         for _ in range(3):
             shuffled = rows[:]
             rng.shuffle(shuffled)
-            assert integer_rank(shuffled) == rank(mat)
+            assert integer_rank(shuffled) == integer_rank(cut)
 
     def test_integer_rank_known_matrices(self):
         assert integer_rank([[1, 0], [0, 1]]) == 2
@@ -260,15 +258,26 @@ class TestCertifiedRank:
         mat = build_incidence(fam.network)
         expected = bareiss_pivot_columns(mat.bits.tolist())
         assert _pivot_columns(mat.bits) == expected
-        assert rank(mat) == len(expected)
+        assert integer_rank(mat.bits) == len(expected)
+
+    @pytest.mark.parametrize("family, k", [("grid", 4), ("bipartite", 6)])
+    def test_pivots_alike_on_every_form(self, family, k):
+        # the bool cut matrix (verify_rank_bounds), its uint8 view
+        # (build_incidence) and its rows as Python lists give one answer
+        fam = gen_bipartite(k) if family == "bipartite" else gen_grid(k)
+        cut = terminal_cuts(fam.network).cut_matrix
+        expected = _pivot_columns(cut)
+        assert _pivot_columns(cut.view(np.uint8)) == expected
+        assert _pivot_columns(cut.tolist()) == expected
+        assert expected == bareiss_pivot_columns(cut.tolist())
 
     @pytest.mark.parametrize("seed", range(4))
     def test_perturbed_matrices(self, seed):
         net = gen_grid(3).network if seed == 3 else random_planar_network(10, 4, seed=500 + seed)[0]
         pert = perturb(net, seed=seed)
-        expected = bareiss_pivot_columns(pert.matrix.bits.tolist())
-        assert _pivot_columns(pert.matrix.bits) == expected
-        assert rank(pert.matrix) == len(expected)
+        expected = bareiss_pivot_columns(pert.cuts.cut_matrix.tolist())
+        assert _pivot_columns(pert.cuts.cut_matrix) == expected
+        assert integer_rank(pert.cuts.cut_matrix) == len(expected)
 
     def test_rank_certificate_mismatch_raises(self, monkeypatch):
         # a check that never passes must end in InternalError, not a rank
@@ -280,11 +289,11 @@ class TestCertifiedRank:
 class TestPerturb:
     def test_zero_perturbation_grid(self):
         fam = gen_grid(3)
-        base = build_incidence(fam.network)
+        base = terminal_cuts(fam.network)
         pert = perturb(fam.network, seed=1, resolution=1)
         assert all(w == 0 for w in pert.w)
-        after = build_incidence(pert.network)
-        assert after.same_bits(base) and after.values == base.values
+        after = terminal_cuts(pert.network)
+        assert np.array_equal(after.cut_matrix, base.cut_matrix) and after.values == base.values
 
     @pytest.mark.parametrize(
         "net",
@@ -301,16 +310,18 @@ class TestPerturb:
         pert = perturb(net, seed=2)
         monkeypatch.undo()
         assert built == [net]
-        mat = build_incidence(pert.network)
-        assert pert.matrix.same_bits(mat) and pert.matrix.values == mat.values
+        fresh = terminal_cuts(pert.network)
+        assert np.array_equal(pert.cuts.cut_matrix, fresh.cut_matrix) and pert.cuts.values == fresh.values
+        assert pert.cuts == fresh
 
     def test_path_cut_row_stays(self):
         net = Network(3, [(0, 1, 3), (1, 2, 5)], [0, 2])
         for seed in range(5):
             pert = perturb(net, seed=seed)
-            mat = build_incidence(pert.network)
-            assert mat.bits.tolist() == [[1, 0]]
-            assert pert.matrix.same_bits(mat) and pert.matrix.values == mat.values
+            fresh = terminal_cuts(pert.network)
+            assert fresh.cut_matrix.tolist() == [[1, 0]]
+            assert np.array_equal(pert.cuts.cut_matrix, fresh.cut_matrix) and pert.cuts.values == fresh.values
+            assert pert.cuts == fresh
 
     def test_deterministic_given_seed(self):
         net = Network(3, [(0, 1, 3), (1, 2, 5)], [0, 2])
@@ -348,16 +359,16 @@ class TestRankBoundExperiment:
     # value of the perturbed instance has at least rank(A) edges
     def test_single_edge(self):
         pert = perturb(Network(2, [(0, 1, 5)], [0, 1]), seed=2)
-        assert rank(pert.matrix) == 1
+        assert integer_rank(pert.cuts.cut_matrix) == 1
 
     def test_grid3(self):
-        assert rank(perturb(gen_grid(3).network, seed=2).matrix) >= 4
+        assert integer_rank(perturb(gen_grid(3).network, seed=2).cuts.cut_matrix) >= 4
 
     def test_weighted_star(self):
         # costs 1,2,4,8: all cuts unique; the cost-8 edge never enters a
         # minimum cutset (the other three sum to 7), so the rank is 3
         net = Network(5, [(0, 4, 1), (1, 4, 2), (2, 4, 4), (3, 4, 8)], [0, 1, 2, 3])
-        assert rank(perturb(net, seed=6).matrix) == 3
+        assert integer_rank(perturb(net, seed=6).cuts.cut_matrix) == 3
 
     def test_unit_star_refused_nonunique(self):
         net, _ = star_network(4)  # pair splits tie at 2 vs 2
@@ -370,7 +381,7 @@ class TestRankBoundExperiment:
         # star reduces to a core with no arcs, where no flow runs)
         edges = [(i, 5 + i, 1) for i in range(5)] + [(5 + i, 10, 2) for i in range(5)]
         pert = perturb(Network(11, edges, range(5)), seed=0)
-        assert rank(pert.matrix) == 5 and len(pert.matrix.values) == 15
+        assert integer_rank(pert.cuts.cut_matrix) == 5 and len(pert.cuts.values) == 15
         assert len(solved) == 30
         # one residual network per table
         assert len(set(map(id, solved))) == 2

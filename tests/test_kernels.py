@@ -108,8 +108,9 @@ def test_no_nonterminals_single_mask():
 
 
 def test_int64_guard_threshold():
-    assert _kernels.fits_int64(2**61)
-    assert not _kernels.fits_int64(2**62)
+    # a network with no non-terminal: the total is the base alone
+    for total, dtype in [(2**62 - 1, np.int64), (2**62, object)]:
+        assert next(_kernels.blocks(1, total, [], [], [], [], [], []))[1].dtype == dtype
 
 
 def check_against_full_array(args):

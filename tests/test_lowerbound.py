@@ -18,7 +18,7 @@ from mimicknet.lowerbound import (
     verify_grid_lemma,
     verify_rank_bounds,
 )
-from mimicknet.incidence import IncidenceMatrix, _pivot_columns, build_incidence
+from mimicknet.incidence import _pivot_columns, build_incidence
 from mimicknet.mimick import terminal_cuts
 from mimicknet.mincut import gaps, global_gap, min_cut_and_uniqueness, min_separating_cut
 from mimicknet.network import Bipartition, Network, enumerate_bipartitions
@@ -276,12 +276,12 @@ class TestRankBounds:
     @pytest.mark.parametrize("ic", [1, 2, 3])  # below, on and above the diagonal
     def test_flipped_staircase_entry_fails(self, monkeypatch, ic):
         fam = gen_grid(4)
-        mat = build_incidence(fam.network)
-        bits = mat.bits.copy()
+        cuts = terminal_cuts(fam.network)
+        cut = cuts.cut_matrix.copy()
         row = Bipartition.from_mask(8, fam.subset_mask(2, 3)).row_index
-        bits[row, fam.horizontal_edge_id(ic, 3)] ^= 1
-        flipped = IncidenceMatrix(mat.k, bits, mat.values)
-        monkeypatch.setattr(lowerbound, "build_incidence", lambda net: flipped)
+        cut[row, fam.horizontal_edge_id(ic, 3)] ^= True
+        flipped = dataclasses.replace(cuts, cut_matrix=cut)
+        monkeypatch.setattr(lowerbound, "terminal_cuts", lambda net: flipped)
         rep = verify_rank_bounds(fam)
         assert rep.submatrix_ok is False and not rep.ok
 
@@ -503,7 +503,7 @@ class TestIndependentColumns:
         mat = build_incidence(fam.network)
         rows = [Bipartition.from_indices(fam.k, s).row_index for s in fam.subsets]
         expected = _greedy_columns(mat.bits, rows, fam.l)
-        assert lowerbound._independent_columns(mat.bits[rows], fam.l) == expected
+        assert _pivot_columns(mat.bits[rows])[: fam.l] == expected
         assert len(expected) == fam.l
 
     @pytest.mark.parametrize("seed", range(40))
@@ -516,4 +516,4 @@ class TestIndependentColumns:
         )
         rows = sorted(rng.sample(range(n_rows), rng.randint(1, n_rows)))
         count = rng.randint(1, n_cols)
-        assert lowerbound._independent_columns(bits[rows], count) == _greedy_columns(bits, rows, count)
+        assert _pivot_columns(bits[rows])[:count] == _greedy_columns(bits, rows, count)

@@ -336,13 +336,13 @@ class TestContractionBuild:
         net, _ = random_planar_network(15, 4, seed=800 + seed)
         res = build_by_contraction(net)
         assert verify(net, res.network).all_equal
-        comps = connected_components(net, res.cut_union)
+        comps = connected_components(net, res.cuts.union)
         assert set(res.contraction_map.classes) == set(tuple(sorted(c)) for c in comps)
 
     def test_size_accounting(self):
         net, _ = random_planar_network(18, 3, seed=42)
         res = build_by_contraction(net)
-        assert res.network.n == len(connected_components(net, res.cut_union))
+        assert res.network.n == len(connected_components(net, res.cuts.union))
         assert res.stats.class_count == res.network.n
 
     def test_disconnected_drops_terminal_free_component(self):

@@ -381,7 +381,8 @@ class TestClosedGaps:
     @pytest.mark.parametrize("name", DECLINED)
     def test_declined_networks_take_the_oracle(self, name):
         net = DECLINED[name]
-        assert _satellite_core(net) is None
+        with pytest.raises(InvalidParameterError):
+            _satellite_core(net)
         want = oracle_gaps(net)
         assert [gap(net, bp) for bp in enumerate_bipartitions(net.k)] == want
         assert list(gaps(net, enumerate_bipartitions(net.k))) == want

@@ -174,7 +174,7 @@ class TestQuotient:
         # union, against one search of the network each
         net, _ = random_planar_network(k + more, k, seed)
         result = build_by_contraction(net)
-        cut, union = result.cuts.cut_matrix, sorted(result.cut_union)
+        cut, union = result.cuts.cut_matrix, sorted(result.cuts.union)
         q = Quotient(net, result.contraction_map)
         rows = [set(np.flatnonzero(row).tolist()) for row in cut]
         pairs = [rows[rng.randrange(len(rows))] | rows[rng.randrange(len(rows))] for _ in range(10)]
