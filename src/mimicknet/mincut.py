@@ -22,11 +22,13 @@ shape serves any costs on those ends (:class:`_Reduced`).
 
 Oracle route: exhaustive sweep over all side assignments of the
 non-terminal vertices (capacity ``n - k <= 22``) by the blocked kernel in
-:mod:`mimicknet._kernels`, on int64 when the scaled costs fit and on
-Python integers otherwise.  Each cache-sized block is reduced as it is
-made to the running minimum, its masks and the second distinct value, so
-no array of all 2**p values is built; cutsets are read only for the
-minimizing masks.
+:mod:`mimicknet._kernels`, on int64 limbs: one limb when the scaled
+costs sum below 2**62, else B-bit digits with exact carries, so costs of
+any size run on the same kernel.  Isolated non-terminals take no bit.
+Each cache-sized block is reduced as it is made to the running minimum,
+its masks and the second distinct value, so no array of all 2**p values
+is built; cutsets are read only for the minimizing masks, and each one's
+cost is checked against the minimum.
 
 Satellite rows: with the terminals placed, a satellite (a non-terminal
 whose neighbours are all terminals) picks its side alone, so its share
@@ -742,13 +744,13 @@ class OracleResult:
 
 
 def _edge_tables(net: Network, bp: Bipartition):
-    """Split edges by how their crossing state depends on the mask."""
-    nonterms = [v for v in range(net.n) if v not in set(net.terminals)]
-    bit_of = {v: i for i, v in enumerate(nonterms)}
-    term_side = {}
+    """Split edges by how their crossing state depends on the mask.  Only
+    the non-terminals with an edge other than a self-loop get a bit: an
+    isolated one never changes a cutset."""
     side = set(bp.side_indices())
-    for i, t in enumerate(net.terminals):
-        term_side[t] = 1 if i in side else 0
+    term_side = {t: 1 if i in side else 0 for i, t in enumerate(net.terminals)}
+    nonterms = [v for v in range(net.n) if v not in term_side]
+    bit_of = {v: i for i, v in enumerate(nonterms)}
     den = net.cost_denominator
     base = 0
     one_bit, one_flip, one_cost = [], [], []
@@ -770,10 +772,17 @@ def _edge_tables(net: Network, bp: Bipartition):
             one_bit.append(bit_of[free])
             one_flip.append(term)
             one_cost.append(c)
+    linked = {*one_bit, *two_a, *two_b}
+    if len(linked) < len(nonterms):
+        keep = sorted(linked)
+        renumber = {b: i for i, b in enumerate(keep)}
+        nonterms = [nonterms[b] for b in keep]
+        one_bit, two_a, two_b = ([renumber[b] for b in bits] for bits in (one_bit, two_a, two_b))
     return nonterms, den, base, (one_bit, one_flip, one_cost), (two_a, two_b, two_cost)
 
 
 def _crossing_cutset(net: Network, bp: Bipartition, nonterms: Sequence[int], mask: int) -> frozenset[int]:
+    """The cutset of ``mask``; a vertex without a bit stays on side 0."""
     in_s = [False] * net.n
     for i, t in enumerate(net.terminals):
         in_s[t] = bool(bp.mask >> i & 1)
@@ -783,17 +792,25 @@ def _crossing_cutset(net: Network, bp: Bipartition, nonterms: Sequence[int], mas
 
 
 def oracle_enumeration(net: Network, bp: Bipartition) -> OracleResult:
-    """Exhaustive sweep over all 2**(n-k) consistent vertex bipartitions."""
+    """Exhaustive sweep over all consistent vertex bipartitions: 2**(n-k),
+    less the isolated non-terminals, which stay on side 0.  Each distinct
+    minimum cutset's cost is re-read from the network's own costs, so a
+    kernel fault raises ``InternalError``."""
     if bp.k != net.k:
         raise InvalidParameterError(f"bipartition is for k={bp.k}, network has k={net.k}")
     p = net.n - net.k
     if p > ORACLE_CAPACITY:
         raise OracleCapacityError(f"n - k = {p} exceeds oracle capacity {ORACLE_CAPACITY}")
     nonterms, den, base, ones, twos = _edge_tables(net, bp)
-    vmin, masks, second = _kernels.minimum(1 << p, base, *ones, *twos)
+    vmin, masks, second = _kernels.minimum(1 << len(nonterms), base, *ones, *twos)
+    cutsets = frozenset(_crossing_cutset(net, bp, nonterms, m) for m in masks)
+    for cutset in cutsets:
+        cost = sum(map(net.scaled_costs.__getitem__, cutset))
+        if cost != vmin:
+            raise InternalError(f"oracle minimum {vmin} differs from its cutset's cost {cost}")
     return OracleResult(
         Fraction(vmin, den),
-        frozenset(_crossing_cutset(net, bp, nonterms, m) for m in masks),
+        cutsets,
         Fraction(second, den) if second is not None else None,
     )
 

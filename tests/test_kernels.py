@@ -9,12 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mimicknet import _kernels
-from mimicknet.errors import MimicknetError
+from mimicknet.errors import InternalError, MimicknetError
 from mimicknet.generate import random_planar_network
 from mimicknet.incidence import perturb
 from mimicknet.lowerbound import gen_bipartite, gen_grid
 from mimicknet.mincut import _edge_tables, oracle_enumeration
-from mimicknet.network import enumerate_bipartitions
+from mimicknet.network import Network, enumerate_bipartitions
 
 
 def brute_force(net, bp):
@@ -109,8 +109,34 @@ def test_no_nonterminals_single_mask():
 
 def test_int64_guard_threshold():
     # a network with no non-terminal: the total is the base alone
-    for total, dtype in [(2**62 - 1, np.int64), (2**62, object)]:
-        assert next(_kernels.blocks(1, total, [], [], [], [], [], []))[1].dtype == dtype
+    for total, limbs in [(2**62 - 1, 1), (2**62, 2)]:
+        assert len(_kernels.split(total, [], [])[1]) == limbs
+        assert _kernels.minimum(1, total, [], [], [], [], [], []) == (total, [0], None)
+    # the kernel itself takes one limb only
+    with pytest.raises(OverflowError):
+        next(_kernels.blocks(1, 2**62, [], [], [], [], [], []))
+
+
+def test_kernel_fault_raises(monkeypatch):
+    """A minimum that lost its top limb's share is not the cost of its
+    cutsets: the oracle's certificate fires."""
+    net = _overflowing_instance()
+    bp = enumerate_bipartitions(net.k)[0]
+    compose = _kernels._compose
+    monkeypatch.setattr(_kernels, "_compose", lambda digits, bits: compose(digits[1:], bits))
+    with pytest.raises(InternalError):
+        oracle_enumeration(net, bp)
+
+
+def test_isolated_nonterminals_leave_the_sweep():
+    path = [(0, 2, 1), (2, 3, 2), (3, 1, 1)]
+    bp = enumerate_bipartitions(2)[0]
+    alone = oracle_enumeration(Network(4, path, [0, 1]), bp)
+    # 18 isolated non-terminals, one with a self-loop: n - k = 20
+    net = Network(22, [*path, (5, 5, 2)], [0, 1])
+    with mock.patch.object(_kernels, "minimum", wraps=_kernels.minimum) as kernel:
+        assert oracle_enumeration(net, bp) == alone
+    assert kernel.call_args.args[0] == 4
 
 
 def check_against_full_array(args):
@@ -129,13 +155,33 @@ def columns(rows):
     return [list(col) for col in zip(*rows)] if rows else [[], [], []]
 
 
+# Cost scales, given the kernel's digit width B: one int64 limb, two
+# limbs (2**61, named by its value), 2**B - 1 (every digit sum carries
+# once the total takes two limbs), 2**2B - 1 (always three limbs, a carry
+# out of every entry) and four limbs or more.
+SCALES = {
+    "1": lambda bits: 1,
+    str(1 << 61): lambda bits: 1 << 61,
+    "2^B-1": lambda bits: (1 << bits) - 1,
+    "2^2B-1": lambda bits: (1 << 2 * bits) - 1,
+    "2^200": lambda bits: 1 << 200,
+}
+
+
+def scaled_table(p, base, ones, twos, scale):
+    """Kernel arguments with the base and every cost times ``scale(B)``."""
+    s = scale(_kernels.limb_bits(1 + len(ones) + len(twos)))
+    ones = [(bit, flip, cost * s) for bit, flip, cost in ones]
+    twos = [(a, b, cost * s) for a, b, cost in twos]
+    return s, (1 << p, base * s, *columns(ones), *columns(twos))
+
+
 @st.composite
 def edge_tables(draw):
     """Kernel arguments for p <= 9 non-terminals: small costs, so ties and
-    isolated bits are common, scaled past the int64 limit half the time."""
+    isolated bits are common, at every scale of ``SCALES``."""
     p = draw(st.integers(0, 9))
-    scale = draw(st.sampled_from([1, 1 << 61]))
-    cost = st.integers(1, 4).map(lambda c: c * scale)
+    cost = st.integers(1, 4)
     ones, twos = [], []
     if p:
         bit = st.integers(0, p - 1)
@@ -143,7 +189,8 @@ def edge_tables(draw):
         if p > 1:
             pair = st.lists(bit, min_size=2, max_size=2, unique=True)
             twos = draw(st.lists(st.tuples(pair, cost).map(lambda t: (*t[0], t[1])), max_size=2 * p))
-    return (1 << p, draw(st.integers(0, 4)) * scale, *columns(ones), *columns(twos))
+    scale = SCALES[draw(st.sampled_from(sorted(SCALES)))]
+    return scaled_table(p, draw(st.integers(0, 4)), ones, twos, scale)[1]
 
 
 @settings(max_examples=150, deadline=None)
@@ -153,7 +200,7 @@ def test_blocked_kernel_matches_full_array(args, bits):
         check_against_full_array(args)
 
 
-@pytest.mark.parametrize("scale", [1, 1 << 61])
+@pytest.mark.parametrize("scale", SCALES.values(), ids=SCALES.keys())
 class TestBlockBoundaries:
     """Hand-made tables on p = 3 or 4 bits with two-bit blocks."""
 
@@ -163,11 +210,11 @@ class TestBlockBoundaries:
 
     @staticmethod
     def run(p, base, ones, twos, scale):
-        ones = [(bit, flip, cost * scale) for bit, flip, cost in ones]
-        twos = [(a, b, cost * scale) for a, b, cost in twos]
-        dtype, vmin, masks, second = check_against_full_array((1 << p, base * scale, *columns(ones), *columns(twos)))
-        assert dtype == (np.int64 if scale == 1 else object)
-        return vmin // scale, masks, second if second is None else second // scale
+        s, args = scaled_table(p, base, ones, twos, scale)
+        dtype, vmin, masks, second = check_against_full_array(args)
+        total = args[1] + sum(args[4]) + sum(args[7])
+        assert dtype == (np.int64 if total < _kernels.INT64_SAFE_LIMIT else object)
+        return vmin // s, masks, second if second is None else second // s
 
     def test_ties_in_every_block(self, scale):
         # bits 2 and 3 touch no edge, so each block repeats the first
@@ -183,6 +230,41 @@ class TestBlockBoundaries:
 
     def test_no_second_value(self, scale):
         assert self.run(3, 4, [], [], scale) == (4, list(range(8)), None)
+
+
+class TestLimbBoundaries:
+    """Values of three limbs or more that agree in every limb but the low
+    ones, on p = 4 bits with two-bit blocks."""
+
+    BIG = 1 << 200
+
+    @pytest.fixture(autouse=True)
+    def narrow_blocks(self, monkeypatch):
+        monkeypatch.setattr(_kernels, "BLOCK_BITS", 2)
+
+    def run(self, ones):
+        args = (16, 0, *columns(ones), [], [], [])
+        assert len(_kernels.split(0, args[4], args[7])[1]) >= 4
+        _, vmin, masks, second = check_against_full_array(args)
+        return vmin - 2 * self.BIG, masks, second - 2 * self.BIG
+
+    def test_tie_split_in_the_lowest_limb(self):
+        # bit 0 clear costs one less; bits 1 to 3 cost the same either way
+        big = self.BIG
+        ones = [(0, 0, big + 2), (0, 1, big + 1), (1, 0, big), (1, 1, big)]
+        assert self.run(ones) == (1, [0, 2, 4, 6, 8, 10, 12, 14], 2)
+
+    def test_second_value_one_carry_apart(self):
+        # the two choices of bit 0 differ by 1 across a limb boundary
+        low = 1 << _kernels.limb_bits(5)
+        ones = [(0, 0, self.BIG + low), (0, 1, self.BIG + low - 1), (2, 0, self.BIG), (2, 1, self.BIG)]
+        assert self.run(ones) == (low - 1, [0, 2, 4, 6, 8, 10, 12, 14], low)
+
+    def test_minimum_in_a_later_block_same_top(self):
+        # setting bit 3 saves 1 in the lowest limb; block 0 holds the second
+        big = self.BIG
+        ones = [(3, 0, big), (3, 1, big + 1), (0, 0, 1), (1, 1, 1), (2, 0, big), (2, 1, big)]
+        assert self.run(ones) == (0, [10, 14], 1)
 
 
 def test_blocked_kernel_on_families_at_module_width():
@@ -201,6 +283,29 @@ def test_blocked_kernel_on_families_at_module_width():
             _, _, masks, _ = check_against_full_array(kernel_args(net, bp))
             tied += len(masks) > 1
     assert tied
+
+
+def test_multi_limb_kernel_at_module_width():
+    """Tables of three limbs or more with p above ``BLOCK_BITS``: bipartite
+    k=6 (p = 15, tied minima) at costs times 2**2B - 1, and a perturbed
+    planar network with p = 16 whose minimum is unique."""
+    args = kernel_args(gen_bipartite(6).network, enumerate_bipartitions(6)[6])
+    s = (1 << 2 * _kernels.limb_bits(1 + len(args[4]) + len(args[7]))) - 1
+    scaled = (args[0], args[1] * s, *args[2:4], [c * s for c in args[4]], *args[5:7], [c * s for c in args[7]])
+    assert len(_kernels.split(scaled[1], scaled[4], scaled[7])[1]) >= 3
+    _, _, masks, _ = check_against_full_array(scaled)
+    assert len(masks) > 1
+    for seed in range(20):
+        try:
+            net = perturb(random_planar_network(20, 4, seed=seed)[0], seed, resolution=1 << 60).network
+            break
+        except MimicknetError:
+            continue
+    bp = enumerate_bipartitions(4)[2]
+    args = kernel_args(net, bp)
+    assert args[0] > 1 << _kernels.BLOCK_BITS
+    assert len(_kernels.split(args[1], args[4], args[7])[1]) >= 2
+    assert len(check_against_full_array(args)[2]) == 1
 
 
 def test_oracle_never_holds_all_values():
