@@ -20,11 +20,11 @@ experiment read the rows they need, values, sides, cuts and gaps, in
 closed form from the network's satellite core
 (:meth:`mincut._Reduced.satellite_rows`, certified row by row), with no
 terminal-cut table and no oracle: the lemma its subset rows alone, the
-collision experiment each perturbed copy as integer costs on that core,
-never as a :class:`Network`.  They run past the exhaustive oracle's
-capacity, and the lemma runs at k=15, where the full table's cut matrix
-alone would take 738 MB.  A network that is not terminals and satellites
-alone is refused.
+collision experiment every perturbed copy in one pass, each copy a row
+of integer costs in one stack on that core, never a :class:`Network`.
+They run past the exhaustive oracle's capacity, and the lemma runs at
+k=15, where the full table's cut matrix alone would take 738 MB.  A
+network that is not terminals and satellites alone is refused.
 """
 
 from __future__ import annotations
@@ -391,12 +391,15 @@ def tc_collision_family(fam: BipartiteFamily, sample_count: int, seed: int) -> C
     from the network's satellite core (:meth:`mincut._Reduced.satellite_rows`,
     certified row by row), with no table: the gaps (:func:`mincut.gaps`'
     closed form), the subset rows' cut, whose pivots are the columns, and
-    each copy's values and satellite sides.  A copy is the core's costs
-    over the family's one denominator with the step added at its columns,
-    so two copies hold the same values iff their integer values are equal.
-    With the ends fixed, two copies cut a row alike iff they put every
-    satellite on the same side of it, as each satellite has an edge.  A
-    network of another shape raises ``InvalidParameterError``.
+    the values and satellite sides of every copy.  A copy is the core's
+    costs over the family's one denominator with the step added at its
+    columns, so two copies hold the same values iff their integer values
+    are equal.  The base costs and each distinct sampled pattern's are one
+    copy each, stacked and read in one pass, each (copy, row) certified
+    once against that copy's own edge costs.  With the ends fixed, two
+    copies cut a row alike iff they put every satellite on the same side
+    of it, as each satellite has an edge.  A network of another shape
+    raises ``InvalidParameterError``.
     """
     if sample_count < 1:
         raise InvalidParameterError(f"sample count must be >= 1, got {sample_count}")
@@ -422,42 +425,50 @@ def tc_collision_family(fam: BipartiteFamily, sample_count: int, seed: int) -> C
 
     rng = random.Random(seed)
     space = 1 << fam.l
-
-    # every copy's scaled costs over one denominator: the base costs and
-    # the step are integers over it
-    den = math.lcm(net.cost_denominator, step.denominator)
-    base_costs = [c * (den // net.cost_denominator) for c in net.scaled_costs]
-    step_scaled = step.numerator * (den // step.denominator)
-
-    def read_all(graph: mincut._Reduced) -> tuple[tuple[int, ...], np.ndarray]:
-        """Every row's scaled value, and its satellites' sides."""
-        parts = list(graph.satellite_rows(masks))
-        return tuple([v for part in parts for v in part.values]), np.concatenate([part.on for part in parts])
-
-    base_on = read_all(core)[1]
-    base_subset_on = base_on[subset_rows]
-
-    def values_for(bits: int) -> tuple[tuple[int, ...], bool, bool]:
-        costs = base_costs.copy()
-        for pos, col in enumerate(columns):
-            if bits >> pos & 1:
-                costs[col] += step_scaled
-        values, on = read_all(mincut._Reduced(net, core.shape, costs, den))
-        return values, np.array_equal(on[subset_rows], base_subset_on), np.array_equal(on, base_on)
-
-    # one result per distinct sampled pattern
-    results: dict[int, tuple[tuple[int, ...], bool, bool]] = {}
-    collisions = []
+    pairs = []
     for _ in range(sample_count):
         a = rng.randrange(space)
         b = rng.randrange(space)
         while b == a:
             b = rng.randrange(space)
-        for bits in (a, b):
-            if bits not in results:
-                results[bits] = values_for(bits)
-        if results[a][0] == results[b][0]:
-            collisions.append((a, b))
+        pairs.append((a, b))
+
+    # one copy per distinct pattern, the base costs (pattern 0) first, as
+    # scaled costs over one denominator: the base costs and the step are
+    # integers over it, and a copy's costs sum to the base's plus one step
+    # per set bit.  Bit pos of a pattern adds the step at columns[pos].
+    den = math.lcm(net.cost_denominator, step.denominator)
+    base_costs = [c * (den // net.cost_denominator) for c in net.scaled_costs]
+    step_scaled = step.numerator * (den // step.denominator)
+    copy_of = {bits: i for i, bits in enumerate(dict.fromkeys([0, *(bits for pair in pairs for bits in pair)]))}
+    dtype = mincut._cost_dtype(sum(base_costs) + step_scaled * max(bits.bit_count() for bits in copy_of))
+    width = (fam.l + 7) // 8
+    patterns = np.frombuffer(b"".join(bits.to_bytes(width, "little") for bits in copy_of), dtype=np.uint8)
+    flags = np.unpackbits(patterns.reshape(len(copy_of), width), axis=1, count=fam.l, bitorder="little")
+    stack = np.tile(np.array(base_costs, dtype=dtype), (len(copy_of), 1))
+    stack[:, columns] += flags.astype(dtype) * step_scaled
+
+    # every copy's rows in one certified read, copy by copy, so the base
+    # copy's sides are known before any other copy's are compared to them
+    rows = len(masks)
+    in_subset = np.zeros(rows, dtype=bool)
+    in_subset[subset_rows] = True
+    base_on = np.zeros((rows, len(core.shape.satellites)), dtype=bool)
+    changed = np.zeros(len(stack), dtype=bool)
+    unstable = np.zeros(len(stack), dtype=bool)
+    # each copy's values, a row of the stack's dtype
+    values = np.empty((len(stack), rows), dtype=stack.dtype)
+    for part in core.satellite_rows(masks, stack):
+        entries = np.arange(part.lo, part.lo + len(part.values))
+        values.flat[entries] = part.values
+        copy, row = np.divmod(entries, rows)
+        base_on[row[copy == 0]] = part.on[copy == 0]
+        differs = (part.on != base_on[row]).any(axis=1)
+        changed[copy[differs]] = True
+        unstable[copy[differs & in_subset[row]]] = True
+    first, second = np.array([[copy_of[a], copy_of[b]] for a, b in pairs]).T
+    same = (values[first] == values[second]).all(axis=1)
+    collisions = [pair for pair, equal in zip(pairs, same) if equal]
     return CollisionReport(
         k=fam.k,
         l=fam.l,
@@ -469,6 +480,6 @@ def tc_collision_family(fam: BipartiteFamily, sample_count: int, seed: int) -> C
         total_mass_below_gap=mass_ok,
         pairs_checked=sample_count,
         collisions=tuple(collisions),
-        subset_rows_stable=all(stable for _, stable, _ in results.values()),
-        full_matrix_changes=sum(not full_equal for _, _, full_equal in results.values()),
+        subset_rows_stable=not unstable.any(),
+        full_matrix_changes=int(changed.sum()),
     )

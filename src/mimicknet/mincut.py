@@ -33,12 +33,15 @@ cost is checked against the minimum.
 Satellite rows: with the terminals placed, a satellite (a non-terminal
 whose neighbours are all terminals) picks its side alone, so its share
 of any row is in closed form.  One reader,
-:meth:`_Reduced.satellite_rows`, gives it for a list of row masks, a
-block at a time: the values, the terminals' and satellites' sides and
-the edges those sides cut, each block certified against the edges' own
-costs.  The closed-form gaps and the lower-bound experiments read it;
-the table's expansion takes the same sides from :meth:`_Reduced.split`
-and leaves the cut to the table.
+:meth:`_Reduced.satellite_rows`, gives it for a list of row masks, on
+the core's own costs or on every copy of a stack of other costs on the
+same ends, a block of (copy, row) entries at a time: the values, the
+terminals' and satellites' sides and the edges those sides cut, each
+block certified against each copy's own edge costs.  The closed-form
+gaps and the lower-bound experiments read it, the collision experiment
+all its sampled copies in one pass; the table's expansion takes the
+same sides from :meth:`_Reduced.split` and leaves the cut to the
+table.
 
 Gaps (:func:`gap`, :func:`gaps`, :func:`global_gap`) are in closed
 form, at any size, when every vertex is a terminal or a satellite of one
@@ -266,13 +269,15 @@ class _Shape:
 
 
 class _SatelliteRows(NamedTuple):
-    """One certified block of :meth:`_Reduced.satellite_rows`: its rows
-    are the given masks' from ``lo`` on.  ``src`` (rows x k) marks the
-    source-side terminals, ``on`` (rows x satellites) the satellites on
-    the source side, and ``cut`` (rows x links, the shape's ``link_eid``
-    order) the satellites' edges that the row cuts.  ``values`` is the
-    satellites' scaled share of each row's value, and ``deltas`` each
-    row's least |a - b| over the satellites (None with no satellite)."""
+    """One certified block of :meth:`_Reduced.satellite_rows`: its
+    entries are the reader's from ``lo`` on, one (copy, row mask) each,
+    so with one copy they are the given masks' rows.  ``src`` (entries x
+    k) marks the source-side terminals, ``on`` (entries x satellites) the
+    satellites on the source side, and ``cut`` (entries x links, the
+    shape's ``link_eid`` order) the satellites' edges that the entry
+    cuts.  ``values`` is the satellites' scaled share of each entry's
+    value, and ``deltas`` each entry's least |a - b| over the satellites
+    (None with no satellite)."""
 
     lo: int
     values: list[int]
@@ -287,27 +292,21 @@ class _Reduced:
     on, ``arcs()`` in the layout of :meth:`Network.arcs`.  A core edge's
     capacity is its bundle's summed scaled cost plus, for each chain on
     it, the chain's least link cost; ``sat_cost[s, i]`` is satellite s's
-    summed scaled cost to terminal index i, ``sat_total[s]`` its summed
-    scaled cost to all of them, and ``costs`` holds every input edge's
-    scaled cost, all in the dtype of :func:`_cost_array`.  The rest is
-    ``shape``'s.
+    summed scaled cost to terminal index i, and ``costs`` holds every
+    input edge's scaled cost, both in the dtype of :func:`_cost_array`.
+    The rest is ``shape``'s.
 
     With chains, each chain is cut at the first cheapest link counted
     from its source-side end: ``side_u`` marks, in the shape's
     ``inner_vertex`` order, the interiors between u and the first
     cheapest link from u, and ``side_w`` those between w and the first
-    cheapest link from w (None with no chain).
+    cheapest link from w (None with no chain)."""
 
-    ``scaled`` and ``den``, when given, stand for ``net``'s scaled costs
-    and denominator: the core of a network with ``net``'s ends and other
-    costs, which need not be built as a :class:`Network`."""
+    __slots__ = ("net", "shape", "n", "terminals", "den", "costs", "sat_cost", "_arcs", "side_u", "side_w")
 
-    __slots__ = ("net", "shape", "n", "terminals", "den", "costs", "sat_cost", "sat_total", "_arcs", "side_u", "side_w")
-
-    def __init__(self, net: Network, shape: _Shape, scaled: Sequence[int] | None = None, den: int | None = None):
+    def __init__(self, net: Network, shape: _Shape):
         self.net, self.shape, self.n, self.terminals = net, shape, shape.n, shape.terminals
-        self.den = net.cost_denominator if den is None else den
-        scaled = net.scaled_costs if scaled is None else scaled
+        self.den, scaled = net.cost_denominator, net.scaled_costs
         self.costs = costs = _cost_array(scaled)
         caps = np.zeros(len(shape.bundles), dtype=costs.dtype)
         np.add.at(caps, shape.edge_core, costs[shape.edge_cols])
@@ -328,52 +327,90 @@ class _Reduced:
             self.side_u, self.side_w = np.array(side_u), np.array(side_w)
         # an edge's two arcs carry its capacity
         self._arcs = (shape.head, tuple(caps.repeat(2).tolist()), shape.out)
-        self.sat_cost = np.zeros((len(shape.satellites), net.k), dtype=costs.dtype)
-        np.add.at(self.sat_cost, (shape.link_sat, shape.link_term), costs[shape.link_eid])
-        self.sat_total = self.sat_cost.sum(axis=1)
+        self.sat_cost = self._satellite_costs(costs[None])[0]
 
     def arcs(self):
         return self._arcs
 
-    def split(self, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def _satellite_costs(self, costs: np.ndarray) -> np.ndarray:
+        """For a copies x m stack of scaled edge costs: each copy's
+        ``sat_cost``, copies x satellites x k, in the stack's dtype."""
+        shape = self.shape
+        # the copies axis last, so that each link adds one column of copies
+        sat_cost = np.zeros((len(shape.satellites), len(self.terminals), len(costs)), dtype=costs.dtype)
+        np.add.at(sat_cost, (shape.link_sat, shape.link_term), costs[:, shape.link_eid].T)
+        return np.ascontiguousarray(sat_cost.transpose(2, 0, 1))
+
+    def split(self, masks: np.ndarray, sat_cost: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """For each row mask: a rows x k bool array of the source-side
-        terminals (bit clear, terminal 0's side); each satellite's scaled
-        cost a to them and b to the others, rows x satellites; and each
-        satellite's side, rows x satellites.  With the terminals placed, a
-        satellite's side is decided alone: it joins the source side iff
+        terminals (bit clear, terminal 0's side); and for each copy of the
+        satellites' costs (``sat_cost``, copies x satellites x k, as
+        :meth:`_satellite_costs` gives them), each satellite's scaled cost
+        a to those terminals less its cost b to the others, a - b, and its
+        side, each copies x rows x satellites.  With the terminals placed,
+        a satellite's side is decided alone: it joins the source side iff
         b < a, strictly, so the side stays inclusion-minimal, and it adds
-        min(a, b) to the row's value."""
+        min(a, b) = (a + b - |a - b|) / 2 to the row's value.  Every
+        partial sum of a - b is at most a + b in size, so it is exact in
+        the costs' dtype."""
         src = (masks[:, None] >> np.arange(len(self.terminals)) & 1) == 0
-        a = src.astype(self.sat_cost.dtype) @ self.sat_cost.T
-        b = self.sat_total - a
-        return src, a, b, b < a
+        diff = np.where(src, 1, -1).astype(sat_cost.dtype) @ sat_cost.transpose(0, 2, 1)
+        return src, diff, diff > 0
 
-    def satellite_rows(self, masks: Sequence[int]) -> Iterator[_SatelliteRows]:
+    def satellite_rows(self, masks: Sequence[int], costs: np.ndarray | None = None) -> Iterator[_SatelliteRows]:
         """The satellites' share of each row mask's canonical cut, in
-        closed form (:meth:`split`), a block of rows at a time: a
-        satellite's edges to the other side's terminals are cut.
+        closed form (:meth:`split`): a satellite's edges to the other
+        side's terminals are cut.  The rows are read on the core's own
+        costs, or on each copy of ``costs``: a copies x m stack of other
+        scaled costs on the same ends, over any one denominator, in the
+        dtype of :func:`_cost_dtype`.  Entry ``copy * len(masks) + row``
+        is that copy's row; the entries come in that order, a block at a
+        time, each block one copy's run of rows or a run of whole copies.
 
-        Each block is certified before it is yielded, from the edges' own
-        costs rather than the sums the sides were decided on: the edges
-        that the sides cut cost exactly each row's value, or
+        Each block is certified before it is yielded, from each copy's own
+        edge costs rather than the sums the sides were decided on: the
+        edges that the sides cut cost exactly each entry's value, or
         ``InternalError``."""
         shape = self.shape
         masks = np.asarray(masks, dtype=np.int64)
-        sats, link_costs = len(shape.satellites), self.costs[shape.link_eid]
-        block = max(1, _SATELLITE_BLOCK // max(len(shape.link_eid), len(shape.sat_vertex), len(self.terminals)))
-        for lo in range(0, len(masks), block):
-            src, a, b, on = self.split(masks[lo : lo + block])
-            values = np.minimum(a, b).sum(axis=1).tolist()
-            cut = on[:, shape.link_sat] != src[:, shape.link_term]
-            got = _cut_costs(cut, link_costs)
-            if got != values:
-                i, x, y = next((i, x, y) for i, (x, y) in enumerate(zip(got, values), lo) if x != y)
-                raise InternalError(
-                    f"row mask {masks[i]:#b} cuts satellite edges of cost {Fraction(x, self.den)}, "
-                    f"its satellites' share is {Fraction(y, self.den)}"
+        costs = self.costs[None] if costs is None else costs
+        rows, sats, links = len(masks), len(shape.satellites), len(shape.link_eid)
+        if not rows:
+            return
+        block = max(1, _SATELLITE_BLOCK // max(links, len(shape.sat_vertex), len(self.terminals)))
+        # a block of more than one copy holds each of them whole
+        step = min(rows, block)
+        per = block // step
+        for c in range(0, len(costs), per):
+            sat_cost, link_costs = self._satellite_costs(costs[c : c + per]), costs[c : c + per, shape.link_eid]
+            # each copy's a + b summed over the satellites: all their edges
+            total = link_costs.sum(axis=1)[:, None]
+            for lo in range(0, rows, step):
+                src, diff, on = self.split(masks[lo : lo + step], sat_cost)
+                copies, count = on.shape[:2]
+                # |a - b| is written over the difference, which is not kept
+                # while the cut is read
+                np.abs(diff, out=diff)
+                values = ((total - diff.sum(axis=2)) // 2).ravel().tolist()
+                deltas = diff.min(axis=2).ravel().tolist() if sats else [None] * len(values)
+                del diff
+                # an edge is cut iff its satellite and terminal sides differ
+                cut = on[:, :, shape.link_sat]
+                cut ^= src[:, shape.link_term]
+                got = _cut_costs(cut, link_costs)
+                if got != values:
+                    i, x, y = next((i, x, y) for i, (x, y) in enumerate(zip(got, values)) if x != y)
+                    copy, row = c + i // count, lo + i % count
+                    where = f" in copy {copy}" if len(costs) > 1 else ""
+                    raise InternalError(
+                        f"row mask {masks[row]:#b} cuts satellite edges of scaled cost {x}, "
+                        f"its satellites' share is {y}{where}"
+                    )
+                entries = copies * count
+                yield _SatelliteRows(
+                    c * rows + lo, values, deltas, np.tile(src, (copies, 1)),
+                    on.reshape(entries, sats), cut.reshape(entries, links),
                 )
-            deltas = np.abs(a - b).min(axis=1).tolist() if sats else [None] * len(values)
-            yield _SatelliteRows(lo, values, deltas, src, on, cut)
 
     def expand(self, core_values: list[int], core_side: np.ndarray) -> tuple[list[int], np.ndarray]:
         """The input network's (scaled values, rows x n side matrix) for
@@ -401,36 +438,52 @@ class _Reduced:
         # row i is the bipartition of mask 2 * (i + 1)
         masks = np.arange(2, 2 * rows + 2, 2, dtype=np.int64)
         block = max(1, _SATELLITE_BLOCK // max(len(shape.sat_vertex), len(self.terminals)))
+        total = self.sat_cost.sum()
         for lo in range(0, rows, block):
-            _, a, b, on = self.split(masks[lo : lo + block])
-            values += np.minimum(a, b).sum(axis=1).tolist()
-            side[lo : lo + block, shape.sat_vertex] = on[:, shape.sat_of]
+            _, diff, on = self.split(masks[lo : lo + block], self.sat_cost[None])
+            values += ((total - np.abs(diff[0]).sum(axis=1)) // 2).tolist()
+            side[lo : lo + block, shape.sat_vertex] = on[0][:, shape.sat_of]
         return [x + y for x, y in zip(core_values, values)], side
 
 
+def _cost_dtype(total: int) -> type:
+    """The dtype of scaled costs that sum to ``total``: int64 below
+    2**63, so every sum of them is exact, Python integers otherwise."""
+    return np.int64 if total < 1 << 63 else object
+
+
 def _cost_array(scaled: Sequence[int]) -> np.ndarray:
-    """Scaled costs as an array: int64 when they sum below 2**63, so every
-    sum of them is exact, Python integers otherwise."""
-    return np.array(scaled, dtype=np.int64 if sum(scaled) < 1 << 63 else object)
+    """Scaled costs as an array, in the dtype of :func:`_cost_dtype`."""
+    return np.array(scaled, dtype=_cost_dtype(sum(scaled)))
 
 
 def _cut_costs(cut: np.ndarray, costs: np.ndarray) -> list[int]:
     """Each row's cost: the sum of ``costs`` over the row's set entries of
-    the bool array ``cut``, exact in the dtype of :func:`_cost_array`.  The
-    product casts the bools to that dtype, so a larger array runs on tiles
-    of at most ``_PRODUCT_BLOCK`` entries and no cast copies all of it."""
-    rows, cols = cut.shape
-    if rows * cols <= _PRODUCT_BLOCK:
-        return (cut @ costs).tolist()
+    the bool array ``cut``, exact in the dtype of :func:`_cost_dtype`.
+    With a leading copies axis, ``cut`` copies x rows x cols and
+    ``costs`` copies x cols, each copy's rows are summed over its own
+    costs, copy by copy.  The product casts the bools to that dtype, so a
+    larger array runs on tiles of at most ``_PRODUCT_BLOCK`` entries and
+    no cast copies all of it."""
+    if cut.ndim == 2:
+        cut, costs = cut[None], costs[None]
+    rows, cols = cut.shape[1:]
+    costs = costs[:, :, None]
+    if cut.size <= _PRODUCT_BLOCK:
+        return (cut @ costs).ravel().tolist()
     width = min(cols, _PRODUCT_BLOCK)
-    step = _PRODUCT_BLOCK // width
+    step = min(rows, _PRODUCT_BLOCK // width)
+    # a tile of more than one copy holds each of their rows whole, so the
+    # tiles come copy by copy
+    per = _PRODUCT_BLOCK // (width * step)
     got: list[int] = []
-    for lo in range(0, rows, step):
-        tile = cut[lo : lo + step]
-        total = tile[:, :width] @ costs[:width]
-        for c in range(width, cols, width):
-            total += tile[:, c : c + width] @ costs[c : c + width]
-        got += total.tolist()
+    for c in range(0, len(cut), per):
+        for lo in range(0, rows, step):
+            tile, weights = cut[c : c + per, lo : lo + step], costs[c : c + per]
+            total = tile[:, :, :width] @ weights[:, :width]
+            for col in range(width, cols, width):
+                total += tile[:, :, col : col + width] @ weights[:, col : col + width]
+            got += total.ravel().tolist()
     return got
 
 

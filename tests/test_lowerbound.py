@@ -1,6 +1,5 @@
 import dataclasses
 import random
-from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -291,17 +290,18 @@ def fam():
     return gen_bipartite(6)
 
 
-def _flip_one_side(mask):
-    """``_Reduced.split`` with satellite 0's two costs swapped on the row
-    of ``mask``: the row's value, the sum of the minima, is unchanged and
-    only that satellite's side flips."""
+def _flip_one_side(mask, copy=0):
+    """``_Reduced.split`` with satellite 0's cost difference a - b negated
+    on the row of ``mask`` in copy ``copy`` of each block's copies: the
+    row's value, which reads |a - b|, is unchanged and only that
+    satellite's side flips."""
     split = mincut._Reduced.split
 
-    def flipped(core, masks):
-        src, a, b, _ = split(core, masks)
-        for i in np.flatnonzero(masks == mask):
-            a[i, 0], b[i, 0] = b[i, 0], a[i, 0]
-        return src, a, b, b < a
+    def flipped(core, masks, sat_cost):
+        src, diff, _ = split(core, masks, sat_cost)
+        for i in np.flatnonzero(masks == mask) if copy < len(diff) else []:
+            diff[copy, i, 0] = -diff[copy, i, 0]
+        return src, diff, diff > 0
 
     return flipped
 
@@ -426,21 +426,40 @@ class TestCollision:
 
     def test_one_certificate_per_table(self, fam, certified, monkeypatch):
         # no copy is a Network or a table: no with_costs, no walk and no
-        # table certificate; the base core is read three times (subset
-        # rows, gaps, sides) and each distinct sampled pattern's core once,
-        # each read certified row by row
-        walks, copies, reads = [], [], []
+        # table certificate.  The base core is read three times: its subset
+        # rows, its gaps, and one batch whose copies are the base costs and
+        # each distinct sampled pattern's, every (copy, row) certified once
+        walks, copies, reads, checked = [], [], [], []
         walk, with_costs, satellite_rows = mincut._walk, Network.with_costs, mincut._Reduced.satellite_rows
+        cut_costs = mincut._cut_costs
         monkeypatch.setattr(mincut, "_walk", lambda graph: walks.append(graph) or walk(graph))
         monkeypatch.setattr(Network, "with_costs", lambda net, costs: copies.append(net) or with_costs(net, costs))
-        monkeypatch.setattr(mincut._Reduced, "satellite_rows", lambda core, masks: reads.append(core) or satellite_rows(core, masks))
+        monkeypatch.setattr(
+            mincut._Reduced, "satellite_rows",
+            lambda core, masks, costs=None: reads.append((core, costs)) or satellite_rows(core, masks, costs),
+        )
+        monkeypatch.setattr(mincut, "_cut_costs", lambda cut, costs: checked.append(cut.size // cut.shape[-1]) or cut_costs(cut, costs))
         assert tc_collision_family(fam, 100, seed=5).ok
         assert walks == copies == certified == []
-        per_core = Counter(map(id, reads))
-        assert sorted(per_core.values()) == [1] * 200 + [3]
+        assert len({id(core) for core, _ in reads}) == 1
+        assert [costs is None for _, costs in reads] == [True, True, False]
+        stack = reads[2][1].tolist()
+        scale = stack[0][0] // fam.network.scaled_costs[0]
+        assert stack[0] == [c * scale for c in fam.network.scaled_costs]
+        assert len(stack) == len({tuple(costs) for costs in stack}) == 201
+        assert sum(checked) == fam.l + 31 + 201 * 31
 
     @pytest.mark.parametrize("k,seed,samples", [(6, seed, 100) for seed in range(1, 6)] + [(9, 1, 20)])
     def test_report_equals_table_reference(self, k, seed, samples):
+        fam = gen_bipartite(k)
+        assert tc_collision_family(fam, samples, seed) == _collision_reference(fam, samples, seed)
+
+    @pytest.mark.parametrize("k,seed,samples", [(6, seed, 100) for seed in range(1, 4)] + [(9, 1, 20)])
+    @pytest.mark.parametrize("block", [1, 700, 5000, 20000])
+    def test_small_blocks_report_equals_table_reference(self, monkeypatch, k, seed, samples, block):
+        # k=6 has 90 links a row, k=9 756: blocks of one row, of runs of
+        # rows that end inside a copy, and of one or more whole copies
+        monkeypatch.setattr(mincut, "_SATELLITE_BLOCK", block)
         fam = gen_bipartite(k)
         assert tc_collision_family(fam, samples, seed) == _collision_reference(fam, samples, seed)
 
@@ -449,9 +468,43 @@ class TestCollision:
         with pytest.raises(InternalError):
             tc_collision_family(fam, 5, seed=1)
 
+    @pytest.mark.parametrize("copy", [1, 100, 200])
+    def test_flipped_copy_side_raises(self, fam, monkeypatch, copy):
+        # one row of one sampled copy, past the base copy 0: one block
+        # holds all 201 copies, so only that (copy, row) is flipped, and
+        # the batch certifies it against that copy's own costs
+        monkeypatch.setattr(mincut, "_SATELLITE_BLOCK", 1 << 30)
+        monkeypatch.setattr(mincut._Reduced, "split", _flip_one_side(mask=6, copy=copy))
+        with pytest.raises(InternalError, match=f"row mask 0b110 cuts .* in copy {copy}$"):
+            tc_collision_family(fam, 100, seed=5)
+
     def test_declined_network_raises(self, fam):
         with pytest.raises(InvalidParameterError):
             tc_collision_family(dataclasses.replace(fam, network=_with_core_edge(fam)), 5, seed=1)
+
+    def test_equal_values_collide(self, fam, monkeypatch):
+        # the batch's values replaced by each copy's total cost, the base
+        # total plus one step per set bit: exactly the sampled pairs of
+        # equal bit counts collide, in sample order
+        satellite_rows = mincut._Reduced.satellite_rows
+
+        def totals(core, masks, costs=None):
+            for part in satellite_rows(core, masks, costs):
+                if costs is not None:
+                    copy = np.arange(part.lo, part.lo + len(part.values)) // len(masks)
+                    part = part._replace(values=costs.sum(axis=1)[copy].tolist())
+                yield part
+
+        monkeypatch.setattr(mincut._Reduced, "satellite_rows", totals)
+        rng, pairs = random.Random(3), []
+        for _ in range(40):
+            a, b = rng.randrange(1 << fam.l), rng.randrange(1 << fam.l)
+            while b == a:
+                b = rng.randrange(1 << fam.l)
+            pairs.append((a, b))
+        want = tuple((a, b) for a, b in pairs if a.bit_count() == b.bit_count())
+        assert 0 < len(want) < len(pairs)
+        assert tc_collision_family(fam, 40, seed=3).collisions == want
 
     def test_single_bit_functions_differ(self, fam):
         mat = build_incidence(fam.network)

@@ -480,20 +480,20 @@ class TestSatelliteRows:
 
     @pytest.mark.parametrize("row", [0, 7, 30])
     def test_flipped_satellite_side_raises(self, monkeypatch, row):
-        # the reader's split swaps one untied satellite's two costs in one
-        # row: the value (the sum of the minima) is unchanged and only the
-        # satellite's side flips, so the edges it cuts no longer cost the
-        # value
+        # the reader's split negates one untied satellite's cost
+        # difference a - b in one row: the value (the sum of the minima,
+        # read from |a - b|) is unchanged and only the satellite's side
+        # flips, so the edges it cuts no longer cost the value
         net = gen_bipartite(6).network
         split = _Reduced.split
 
-        def flipped(core, masks):
-            src, a, b, _ = split(core, masks)
+        def flipped(core, masks, sat_cost):
+            src, diff, _ = split(core, masks, sat_cost)
             hit = np.flatnonzero(masks == 2 * (row + 1))
             if hit.size:
-                s = np.flatnonzero(a[hit[0]] != b[hit[0]])[0]
-                a[hit[0], s], b[hit[0], s] = b[hit[0], s], a[hit[0], s]
-            return src, a, b, b < a
+                s = np.flatnonzero(diff[0, hit[0]])[0]
+                diff[0, hit[0], s] = -diff[0, hit[0], s]
+            return src, diff, diff > 0
 
         monkeypatch.setattr(_Reduced, "split", flipped)
         with pytest.raises(InternalError, match=f"row mask {2 * (row + 1):#b} cuts"):
@@ -515,6 +515,20 @@ class TestCutCosts:
         costs = mincut._cost_array([x << 62 for x in scaled] if big else scaled)
         assert costs.dtype == (object if big and shape[1] else np.int64)
         want = [sum(c for c, on in zip(costs.tolist(), row) if on) for row in cut.tolist()]
+        assert mincut._cut_costs(cut, costs) == want
+
+    @pytest.mark.parametrize("block", [1, 3, 7, 64, 1 << 14])
+    @pytest.mark.parametrize("shape", [(1, 0, 5), (3, 5, 0), (3, 1, 1), (4, 9, 13), (2, 40, 3)])
+    @pytest.mark.parametrize("big", [False, True], ids=["int64", "object"])
+    def test_equal_row_sums_per_copy(self, monkeypatch, block, shape, big):
+        # copies x rows x cols against copies x cols: each copy's rows
+        # summed over its own costs, in copy order, whatever the tiles
+        monkeypatch.setattr(mincut, "_PRODUCT_BLOCK", block)
+        rng = np.random.default_rng(block)
+        cut = rng.random(shape) < 0.5
+        scaled = rng.integers(1, 1000, shape[::2]).tolist()
+        costs = np.array([[x << 62 for x in row] for row in scaled], dtype=object) if big else np.array(scaled)
+        want = [sum(c for c, on in zip(own, row) if on) for own, rows in zip(costs.tolist(), cut.tolist()) for row in rows]
         assert mincut._cut_costs(cut, costs) == want
 
     def test_casts_no_whole_block(self):
@@ -552,6 +566,28 @@ def test_satellite_rows_equal_table_and_flows(net, data):
         assert Fraction(values[i], net.cost_denominator) == cold.value
         assert frozenset(np.flatnonzero(cut[i]).tolist()) == cold.cutset
         assert frozenset(np.flatnonzero(side[i]).tolist()) == cold.side
+
+
+@settings(max_examples=100, deadline=None)
+@given(satellite_only_networks(), st.data())
+def test_satellite_rows_of_a_stack_equal_each_copy(net, data):
+    # a stack of other costs on the network's ends, read in blocks of any
+    # size, against each copy read alone as a network of its own costs;
+    # costs of 2**62 and more put the stack in Python integers
+    core = _satellite_core(net)
+    scale = data.draw(st.sampled_from([1, 1 << 62]))
+    stack = data.draw(st.lists(st.lists(st.integers(1, 4), min_size=net.m, max_size=net.m), min_size=1, max_size=4))
+    stack = [[c * scale for c in costs] for costs in stack]
+    masks = [2 * (row + 1) for row in data.draw(st.lists(st.integers(0, (1 << (net.k - 1)) - 2), max_size=10))]
+    block = data.draw(st.sampled_from([1, 2, 5, 1 << 18]))
+    with patch.object(mincut, "_SATELLITE_BLOCK", block):
+        parts = list(core.satellite_rows(masks, np.array(stack, dtype=mincut._cost_dtype(max(map(sum, stack))))))
+        alone = [part for costs in stack for part in _satellite_core(net.with_costs(costs)).satellite_rows(masks)]
+    assert [part.lo for part in parts] == list(np.cumsum([0] + [len(part.values) for part in parts])[:-1])
+    for field in ("values", "deltas"):
+        assert sum((getattr(part, field) for part in parts), []) == sum((getattr(part, field) for part in alone), [])
+    for field in ("src", "on", "cut") if masks else ():
+        assert np.array_equal(np.concatenate([getattr(part, field) for part in parts]), np.concatenate([getattr(part, field) for part in alone]))
 
 
 class TestUniquenessByFlow:
