@@ -466,6 +466,8 @@ def tc_collision_family(fam: BipartiteFamily, sample_count: int, seed: int) -> C
         differs = (part.on != base_on[row]).any(axis=1)
         changed[copy[differs]] = True
         unstable[copy[differs & in_subset[row]]] = True
+        # the next block is built while this name still holds this one
+        del part
     first, second = np.array([[copy_of[a], copy_of[b]] for a, b in pairs]).T
     same = (values[first] == values[second]).all(axis=1)
     collisions = [pair for pair, equal in zip(pairs, same) if equal]

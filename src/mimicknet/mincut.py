@@ -1,12 +1,15 @@
 """Exact minimum terminal-separating cuts.
 
 Flow route: Dinic over integer-scaled capacities (costs share a common
-denominator, so arithmetic is exact Python integers end to end).  The
-canonical minimum cut for a bipartition is the one whose side containing
-terminal 0 is inclusion-minimal, obtained as the residual-reachable set
-from the contracted super-source.  One constructor, :class:`_Dinic`,
-builds every residual network from a graph and the two vertex sets it
-contracts.  A terminal-cut table is one Gray-code walk on one residual
+denominator, so arithmetic is exact Python integers end to end).  Each
+flow's first augmenting path is its first level BFS's tree path (the
+Edmonds-Karp step); the walk's flows mostly need one or two paths, and
+a blocking flow there would search the level graph again only to find
+no second one.  The canonical minimum cut for a bipartition is the one
+whose side containing terminal 0 is inclusion-minimal, obtained as the
+residual-reachable set from the contracted super-source.  One
+constructor, :class:`_Dinic`, builds every residual network from a graph
+and the two vertex sets it contracts.  A terminal-cut table is one Gray-code walk on one residual
 network (:func:`_walk`), run on the core of the exactly reduced graph of
 :func:`_reduce` (the identity when nothing reduces): loops dropped,
 bundles merged, pendant trees peeled, satellites set aside and series
@@ -68,6 +71,8 @@ ORACLE_CAPACITY = 22
 _SATELLITE_BLOCK = 1 << 18
 # entries per cast of a bool block to the costs' dtype in _cut_costs
 _PRODUCT_BLOCK = 1 << 14
+# level-list entries per block of sides that _walk writes together
+_SIDE_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -105,13 +110,16 @@ class _Dinic:
     contracted into s = n and the sinks into t = n + 1: their out-arcs
     leave s or t, and the twins of those arcs are redirected there.
 
-    ``settled``, when set, is the level list every BFS starts from: 0 on
-    vertices already known to be residual-reachable from s and closed (no
-    residual arc leaves them), -1 elsewhere.  Level 0 is s's, so no
-    search enters them, yet they count as reached.
+    ``settled``, when set, is the level list every BFS starts from: the
+    level of an earlier search on vertices already known to be
+    residual-reachable from s and closed (no residual arc leaves them but
+    to s or to each other), -1 elsewhere.  No BFS enters them, yet they
+    count as reached; a blocking flow that steps into one whose level
+    matches finds only dead ends there.  ``via`` is scratch for the BFS
+    tree: each vertex's discovering arc in the last search.
     """
 
-    __slots__ = ("n", "to", "cap", "adj", "level", "settled")
+    __slots__ = ("n", "to", "cap", "adj", "level", "settled", "via")
 
     def __init__(self, graph: Network | _Reduced, sources: Sequence[int], sinks: Sequence[int]):
         head, cap, out = graph.arcs()
@@ -124,15 +132,16 @@ class _Dinic:
             self.adj.append(arcs)
         self.level: list[int] = []
         self.settled: list[int] | None = None
+        self.via = [0] * self.n
 
     def _levels(self, s: int, t: int) -> list[int]:
         """Residual BFS distance from s (-1 if unreached), from the
-        ``settled`` levels when set.  Stops once the vertex it expands has
-        discovered t; the other vertices at t's distance lead nowhere in
-        this phase's level graph, so they are unset again and the blocking
-        flow enters that level only at t.  When t is unreachable the search
-        runs to the end."""
-        to, cap, adj = self.to, self.cap, self.adj
+        ``settled`` levels when set; ``via[w]`` is the arc that discovered
+        w.  Stops once the vertex it expands has discovered t; the other
+        vertices at t's distance lead nowhere in this phase's level graph,
+        so they are unset again and the blocking flow enters that level
+        only at t.  When t is unreachable the search runs to the end."""
+        to, cap, adj, via = self.to, self.cap, self.adj, self.via
         level = [-1] * self.n if self.settled is None else self.settled.copy()
         level[s] = 0
         queue = [s]
@@ -142,6 +151,7 @@ class _Dinic:
                 w = to[a]
                 if cap[a] and level[w] < 0:
                     level[w] = nxt
+                    via[w] = a
                     queue.append(w)
             if level[t] >= 0:
                 # the queue is in level order, so t's level is its tail
@@ -153,11 +163,27 @@ class _Dinic:
 
     def max_flow(self, s: int, t: int) -> int:
         """Augments to a maximum flow and returns the value it added.  The
-        last level BFS, which found t unreachable, stays in ``level``: it
-        holds every vertex residual-reachable from s (the ``settled`` ones
-        at level 0)."""
-        to, cap, adj = self.to, self.cap, self.adj
-        flow = 0
+        first search that reaches t augments along its BFS tree's path
+        alone; each later one is a Dinic phase, a blocking flow on its
+        level graph.  The last level BFS, which found t unreachable, stays
+        in ``level`` and is not written again: it holds every vertex
+        residual-reachable from s (the ``settled`` ones at their earlier
+        levels)."""
+        to, cap, adj, via = self.to, self.cap, self.adj, self.via
+        self.level = level = self._levels(s, t)
+        if level[t] < 0:
+            return 0
+        # the tree path, from t back to s: an arc's tail is its twin's head
+        path: list[int] = []
+        v = t
+        while v != s:
+            a = via[v]
+            path.append(a)
+            v = to[a ^ 1]
+        flow = min([cap[a] for a in path])
+        for a in path:
+            cap[a] -= flow
+            cap[a ^ 1] += flow
         while True:
             self.level = level = self._levels(s, t)
             if level[t] < 0:
@@ -165,7 +191,7 @@ class _Dinic:
             # blocking flow: ``path`` holds the arcs from s to v, ``it[v]``
             # is v's current arc; arcs before it lead nowhere this phase
             it = [0] * self.n
-            path: list[int] = []
+            path = []
             v = s
             while True:
                 if v == t:
@@ -411,6 +437,9 @@ class _Reduced:
                     c * rows + lo, values, deltas, np.tile(src, (copies, 1)),
                     on.reshape(entries, sats), cut.reshape(entries, links),
                 )
+                # free this block before the next is built; the consumer
+                # drops its own reference
+                del src, on, cut, values, deltas, got
 
     def expand(self, core_values: list[int], core_side: np.ndarray) -> tuple[list[int], np.ndarray]:
         """The input network's (scaled values, rows x n side matrix) for
@@ -687,9 +716,11 @@ def _walk(graph: _Reduced) -> tuple[list[int], np.ndarray]:
     redirected and s's arc list reset.  The flow already in the residual
     stays feasible (conservation holds at every non-terminal), so Dinic
     augments it to a maximum flow (the reuse of Gallo, Grigoriadis and
-    Tarjan's parametric flow and of Kohli and Torr's dynamic graph cuts).
-    The canonical side is what the last level BFS reached plus the source
-    terminals.
+    Tarjan's parametric flow and of Kohli and Torr's dynamic graph cuts),
+    along its first search's tree path first.  The canonical side is what
+    the last level BFS reached plus the source terminals: each row keeps
+    that level list, and a block of at most ``_SIDE_BLOCK`` entries of
+    them is written into the side matrix at once.
 
     Sides are nested: with more terminals on the source side the canonical
     side can only grow (the lattice argument behind Gallo, Grigoriadis and
@@ -699,10 +730,10 @@ def _walk(graph: _Reduced) -> tuple[list[int], np.ndarray]:
     into j, which now run to s, ran to t, so they are saturated.  An
     augmenting path cannot enter R and leave it, and augmenting along
     paths outside R opens no arc out of R.  So s's arc list is j's arcs
-    alone, R is settled (:attr:`_Dinic.settled`), and the new side is R
-    plus what the search from j's arcs reaches.  When j joins the sink
-    side, s's arc list is every source terminal's, and the search stays
-    inside R by itself.
+    alone, R is settled (:attr:`_Dinic.settled`: the last level list
+    itself), and the new side is R plus what the search from j's arcs
+    reaches.  When j joins the sink side, s's arc list is every source
+    terminal's, and the search stays inside R by itself.
 
     Nothing is checked here: :meth:`mimick.TerminalCuts.certify` checks
     that each row's side, lifted to the input, cuts edges that cost
@@ -720,6 +751,11 @@ def _walk(graph: _Reduced) -> tuple[list[int], np.ndarray]:
     to, res, adj = d.to, d.cap, d.adj
     values = [0] * rows
     side = np.zeros((rows, n), dtype=bool)
+    # each row's last level list, which no later step mutates, kept until
+    # a block of them is written into ``side`` together
+    block = max(1, _SIDE_BLOCK // (n + 2))
+    kept: list[list[int]] = []
+    at: list[int] = []
     # the flow's value: the net flow out of the source-side terminals
     value = 0
     # with no arcs every flow is zero and every side is its source
@@ -740,14 +776,18 @@ def _walk(graph: _Reduced) -> tuple[list[int], np.ndarray]:
             # the last side is still reached and closed: only what j's
             # arcs newly reach is searched
             adj[s] = arcs
-            d.settled = [0 if x >= 0 else -1 for x in d.level]
+            d.settled = d.level
         else:
             adj[s] = [a for on, q in zip(source, terminals) if on for a in out[q]]
             d.settled = None
         value += d.max_flow(s, t)
         row = (i ^ (i >> 1)) - 1
         values[row] = value
-        side[row] = np.array(d.level[:n]) >= 0
+        kept.append(d.level)
+        at.append(row)
+        if len(kept) == block or i == rows:
+            side[at] = np.array(kept)[:, :n] >= 0
+            kept, at = [], []
     # no arc runs into a terminal, so the level BFS leaves their columns
     # unset; a terminal is on the side iff its bit of the row's mask is clear
     masks = np.arange(2, 2 * rows + 2, 2, dtype=np.int64)

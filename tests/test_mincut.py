@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from unittest.mock import patch
 
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from mimicknet import _kernels, mincut
 from mimicknet.errors import InternalError, InvalidParameterError, OracleCapacityError
-from mimicknet.generate import random_planar_network, star_network
+from mimicknet.generate import _random_cost, random_planar_network, star_network
 from mimicknet.lowerbound import gen_bipartite, gen_grid
 from mimicknet.mimick import terminal_cuts, verify_generalized
 from mimicknet.mincut import (
@@ -878,6 +879,63 @@ def test_long_walk_equals_cold_flows(net):
     # each row's cut is the cut of its side
     assert [_cutset(net, row) for row in side] == [c.cutset for c in cold]
     assert [frozenset(np.flatnonzero(row).tolist()) for row in side] == [c.side for c in cold]
+
+
+def boundary_grid(side, k, cost):
+    """A side x side grid whose k terminals sit evenly spaced on its outer
+    cycle, from corner (0, 0); ``cost(inner, rng)`` gives an edge's cost,
+    ``inner`` false for an edge of the outer cycle."""
+    rng = random.Random(side)
+    vid = lambda i, j: i * side + j  # noqa: E731
+    edges = []
+    for i in range(side):
+        for j in range(side):
+            if j + 1 < side:
+                edges.append((vid(i, j), vid(i, j + 1), cost(0 < i < side - 1, rng)))
+            if i + 1 < side:
+                edges.append((vid(i, j), vid(i + 1, j), cost(0 < j < side - 1, rng)))
+    cycle = [vid(0, j) for j in range(side)] + [vid(i, side - 1) for i in range(1, side)]
+    cycle += [vid(side - 1, j) for j in range(side - 2, -1, -1)] + [vid(i, 0) for i in range(side - 2, 0, -1)]
+    return Network(side * side, edges, [cycle[len(cycle) * q // k] for q in range(k)])
+
+
+def planar_grid(side):
+    """Boundary edges of cost 1000, interior costs from the generator's
+    cost rule, and 8 terminals: the shape whose cuts cross the interior."""
+    return boundary_grid(side, 8, lambda inner, rng: _random_cost(rng) if inner else 1000)
+
+
+class TestWalkFlows:
+    def test_blocking_flow_after_tree_path(self):
+        # on a unit-cost 4 x 4 grid the first flow has two disjoint
+        # shortest paths between its corners: the first search augments
+        # along its tree path, the next reaches t at the same distance,
+        # and its blocking flow takes the other path
+        net = boundary_grid(4, 4, lambda inner, rng: 1)
+        levels, searches = _Dinic._levels, []
+
+        def recording(self, s, t):
+            level = levels(self, s, t)
+            searches.append(level[t])
+            return level
+
+        with patch.object(_Dinic, "_levels", recording):
+            table = terminal_cuts(net)
+        assert searches[:3] == [3, 3, -1]
+        assert table.cuts == tuple(mincut._solve_flow(net, bp)[0] for bp in enumerate_bipartitions(net.k))
+
+    def test_planar_grid_equals_cold_flows(self):
+        net = planar_grid(12)
+        assert terminal_cuts(net).cuts == tuple(min_separating_cut(net, bp) for bp in enumerate_bipartitions(net.k))
+
+    @pytest.mark.parametrize("rows", [1, 5])
+    def test_side_blocks_leave_the_table(self, monkeypatch, rows):
+        # a block of one row, and blocks of 5 whose last one ends inside
+        # the 127-row table
+        net = planar_grid(12)
+        table = terminal_cuts(net)
+        monkeypatch.setattr(mincut, "_SIDE_BLOCK", rows * (mincut._reduce(net).n + 2))
+        assert terminal_cuts(net) == table
 
 
 @settings(max_examples=100, deadline=None)
