@@ -7,6 +7,9 @@ enumeration order), the table's values are the companion vector, and
 :func:`build_incidence` is a uint8 view of that table.  The exact rank
 comes from a modular elimination whose answer is certified over the
 integers (see ``_pivot_columns``); it takes the bool matrix as it is.
+The elimination runs modulo primes below 2**21, in column panels whose
+bulk is exact float64 matrix products (``_rref_mod``), on A itself when
+it is wide, and on its Gram matrix A^T A when it is a tall bool matrix.
 """
 
 from __future__ import annotations
@@ -59,17 +62,21 @@ def integer_rank(rows: Sequence[Sequence[int]]) -> int:
 
 # --- certified modular elimination -------------------------------------------
 
-# Primes below 2**26 keep a product of two residues below 2**52, so int64
-# holds 2048 unreduced row updates and float64 holds the product exactly.
-_FIRST_PRIME = (1 << 26) - 5
+# Primes below 2**21 keep a sum of _PANEL products of two residues, each
+# reduced below 2**20 in magnitude, below 2**46, so a panel's float64
+# products are exact, and entries take 64 panels of them before they must
+# be reduced to stay below 2**52.
+_FIRST_PRIME = (1 << 21) - 9
+# columns per panel of the elimination
+_PANEL = 64
 # entries per temporary array in the elimination and the check, so the
 # peak memory stays a small multiple of the matrix
 _BLOCK = 1 << 14
 
 
 def _primes():
-    """The primes between 2**25 and 2**26, descending, by trial division."""
-    return (n for n in range(_FIRST_PRIME, 1 << 25, -2) if np.all(n % np.arange(3, isqrt(n) + 1, 2)))
+    """The primes between 2**20 and 2**21, descending, by trial division."""
+    return (n for n in range(_FIRST_PRIME, 1 << 20, -2) if np.all(n % np.arange(3, isqrt(n) + 1, 2)))
 
 
 def _integer_matrix(rows) -> np.ndarray:
@@ -89,48 +96,151 @@ def _integer_matrix(rows) -> np.ndarray:
         return a
 
 
+def _gram(a: np.ndarray) -> np.ndarray:
+    """A^T A of a bool matrix, as int64: float64 products of row blocks,
+    exact as every partial sum counts rows."""
+    n_rows, n_cols = a.shape
+    g = np.zeros((n_cols, n_cols))
+    step = max(1, _BLOCK // n_cols)
+    for s in range(0, n_rows, step):
+        block = a[s : s + step].astype(np.float64)
+        g += block.T @ block
+    return g.astype(np.int64)
+
+
+def _balanced(x: np.ndarray, p: int, out: np.ndarray | None = None) -> np.ndarray:
+    """``x`` mod ``p`` for float64 integers below 2**52 in magnitude, as
+    float64 integers of magnitude at most p // 2 + 2, written to ``out``
+    when given (which may be ``x``): x / p is rounded to within 1/p, so
+    the nearest integer times p is exact and within p/2 + 1 of x."""
+    multiple = np.rint(x * (1 / p))
+    multiple *= p
+    return np.subtract(x, multiple, out=out)
+
+
+def _panel(block: np.ndarray, p: int) -> tuple[list[tuple[int, int]], np.ndarray]:
+    """Gauss-Jordan elimination modulo ``p`` of one panel of the rows that
+    are not yet pivots (float64 integers below 2**52), on int64 residues.
+    Returns the new pivots as (row, column) offsets in column order, and
+    K^-1 in float64 with entries of magnitude below p/2, where K is the
+    pivot rows' block in the pivot columns.
+
+    A unit column is appended for each new pivot row.  Until then no other
+    row has taken a multiple of it, so the appended columns hold each
+    row's coefficients on the pivot rows as the panel found them, and on
+    the pivot rows they end as K^-1.  Entries are reduced where they are
+    read: a row takes at most one product of residues per pivot, and the
+    float64 budget of :func:`_rref_mod` already keeps ``_PANEL`` such
+    products below 2**54, far inside int64."""
+    n, w = block.shape
+    e = np.zeros((n, w + min(n, w)), dtype=np.int64)
+    e[:, :w] = block
+    e[:, :w] %= p
+    free = np.ones(n, dtype=bool)
+    found: list[tuple[int, int]] = []
+    for j in range(w):
+        if len(found) == n:
+            break
+        col = e[:, j] % p
+        hits = col.nonzero()[0]
+        candidates = hits[free[hits]]
+        if candidates.size == 0:
+            continue
+        # the free rows are zero mod p left of j, so only j.. changes
+        i = candidates[0]
+        e[i, w + len(found)] = 1
+        pivot_row = e[i, j:] % p * pow(int(col[i]), -1, p) % p
+        e[i, j:] = pivot_row
+        others = hits[hits != i]
+        step = max(1, _BLOCK // pivot_row.size)
+        for s in range(0, others.size, step):
+            rows = others[s : s + step]
+            e[rows, j:] -= col[rows, None] * pivot_row
+        found.append((int(i), j))
+        free[i] = False
+    k_inv = e[[i for i, _ in found], w : w + len(found)] % p
+    return found, np.where(k_inv > p // 2, k_inv - p, k_inv).astype(np.float64)
+
+
 def _rref_mod(a: np.ndarray, p: int) -> tuple[list[int], list[int], np.ndarray]:
     """Pivot columns, non-pivot columns, and the nonzero rows of the reduced
     row echelon form of ``a`` modulo the prime ``p`` restricted to its
-    non-pivot columns."""
-    # int64 entries, reduced mod p only where read: the pivot column, the
-    # pivot row and the result.  A pivot subtracts a product of residues,
-    # at most (p-1)**2, from each other row, so the trailing block is
-    # reduced every ``budget`` pivots to keep every entry above -2**63.
-    m = (a % p if a.dtype == object else a).astype(np.int64)
-    m %= p
-    budget = ((1 << 63) - p) // (p - 1) ** 2
-    n_rows, n_cols = m.shape
+    non-pivot columns.
+
+    A column-panel Gauss-Jordan elimination on float64 integers, whose
+    bulk is matrix products (the FFLAS-FFPACK design: Dumas, Giorgi and
+    Pernet, ACM TOMS 2008).  The matrix is held as one array per panel of
+    ``_PANEL`` columns.  The rows above r are the pivot rows found so far,
+    in pivot order, and the rows from r on are zero mod p left of the
+    panel.  Each panel finds its new pivots and K^-1 on those rows alone
+    (:func:`_panel`).  The new pivot rows move to rows r.. and become
+    Pn = K^-1 B, where B is their entries from the panel on; every other
+    row x takes x -= C Pn, where C is x's entries in the new pivot columns
+    when the panel starts: one float64 product per panel from this one
+    on.  Each factor is reduced to magnitude at most h = p // 2 + 2
+    (:func:`_balanced`), so an entry of a product is a sum of at most
+    ``_PANEL`` terms of magnitude h**2, below 2**46, and exact.  Entries
+    are left unreduced until ``budget`` panels of products would take them
+    past 2**52.  Pivots are decided on int64 residues alone, so they are
+    the column rank profile mod p (Jeannerod, Pernet and Storjohann, J.
+    Symbolic Comput. 2013)."""
+    n_rows, n_cols = a.shape
+    h = p // 2 + 2
+    # panels of products that fit on entries below p in magnitude
+    budget = ((1 << 52) - p) // (_PANEL * h * h)
+    if budget < 1:
+        raise InvalidParameterError(f"the prime {p} is too large for exact float64 panels")
+    panels = []
+    for c0 in range(0, n_cols, _PANEL):
+        block = a[:, c0 : c0 + _PANEL]
+        # a bool entry is its own residue
+        if a.dtype != bool:
+            block = (block if a.dtype == object else block.astype(np.int64)) % p
+        panels.append(block.astype(np.float64))
     pivots: list[int] = []
-    for col in range(n_cols):
+    # panels of products since the entries from the panel on were reduced
+    stale = 0
+    for t, panel in enumerate(panels):
         r = len(pivots)
         if r == n_rows:
             break
-        m[:, col] %= p
-        nonzero = np.flatnonzero(m[r:, col])
-        if nonzero.size == 0:
+        found, k_inv = _panel(panel[r:], p)
+        if not found:
             continue
-        if nonzero[0]:
-            m[[r, r + nonzero[0]]] = m[[r + nonzero[0], r]]
-        # rows at and below r are zero left of col, so only col.. changes
-        pivot_row = m[r, col:] % p * pow(int(m[r, col]), -1, p) % p
-        m[r, col:] = pivot_row
-        others = np.flatnonzero(m[:, col])
-        others = others[others != r]
-        if r and r % budget == 0:
-            m[:, col + 1 :] %= p
-        step = max(1, _BLOCK // (n_cols - col))
-        for start in range(0, others.size, step):
-            rows = others[start : start + step]
-            m[rows, col:] -= m[rows, col, None] * pivot_row
-        pivots.append(col)
-    free = sorted(set(range(n_cols)) - set(pivots))
-    # int32 residues, half the memory of int64, gathered in row blocks
-    residues = np.empty((len(pivots), len(free)), dtype=np.int32)
-    step = max(1, _BLOCK // n_cols)
-    for start in range(0, len(pivots), step):
-        residues[start : start + step] = m[start : min(start + step, len(pivots)), free] % p
-    return pivots, free, residues
+        reduce = stale == budget
+        stale = 1 if reduce else stale + 1
+        rows = [r + i for i, _ in found]
+        cols = [j for _, j in found]
+        new = slice(r, r + len(rows))
+        # the new pivot rows move to r.., in pivot order, and the rows they
+        # displace take their places; all of them are zero mod p left of
+        # this panel, so only the panels from it on move
+        displaced = sorted(set(range(new.start, new.stop)) - set(rows))
+        src, dst = rows + displaced, [*range(new.start, new.stop), *(i for i in rows if i >= new.stop)]
+        c = _balanced(panel[:, cols], p)
+        c[dst] = c[src]
+        for block in panels[t:]:
+            if reduce:
+                _balanced(block, p, out=block)
+            block[dst] = block[src]
+            pn = _balanced(k_inv @ _balanced(block[new], p), p)
+            block -= c @ pn
+            block[new] = pn
+        pivots += [t * _PANEL + j for j in cols]
+    # int32 residues, read a panel at a time; each panel is freed once
+    # read, so the float64 panels and the residues are never held whole
+    # at once
+    r, is_pivot = len(pivots), set(pivots)
+    free: list[int] = []
+    parts = [np.empty((r, 0), dtype=np.int32)]
+    for t in range(len(panels)):
+        cols = [j for j in range(panels[t].shape[1]) if t * _PANEL + j not in is_pivot]
+        x = _balanced(panels[t][:r, cols], p)
+        x[x < 0] += p
+        parts.append(x.astype(np.int32))
+        free += [t * _PANEL + j for j in cols]
+        panels[t] = None
+    return pivots, free, np.concatenate(parts, axis=1)
 
 
 def _rational(u: int, modulus: int) -> tuple[int, int] | None:
@@ -177,37 +287,48 @@ def _certify(a: np.ndarray, pivots: list[int], free: list[int], residues: np.nda
     return True
 
 
-def _prime_budget(a: np.ndarray) -> int:
-    """Primes after which the certificate must have passed.  Every RREF
-    entry is a ratio of minors of ``a``, each at most the Hadamard bound
-    H = prod max(1, |column|).  Primes above 2**25 that change the pivots
-    divide one such minor, so there are at most log2(H)/25 of them, and
-    reconstruction is exact once the good primes multiply past 2 H**2."""
-    sq = (a.astype(object) ** 2).sum(axis=0)
+def _prime_budget(e: np.ndarray) -> int:
+    """Primes after which the certificate must have passed, for the
+    eliminated matrix ``e`` (A, or A^T A).  Every RREF entry is a ratio of
+    minors of ``e``, each at most the Hadamard bound H = prod max(1,
+    |column|).  A prime above 2**20 that changes the pivots or the
+    residues divides one such minor, so there are at most log2(H)/20 of
+    them, and reconstruction is exact once the good primes multiply past
+    2 H**2.  Mod p, A^T A can lose rank where A does not (a nonzero vector
+    can be self-orthogonal mod p); such a p divides a minor of A^T A, so
+    the same count covers it."""
+    sq = (e.astype(object) ** 2).sum(axis=0)
     bits = sum(log2(s) / 2 for s in sq.tolist() if s > 1)
-    return 3 + int(3 * bits / 25)
+    return 3 + int(3 * bits / 20)
 
 
 def _pivot_columns(rows: Sequence[Sequence[int]]) -> list[int]:
     """Pivot columns of the rational RREF: the lexicographically first set
     of linearly independent columns.
 
-    The RREF is computed modulo a 26-bit prime.  Its pivot minor is nonzero
-    mod p, hence nonzero over the integers, so the pivot columns P are
-    independent.  Its non-pivot columns N are lifted to rationals Z/d and
-    ``A[:, N] * d == A[:, P] @ Z`` is checked exactly; lifting keeps the
-    RREF's zeros, so each non-pivot column is certified to lie in the span
-    of the pivots to its left.  Together this proves that the rank is |P|
-    and that P is the greedy left-to-right basis.  If lifting or the check
-    fails, further primes with the best pivots (highest rank, then
+    The RREF is computed modulo a prime below 2**21 (:func:`_rref_mod`),
+    of A itself, or of its Gram matrix A^T A when A is a tall bool matrix:
+    the float64 product is exact, as each entry counts rows, and the
+    elimination then runs on columns x columns.  Over Q, A^T A has the null
+    space of A, so the same row space, pivots and RREF rows.  The pivot
+    minor of the eliminated matrix is nonzero mod p, hence nonzero over
+    the integers, so the pivot columns P are independent in it, and so in
+    A.  The RREF's non-pivot columns N are lifted to rationals Z/d and
+    ``A[:, N] * d == A[:, P] @ Z`` is checked exactly on A itself; lifting
+    keeps the RREF's zeros, so each non-pivot column is certified to lie
+    in the span of the pivots to its left.  Together this proves that the
+    rank is |P| and that P is the greedy left-to-right basis.  If lifting
+    or the check fails (an unlucky prime, at which A^T A may also lose
+    rank), further primes with the best pivots (highest rank, then
     lexicographically first) are combined by CRT until it passes.
     """
     a = _integer_matrix(rows)
     if a.ndim != 2 or 0 in a.shape:
         return []
+    e = _gram(a) if a.dtype == bool and a.shape[0] > a.shape[1] else a
     best = residues = modulus = budget = None
     for tried, p in enumerate(_primes(), start=1):
-        pivots, free, rref_free = _rref_mod(a, p)
+        pivots, free, rref_free = _rref_mod(e, p)
         if best is None or (-len(pivots), pivots) < (-len(best), best):
             best, residues, modulus = pivots, rref_free, p
         elif pivots == best:
@@ -217,7 +338,7 @@ def _pivot_columns(rows: Sequence[Sequence[int]]) -> list[int]:
             residues, modulus = old + modulus * step, modulus * p
         if pivots == best and _certify(a, best, free, residues, modulus):
             return best
-        budget = budget or _prime_budget(a)
+        budget = budget or _prime_budget(e)
         if tried >= budget:
             raise InternalError(f"rank certificate failed after {tried} primes")
 

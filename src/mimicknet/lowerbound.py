@@ -389,9 +389,10 @@ def tc_collision_family(fam: BipartiteFamily, sample_count: int, seed: int) -> C
 
     Every non-terminal is a satellite, so every row is read in closed form
     from the network's satellite core (:meth:`mincut._Reduced.satellite_rows`,
-    certified row by row), with no table: the gaps (:func:`mincut.gaps`'
-    closed form), the subset rows' cut, whose pivots are the columns, and
-    the values and satellite sides of every copy.  A copy is the core's
+    certified row by row), with no table: the subset rows' cut, whose
+    pivots are the columns, and the values and satellite sides of every
+    copy, whose first copy, the base costs, also gives every row's gap
+    (the closed form of :func:`mincut._closed_gaps`).  A copy is the core's
     costs over the family's one denominator with the step added at its
     columns, so two copies hold the same values iff their integer values
     are equal.  The base costs and each distinct sampled pattern's are one
@@ -415,13 +416,7 @@ def tc_collision_family(fam: BipartiteFamily, sample_count: int, seed: int) -> C
     if len(columns) < fam.l:
         raise InvalidParameterError("could not find enough independent columns")
     first_l = columns == list(range(fam.l))
-
-    # one report per bipartition, shared by the global and row gaps
-    reports = list(mincut._closed_gaps(core, masks))
-    family_gap = mincut._min_gap(reports) or Fraction(0)
-    min_row_gap = min(d for d in (reports[row].delta for row in subset_rows) if d is not None)
     step = Fraction(1, 6 * fam.k * fam.k * fam.l)
-    mass_ok = fam.l * step < min_row_gap
 
     rng = random.Random(seed)
     space = 1 << fam.l
@@ -456,11 +451,14 @@ def tc_collision_family(fam: BipartiteFamily, sample_count: int, seed: int) -> C
     base_on = np.zeros((rows, len(core.shape.satellites)), dtype=bool)
     changed = np.zeros(len(stack), dtype=bool)
     unstable = np.zeros(len(stack), dtype=bool)
-    # each copy's values, a row of the stack's dtype
+    # each copy's values, a row of the stack's dtype, and the base copy's
+    # gaps: its deltas, the cost of each row's cheapest satellite flip
     values = np.empty((len(stack), rows), dtype=stack.dtype)
+    base_deltas: list[int | None] = []
     for part in core.satellite_rows(masks, stack):
         entries = np.arange(part.lo, part.lo + len(part.values))
         values.flat[entries] = part.values
+        base_deltas += part.deltas[: max(0, rows - part.lo)]
         copy, row = np.divmod(entries, rows)
         base_on[row[copy == 0]] = part.on[copy == 0]
         differs = (part.on != base_on[row]).any(axis=1)
@@ -468,6 +466,10 @@ def tc_collision_family(fam: BipartiteFamily, sample_count: int, seed: int) -> C
         unstable[copy[differs & in_subset[row]]] = True
         # the next block is built while this name still holds this one
         del part
+    # one report per bipartition, shared by the global and row gaps
+    reports = [mincut._gap_report(v, d, den) for v, d in zip(values[0].tolist(), base_deltas)]
+    family_gap = mincut._min_gap(reports) or Fraction(0)
+    min_row_gap = min(d for d in (reports[row].delta for row in subset_rows) if d is not None)
     first, second = np.array([[copy_of[a], copy_of[b]] for a, b in pairs]).T
     same = (values[first] == values[second]).all(axis=1)
     collisions = [pair for pair, equal in zip(pairs, same) if equal]
@@ -479,7 +481,7 @@ def tc_collision_family(fam: BipartiteFamily, sample_count: int, seed: int) -> C
         columns=tuple(columns),
         first_l_columns_independent=first_l,
         min_subset_row_gap=min_row_gap,
-        total_mass_below_gap=mass_ok,
+        total_mass_below_gap=fam.l * step < min_row_gap,
         pairs_checked=sample_count,
         collisions=tuple(collisions),
         subset_rows_stable=not unstable.any(),

@@ -46,8 +46,8 @@ all its sampled copies in one pass; the table's expansion takes the
 same sides from :meth:`_Reduced.split` and leaves the cut to the
 table.
 
-Gaps (:func:`gap`, :func:`gaps`, :func:`global_gap`) are in closed
-form, at any size, when every vertex is a terminal or a satellite of one
+Gaps (:func:`_gaps`, :func:`global_gap`) are in closed form, at any
+size, when every vertex is a terminal or a satellite of one
 vertex and no edge joins two terminals (the bipartite family, stars):
 each satellite then picks its side alone.  Every other network takes the
 oracle.  On such a network any subset of the rows can be read without a
@@ -908,25 +908,11 @@ def oracle_enumeration(net: Network, bp: Bipartition) -> OracleResult:
     )
 
 
-def gap(net: Network, bp: Bipartition) -> GapReport:
-    """Exact gap between the two cheapest distinct cutsets (:func:`gaps`
-    of one bipartition)."""
-    return next(gaps(net, [bp]))
-
-
-def gaps(net: Network, bps: Sequence[Bipartition]) -> Iterator[GapReport]:
-    """The :func:`gap` report of each bipartition, in order: in closed
-    form from one reduced core when every vertex is a terminal or a
+def _gaps(core: _Reduced, bps: Sequence[Bipartition]) -> Iterator[GapReport]:
+    """The gap report of each bipartition of ``core``'s network, in order:
+    in closed form from the core when every vertex is a terminal or a
     satellite (:func:`_closed_gaps`), from one oracle sweep each, as they
     are read, otherwise (so ``OracleCapacityError`` beyond its capacity)."""
-    for bp in bps:
-        if bp.k != net.k:
-            raise InvalidParameterError(f"bipartition is for k={bp.k}, network has k={net.k}")
-    return _gaps(_reduce(net), bps)
-
-
-def _gaps(core: _Reduced, bps: Sequence[Bipartition]) -> Iterator[GapReport]:
-    """:func:`gaps` of ``core``'s network, given its reduced core."""
     if not _satellite_only(core):
         return (_oracle_gap(core.net, bp) for bp in bps)
     return _closed_gaps(core, [bp.mask for bp in bps])
@@ -935,7 +921,7 @@ def _gaps(core: _Reduced, bps: Sequence[Bipartition]) -> Iterator[GapReport]:
 def global_gap(net: Network) -> Fraction | None:
     """Minimum gap over all bipartitions (0 when some minimum cut is tied;
     None when no bipartition has more than one possible cutset)."""
-    return _min_gap(gaps(net, enumerate_bipartitions(net.k)))
+    return _min_gap(_gaps(_reduce(net), enumerate_bipartitions(net.k)))
 
 
 def _oracle_gap(net: Network, bp: Bipartition) -> GapReport:
@@ -980,15 +966,20 @@ def _closed_gaps(core: _Reduced, masks: Sequence[int]) -> Iterator[GapReport]:
     gap, 0 when some a = b, which is a second minimum cutset.  With no
     satellite the row has one cutset.  Exact, read with the certified
     rows of :meth:`_Reduced.satellite_rows`."""
-    den = core.den
     for part in core.satellite_rows(masks):
         for value, delta in zip(part.values, part.deltas):
-            if delta is None:
-                yield GapReport(None, None, True)
-            elif delta:
-                yield GapReport(Fraction(delta, den), Fraction(value + delta, den), True)
-            else:
-                yield GapReport(Fraction(0), Fraction(value, den), False)
+            yield _gap_report(value, delta, core.den)
+
+
+def _gap_report(value: int, delta: int | None, den: int) -> GapReport:
+    """The gap report of a satellite row of scaled value ``value`` over
+    ``den``, whose cheapest satellite flip costs ``delta`` more (None when
+    the row has no satellite; 0 is a tie)."""
+    if delta is None:
+        return GapReport(None, None, True)
+    if delta:
+        return GapReport(Fraction(delta, den), Fraction(value + delta, den), True)
+    return GapReport(Fraction(0), Fraction(value, den), False)
 
 
 def _min_gap(reports: Iterable[GapReport]) -> Fraction | None:

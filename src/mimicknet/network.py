@@ -121,9 +121,6 @@ class Network:
             self._edges = tuple([Edge(u, v, Fraction(c, den)) for (u, v), c in zip(self.ends, self.scaled_costs)])
         return self._edges
 
-    def total_cost(self) -> Fraction:
-        return Fraction(sum(self.scaled_costs), self.cost_denominator)
-
     def with_costs(self, costs: Sequence[Fraction]) -> "Network":
         """Same graph, new edge costs (edge ids preserved)."""
         if len(costs) != self.m:

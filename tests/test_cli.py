@@ -1,10 +1,13 @@
 import json
+import os
 import random
+import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
 
+import mimicknet
 from mimicknet import mimick, network, planar
 from mimicknet.cli import main
 from mimicknet.fileio import load_network, parse_network
@@ -17,6 +20,52 @@ from mimicknet.tcscheme import TCStore, serialize
 
 def run(*argv) -> int:
     return main([str(a) for a in argv])
+
+
+def python(code: str, **env) -> list[str]:
+    """The stdout lines of ``code`` in a fresh interpreter that imports
+    this package, with OPENBLAS_NUM_THREADS unset unless given."""
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    base["PYTHONPATH"] = os.path.dirname(os.path.dirname(mimicknet.__file__))
+    proc = subprocess.run([sys.executable, "-c", code], env={**base, **env}, capture_output=True, text=True, check=True)
+    return proc.stdout.split()
+
+
+# the console script's entry: run with --version, then report the variable
+ENTRY = """
+import os, sys
+from mimicknet.__main__ import main
+print("numpy" in sys.modules)
+sys.argv = ["mimicknet", "--version"]
+try:
+    main()
+except SystemExit:
+    pass
+print(os.environ.get("OPENBLAS_NUM_THREADS"))
+"""
+
+
+class TestConsoleEntry:
+    def test_import_loads_no_numpy(self):
+        code = (
+            "import sys, mimicknet; print('numpy' in sys.modules); "
+            "from mimicknet import Network; print('numpy' in sys.modules); "
+            "print(all(hasattr(mimicknet, name) for name in mimicknet.__all__))"
+        )
+        assert python(code) == ["False", "True", "True"]
+
+    def test_library_leaves_threads_alone(self):
+        assert python("import os, mimicknet.cli; print(os.environ.get('OPENBLAS_NUM_THREADS'))") == ["None"]
+
+    @pytest.mark.parametrize("preset, pinned", [(None, "1"), ("3", "3")])
+    def test_entry_pins_blas_threads(self, preset, pinned):
+        env = {} if preset is None else {"OPENBLAS_NUM_THREADS": preset}
+        assert python(ENTRY, **env) == ["False", "mimicknet", mimicknet.__version__, pinned]
+
+    def test_lazy_exports(self):
+        assert mimicknet.Network is network.Network
+        with pytest.raises(AttributeError):
+            mimicknet.gap
 
 
 class TestGen:

@@ -125,8 +125,8 @@ class TestRank:
             integer_rank(rows)
 
 
-PRIME = (1 << 26) - 5  # the first prime of the modular elimination
-BIG_PRIME = (1 << 26) + 15  # a prime above every prime it uses
+PRIME = (1 << 21) - 9  # the first prime of the modular elimination
+BIG_PRIME = (1 << 21) + 17  # a prime above every prime it uses
 
 # entries from 0/1 up to well past int64, negative ones included
 ENTRIES = st.one_of(
@@ -175,11 +175,15 @@ class TestCertifiedRank:
     @settings(max_examples=40, deadline=None)
     @given(small_rref_products())
     def test_full_reduction_branch(self, a):
-        # near 2**31 an entry holds only two unreduced updates, so every
-        # second pivot reduces the trailing block first
-        p = (1 << 31) - 1
-        assert ((1 << 63) - p) // (p - 1) ** 2 == 2
-        pivots, free, residues = incidence._rref_mod(a, p)
+        # with one column per panel and the largest prime below 2**27, one
+        # panel of products fills the float64 budget, so every later panel
+        # with a pivot reduces the block from the panel on first; left
+        # unreduced, entries would pass 2**53 within a few panels
+        p = (1 << 27) - 39
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(incidence, "_PANEL", 1)
+            assert ((1 << 52) - p) // (p // 2 + 2) ** 2 == 1
+            pivots, free, residues = incidence._rref_mod(a, p)
         assert pivots == bareiss_pivot_columns(a.tolist())
         assert incidence._certify(a, pivots, free, residues, p)
 
@@ -237,7 +241,7 @@ class TestCertifiedRank:
 
     def test_primes_match_trial_division(self):
         expected = []
-        for n in range((1 << 26) - 1, 1 << 25, -2):
+        for n in range((1 << 21) - 1, 1 << 20, -2):
             if all(n % d for d in range(3, isqrt(n) + 1, 2)):
                 expected.append(n)
                 if len(expected) == 50:
@@ -284,6 +288,123 @@ class TestCertifiedRank:
         monkeypatch.setattr(incidence, "_certify", lambda *args: False)
         with pytest.raises(InternalError):
             integer_rank([[1, 2], [3, 4]])
+
+    def test_gram_certificate_mismatch_raises(self, monkeypatch):
+        # the budget is the eliminated matrix's: here the 18 x 18 Gram matrix
+        budgets = []
+        prime_budget = incidence._prime_budget
+        monkeypatch.setattr(incidence, "_prime_budget", lambda e: budgets.append(e.shape) or prime_budget(e))
+        monkeypatch.setattr(incidence, "_certify", lambda *args: False)
+        with pytest.raises(InternalError):
+            integer_rank(terminal_cuts(gen_grid(3).network).cut_matrix)
+        assert budgets == [(18, 18)]
+
+
+def _eliminated(monkeypatch) -> list:
+    """The shape of every matrix ``_rref_mod`` eliminates."""
+    shapes, rref = [], incidence._rref_mod
+    monkeypatch.setattr(incidence, "_rref_mod", lambda e, p: shapes.append(e.shape) or rref(e, p))
+    return shapes
+
+
+# tall bool matrices of up to 6 columns, so the Gram route
+TALL_BOOL = st.integers(1, 6).flatmap(
+    lambda c: st.lists(st.lists(st.booleans(), min_size=c, max_size=c), min_size=c + 1, max_size=12)
+)
+
+
+class TestPanels:
+    """The column-panel elimination and the Gram route, against the
+    Bareiss reference."""
+
+    @pytest.mark.parametrize("width", [1, 3])
+    @settings(max_examples=100, deadline=None)
+    @given(rows=integer_matrices())
+    def test_panel_widths(self, width, rows):
+        # one column per panel, and panels that end inside the matrix
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(incidence, "_PANEL", width)
+            assert _pivot_columns(rows) == bareiss_pivot_columns(rows)
+
+    @pytest.mark.parametrize("width", [1, 7, 64, 100])
+    def test_rref_alike_at_every_width(self, monkeypatch, width):
+        # the RREF mod p is unique, so every panel width gives the same
+        # residues; 7 ends inside the matrix, 100 is one panel
+        a = build_incidence(gen_bipartite(6).network).bits
+        want = incidence._rref_mod(a, PRIME)
+        monkeypatch.setattr(incidence, "_PANEL", width)
+        pivots, free, residues = incidence._rref_mod(a, PRIME)
+        assert pivots == want[0] == bareiss_pivot_columns(a.tolist()) and free == want[1]
+        assert np.array_equal(residues, want[2])
+
+    def test_panel_without_pivot(self, monkeypatch):
+        # 2-column panels: the first holds no pivot, the third's columns
+        # depend on the second's, the fourth has one pivot
+        rows = [[0, 0, 1, 0, 1, 2, 0], [0, 0, 0, 1, 1, 0, 0], [0, 0, 0, 0, 0, 0, 5]]
+        found, panel = [], incidence._panel
+
+        def counting(block, p):
+            pivots, k_inv = panel(block, p)
+            found.append(len(pivots))
+            return pivots, k_inv
+
+        monkeypatch.setattr(incidence, "_panel", counting)
+        monkeypatch.setattr(incidence, "_PANEL", 2)
+        assert _pivot_columns(rows) == bareiss_pivot_columns(rows) == [2, 3, 6]
+        assert found == [0, 2, 0, 1]
+
+    @settings(max_examples=150, deadline=None)
+    @given(TALL_BOOL)
+    def test_tall_bool_through_gram(self, rows):
+        with pytest.MonkeyPatch.context() as patch:
+            shapes = _eliminated(patch)
+            assert _pivot_columns(np.array(rows, dtype=bool)) == bareiss_pivot_columns(rows)
+        width = len(rows[0])
+        assert shapes and set(shapes) == {(width, width)}
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            np.array([[1, 0], [0, 1], [1, 1]], dtype=np.int64),  # not bool
+            np.array([[1, 0], [0, 1], [1, 1]], dtype=np.uint8),  # not bool
+            np.array([[1 << 70, 1], [1, 0], [0, 1]], dtype=object),  # big integers
+            # A^T A would reach 2**80, past exact float64
+            np.array([[1 << 40, 1], [1, 1 << 40], [3, 5]], dtype=np.int64),
+        ],
+        ids=["int64", "uint8", "object", "inexact-product"],
+    )
+    def test_tall_without_gram(self, monkeypatch, rows):
+        shapes = _eliminated(monkeypatch)
+        assert _pivot_columns(rows) == bareiss_pivot_columns(rows.tolist())
+        assert shapes and set(shapes) == {rows.shape}
+
+    def test_unlucky_gram_prime(self, monkeypatch):
+        # mod 2 a column with an even number of ones is self-orthogonal, so
+        # the Gram matrix loses rank: that prime's certificate fails, and
+        # the next prime gives the pivots
+        a = terminal_cuts(gen_grid(4).network).cut_matrix
+        expected = bareiss_pivot_columns(a.tolist())
+        assert len(incidence._rref_mod(incidence._gram(a), 2)[0]) < len(expected)
+        primes, certify = incidence._primes, incidence._certify
+        verdicts = []
+        monkeypatch.setattr(incidence, "_primes", lambda: itertools.chain([2], primes()))
+        monkeypatch.setattr(incidence, "_certify", lambda *args: verdicts.append(certify(*args)) or verdicts[-1])
+        assert _pivot_columns(a) == expected
+        assert verdicts == [False, True]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.integers(-(1 << 52), 1 << 52), min_size=1, max_size=40),
+        st.sampled_from([2, 3, PRIME, (1 << 25) - 39]),
+    )
+    def test_balanced_residues(self, xs, p):
+        got = incidence._balanced(np.array(xs, dtype=np.float64), p).tolist()
+        assert all(r == int(r) and int(r) % p == x % p for r, x in zip(got, xs))
+        assert max(map(abs, got)) <= p // 2 + 2
+
+    def test_prime_too_large_rejected(self):
+        with pytest.raises(InvalidParameterError):
+            incidence._rref_mod(np.eye(2, dtype=np.int64), (1 << 31) - 1)
 
 
 class TestPerturb:

@@ -19,7 +19,7 @@ from mimicknet.lowerbound import (
 )
 from mimicknet.incidence import _pivot_columns, build_incidence
 from mimicknet.mimick import terminal_cuts
-from mimicknet.mincut import gaps, global_gap, min_cut_and_uniqueness, min_separating_cut
+from mimicknet.mincut import global_gap, min_cut_and_uniqueness, min_separating_cut
 from mimicknet.network import Bipartition, Network, enumerate_bipartitions
 
 
@@ -316,13 +316,13 @@ def _with_core_edge(fam):
 def _collision_reference(fam, sample_count, seed):
     """The collision report from one certified table per cost function:
     the base table's subset-row pivots as the columns, the gaps of
-    ``mincut.gaps``, and ``terminal_cuts`` of a ``with_costs`` copy per
+    ``mincut._gaps``, and ``terminal_cuts`` of a ``with_costs`` copy per
     sampled pattern, compared by values in lowest terms and cut matrices."""
     net = fam.network
     base = terminal_cuts(net)
     subset_rows = [Bipartition.from_indices(fam.k, s).row_index for s in fam.subsets]
     columns = _pivot_columns(base.cut_matrix[subset_rows])[: fam.l]
-    reports = list(gaps(net, enumerate_bipartitions(fam.k)))
+    reports = list(mincut._gaps(mincut._reduce(net), enumerate_bipartitions(fam.k)))
     step = Fraction(1, 6 * fam.k * fam.k * fam.l)
     min_row_gap = min(reports[row].delta for row in subset_rows)
     tables = {}
@@ -426,9 +426,10 @@ class TestCollision:
 
     def test_one_certificate_per_table(self, fam, certified, monkeypatch):
         # no copy is a Network or a table: no with_costs, no walk and no
-        # table certificate.  The base core is read three times: its subset
-        # rows, its gaps, and one batch whose copies are the base costs and
-        # each distinct sampled pattern's, every (copy, row) certified once
+        # table certificate.  The base core is read twice: its subset rows,
+        # and one batch whose copies are the base costs (whose rows give
+        # the gaps) and each distinct sampled pattern's, every (copy, row)
+        # certified once
         walks, copies, reads, checked = [], [], [], []
         walk, with_costs, satellite_rows = mincut._walk, Network.with_costs, mincut._Reduced.satellite_rows
         cut_costs = mincut._cut_costs
@@ -442,12 +443,12 @@ class TestCollision:
         assert tc_collision_family(fam, 100, seed=5).ok
         assert walks == copies == certified == []
         assert len({id(core) for core, _ in reads}) == 1
-        assert [costs is None for _, costs in reads] == [True, True, False]
-        stack = reads[2][1].tolist()
+        assert [costs is None for _, costs in reads] == [True, False]
+        stack = reads[1][1].tolist()
         scale = stack[0][0] // fam.network.scaled_costs[0]
         assert stack[0] == [c * scale for c in fam.network.scaled_costs]
         assert len(stack) == len({tuple(costs) for costs in stack}) == 201
-        assert sum(checked) == fam.l + 31 + 201 * 31
+        assert sum(checked) == fam.l + 201 * 31
 
     @pytest.mark.parametrize("k,seed,samples", [(6, seed, 100) for seed in range(1, 6)] + [(9, 1, 20)])
     def test_report_equals_table_reference(self, k, seed, samples):
