@@ -7,7 +7,9 @@ integers: bit ``j`` set (higher bits still 0) moves the value by a fixed
 step minus twice the cost to each lower neighbour that is already set.
 
 One kernel, :func:`blocks`, yields the values one cache-sized block at a
-time, on int64.  A mask is ``hi << BLOCK_BITS | lo``.  The block for
+time, on int32 when the scaled costs sum below ``INT32_SAFE_LIMIT``
+(2**30), so that every entry it holds, in [-total, 2 * total], fits, and
+on int64 otherwise.  A mask is ``hi << BLOCK_BITS | lo``.  The block for
 ``hi = 0`` is built by prefix doubling over the low bits; the high parts
 are then walked in Gray-code order.  Flipping high bit ``b`` adds one
 precomputed vector to the block (minus twice ``b``'s cost to each set low
@@ -16,11 +18,12 @@ its cost to each set high neighbour), so each move is a single in-place
 vector add.
 
 Scaled costs of any size run on int64 limbs.  When the costs sum below
-``INT64_SAFE_LIMIT`` (2**62) there is one limb, the costs themselves.
-Otherwise every cost is split into L digits of B bits, B chosen so that
-each limb's total stays below 2**61, and one :func:`blocks` pass runs per
-limb, in lockstep: all passes walk the same Gray-code order.  Each
-block's carries are then propagated exactly from the low limb up, so
+``INT64_SAFE_LIMIT`` (2**62) there is one limb, the costs themselves, and
+its sweep is the only one that may run on int32.  Otherwise every cost
+is split into L digits of B bits, B chosen so that each limb's total
+stays below 2**61, and one int64 :func:`blocks` pass runs per limb (a
+top limb of small total too: the carries need int64), in lockstep: all
+passes walk the same Gray-code order.  Each block's carries are then propagated exactly from the low limb up, so
 every value is held as digits with the lower ones in [0, 2**B) and
 lexicographic order is numeric order.  :func:`minimum` reduces each block
 as it is made, filtering digit by digit from the top limb down, so the
@@ -38,16 +41,20 @@ import numpy as np
 # Sum of all scaled costs must stay below this for one int64 limb.
 INT64_SAFE_LIMIT = 1 << 62
 
-# Low bits per block: 2**14 int64 values (128 KiB) stay in cache.
+# A one-limb sweep whose scaled costs sum below this runs on int32.
+INT32_SAFE_LIMIT = 1 << 30
+
+# Low bits per block: 2**14 values (64 KiB on int32, 128 KiB on int64)
+# stay in cache.
 BLOCK_BITS = 14
 
 # One kernel; the name stays for run metadata that records it.
 kernel_backend = "numpy"
 
 
-def blocks(n_masks: int, base: int, one_bit, one_flip, one_cost, two_a, two_b, two_cost) -> Iterator[tuple[int, np.ndarray, int]]:
-    """Cut values of the side assignments ``0..n_masks-1``, one int64 block
-    at a time: yields ``(start, block, offset)`` where ``block[i] + offset``
+def blocks(n_masks: int, base: int, one_bit, one_flip, one_cost, two_a, two_b, two_cost, narrow: bool = True) -> Iterator[tuple[int, np.ndarray, int]]:
+    """Cut values of the side assignments ``0..n_masks-1``, one block at a
+    time: yields ``(start, block, offset)`` where ``block[i] + offset``
     is the value of mask ``start + i``.  Blocks come in Gray-code order of
     ``start >> BLOCK_BITS``, and the same array is updated in place between
     yields.
@@ -57,7 +64,8 @@ def blocks(n_masks: int, base: int, one_bit, one_flip, one_cost, two_a, two_b, t
     edges between two distinct non-terminals.  ``base`` carries the
     terminal-terminal crossing edges.  The total scaled cost must be below
     ``INT64_SAFE_LIMIT``; :func:`minimum` and :func:`cut_values` split
-    larger costs into limbs that are.
+    larger costs into limbs that are.  The blocks are int32 when ``narrow``
+    and the total is below ``INT32_SAFE_LIMIT``, else int64.
     """
     p = int(n_masks).bit_length() - 1
     low = min(p, BLOCK_BITS)
@@ -82,10 +90,12 @@ def blocks(n_masks: int, base: int, one_bit, one_flip, one_cost, two_a, two_b, t
     if total >= INT64_SAFE_LIMIT:
         raise OverflowError(f"scaled total {total} is not below INT64_SAFE_LIMIT; split it into limbs")
 
+    dtype = np.int32 if narrow and total < INT32_SAFE_LIMIT else np.int64
+
     # The first block (high part 0) by prefix doubling over the low bits.
     # An entry only ever holds its final value, in [0, total], plus twice
     # the cost to lower neighbours not yet subtracted: below 2 * total.
-    block = np.empty(1 << low, dtype=np.int64)
+    block = np.empty(1 << low, dtype=dtype)
     block[0] = v0
     for j in range(low):
         half = 1 << j
@@ -101,11 +111,12 @@ def blocks(n_masks: int, base: int, one_bit, one_flip, one_cost, two_a, two_b, t
     # goes into the block, plus step[b] minus twice the cost to its set
     # high neighbours, which depends on hi alone and goes into the offset.
     # So the offset is value(0, hi) - value(0, 0), in [-total, total], and
-    # every block entry, held or added to, lies in [-total, 2 * total],
-    # below 2**63.
-    cross, high_nbrs = [], []
+    # every block entry, held or added to, lies in [-total, 2 * total]:
+    # below 2**63, and below 2**31 when the total is below 2**30.  The
+    # vectors share one array: one allocation per sweep, not one per bit.
+    cross, high_nbrs = np.zeros((p - low, 1 << low), dtype=dtype), []
     for b in range(low, p):
-        vec = np.zeros(1 << low, dtype=np.int64)
+        vec = cross[b - low]
         nbrs: dict[int, int] = {}
         for a, w in lower[b].items():
             if a < low:
@@ -115,7 +126,6 @@ def blocks(n_masks: int, base: int, one_bit, one_flip, one_cost, two_a, two_b, t
         for c in range(b + 1, p):
             if b in lower[c]:
                 nbrs[c] = lower[c][b]
-        cross.append(vec)
         high_nbrs.append(nbrs)
     hi = 0
     for i in range(1, 1 << (p - low)):
@@ -159,8 +169,10 @@ def _digit_blocks(n_masks: int, bits: int, limbs, one_bit, one_flip, two_a, two_
     being the base-2**B number of ``digits[..][i]`` (top limb first) plus
     ``offset``.  With one limb the digits are the block itself; with more
     they are normalized (lower digits in [0, 2**B)) into arrays reused
-    between yields, and the offset is 0."""
-    sweeps = [blocks(n_masks, b, one_bit, one_flip, oc, two_a, two_b, tc) for b, oc, tc in limbs]
+    between yields, and the offset is 0.  Only a one-limb sweep may run on
+    int32."""
+    narrow = len(limbs) == 1
+    sweeps = [blocks(n_masks, b, one_bit, one_flip, oc, two_a, two_b, tc, narrow) for b, oc, tc in limbs]
     if len(sweeps) == 1:
         for start, block, offset in sweeps[0]:
             yield start, [block], offset
@@ -258,8 +270,9 @@ def minimum(n_masks: int, base: int, one_bit, one_flip, one_cost, two_a, two_b, 
 
 def cut_values(n_masks: int, base: int, one_bit, one_flip, one_cost, two_a, two_b, two_cost) -> np.ndarray:
     """Cut value of every non-terminal side assignment ``0..n_masks-1``, in
-    mask order: int64 when the scaled costs sum below ``INT64_SAFE_LIMIT``,
-    else Python integers (``dtype=object``) composed from the limbs."""
+    mask order: int64 (an int32 sweep too) when the scaled costs sum below
+    ``INT64_SAFE_LIMIT``, else Python integers (``dtype=object``) composed
+    from the limbs."""
     bits, limbs = split(base, one_cost, two_cost)
     columns = None
     for start, digits, offset in _digit_blocks(n_masks, bits, limbs, one_bit, one_flip, two_a, two_b):

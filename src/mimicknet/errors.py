@@ -49,6 +49,11 @@ class InvalidParameterError(MimicknetError):
     pass
 
 
+class CostSizeError(InvalidParameterError):
+    """Costs whose form over one common denominator would take far more
+    bits than they were given in."""
+
+
 class ParseError(MimicknetError):
     """Malformed graph or store file."""
 

@@ -17,7 +17,10 @@ Parsing costs time and memory linear in the input: a header that declares
 more vertices than the input has bytes (UTF-8) raises ``ParseError``
 before anything is built for them.  A valid file names each vertex that
 has an edge, so this refuses only files of mostly isolated vertices, such
-as a 52-byte one whose header reads ``p mimick 200000 1 2``.
+as a 52-byte one whose header reads ``p mimick 200000 1 2``.  Costs whose
+scaled form would outgrow the input by more than a fixed ratio (many
+coprime denominators; see :func:`mimicknet.network._scaled`) raise
+``ParseError`` too.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 
-from .errors import InvalidParameterError, ParseError
+from .errors import CostSizeError, InvalidParameterError, ParseError
 from .network import Network
 from .planar import PlaneEmbedding
 
@@ -114,7 +117,10 @@ def parse_network(text: str) -> tuple[Network, PlaneEmbedding | None]:
         raise ParseError(f"header declares k={k}, terminal line has {len(terminals)}")
     if len(edges) != m:
         raise ParseError(f"header declares m={m}, found {len(edges)} edges")
-    net = Network(n, edges, terminals)
+    try:
+        net = Network(n, edges, terminals)
+    except CostSizeError as exc:
+        raise ParseError(str(exc)) from None
 
     if not rotations:
         return net, None

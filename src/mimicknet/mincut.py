@@ -26,12 +26,13 @@ shape serves any costs on those ends (:class:`_Reduced`).
 Oracle route: exhaustive sweep over all side assignments of the
 non-terminal vertices (capacity ``n - k <= 22``) by the blocked kernel in
 :mod:`mimicknet._kernels`, on int64 limbs: one limb when the scaled
-costs sum below 2**62, else B-bit digits with exact carries, so costs of
-any size run on the same kernel.  Isolated non-terminals take no bit.
-Each cache-sized block is reduced as it is made to the running minimum,
-its masks and the second distinct value, so no array of all 2**p values
-is built; cutsets are read only for the minimizing masks, and each one's
-cost is checked against the minimum.
+costs sum below 2**62 (swept on int32 below 2**30), else B-bit digits
+with exact carries, so costs of any size run on the same kernel.
+Isolated non-terminals take no bit.  Each cache-sized block is reduced
+as it is made to the running minimum, its masks and the second distinct
+value, so no array of all 2**p values is built; cutsets are read only
+for the minimizing masks, and each one's cost is checked against the
+minimum.
 
 Satellite rows: with the terminals placed, a satellite (a non-terminal
 whose neighbours are all terminals) picks its side alone, so its share

@@ -19,6 +19,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import (
+    CostSizeError,
     InvalidEdgeError,
     InvalidParameterError,
     InvalidTerminalCountError,
@@ -32,10 +33,20 @@ class Edge(NamedTuple):
     cost: Fraction
 
 
+# The m scaled costs may take at most this many times the bits of the
+# given numerators and denominators, plus the floor.
+_COST_BITS_RATIO = 64
+_COST_BITS_FLOOR = 1 << 16
+
+
 def _scaled(costs: Iterable) -> tuple[int, tuple[int, ...]]:
     """Exact costs as (their least common denominator, each cost times
     it).  A cost that is not a ``numbers.Rational`` (a float, say) or not
-    positive raises ``InvalidParameterError``."""
+    positive raises ``InvalidParameterError``.  Each scaled cost has about
+    as many bits as the denominator, so m pairwise coprime denominators
+    would take memory quadratic in the input: ``CostSizeError`` as soon as
+    m times the bits of the denominator built so far passes
+    ``_COST_BITS_RATIO`` times the bits given, plus ``_COST_BITS_FLOOR``."""
     costs = tuple(costs)
     types = set(map(type, costs))
     if not all(issubclass(t, Rational) for t in types):
@@ -48,7 +59,16 @@ def _scaled(costs: Iterable) -> tuple[int, tuple[int, ...]]:
     if nums and min(nums) <= 0:
         bad = next(c for c, x in zip(costs, nums) if x <= 0)
         raise InvalidParameterError(f"edge cost must be positive, got {bad}")
-    den = math.lcm(*dens)
+    given = sum(map(int.bit_length, nums)) + sum(map(int.bit_length, dens))
+    budget = _COST_BITS_RATIO * given + _COST_BITS_FLOOR
+    den = 1
+    for d in set(dens):
+        den = math.lcm(den, d)
+        if len(dens) * den.bit_length() > budget:
+            raise CostSizeError(
+                f"{len(dens)} costs over their common denominator would take more than"
+                f" {_COST_BITS_RATIO} times the {given} bits they are given in"
+            )
     return den, tuple([x * (den // d) for x, d in zip(nums, dens)])
 
 

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ import pytest
 import mimicknet
 from mimicknet import mimick, network, planar
 from mimicknet.cli import main
+from mimicknet.errors import ParseError
 from mimicknet.fileio import load_network, parse_network
 from mimicknet.mimick import terminal_cuts
 from mimicknet.mincut import min_separating_cut
@@ -195,6 +197,34 @@ class TestCompressVerify:
         assert run(*argv) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def test_coprime_cost_denominators_exit_2(tmp_path, capsys):
+    """A path with costs 1/p over the first 5133 primes: over their common
+    denominator (about 72 000 bits) the costs would take 46 MB, so the
+    file is refused while the denominator is still small."""
+    sieve = bytearray([1]) * 50_000
+    sieve[:2] = b"\0\0"
+    for i in range(2, 224):
+        if sieve[i]:
+            sieve[i * i :: i] = bytes(len(range(i * i, len(sieve), i)))
+    primes = [i for i, flag in enumerate(sieve) if flag]
+    m = len(primes)
+    path = tmp_path / "coprime.net"
+    path.write_text(f"p mimick {m + 1} {m} 2\nt 0 {m}\n" + "".join(f"e {i} {i + 1} 1/{p}\n" for i, p in enumerate(primes)))
+    assert 95_000 < path.stat().st_size < 105_000
+    with pytest.raises(ParseError, match="common denominator"):
+        load_network(path)
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        assert run("compress", path) == 2
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert peak < 8 << 20
 
 
 class TestWideValues:

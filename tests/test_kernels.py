@@ -117,6 +117,17 @@ def test_int64_guard_threshold():
         next(_kernels.blocks(1, 2**62, [], [], [], [], [], []))
 
 
+def test_int32_threshold():
+    # a two-edge pair of cost c: the first block's last entry holds 2c
+    # before its lower neighbour is subtracted
+    for c, dtype in [(2**30 - 1, np.int32), (2**30, np.int64)]:
+        args = (4, 0, [], [], [], [0], [1], [c])
+        assert next(_kernels.blocks(*args))[1].dtype == dtype
+        assert next(_kernels.blocks(*args, narrow=False))[1].dtype == np.int64
+        assert _kernels.cut_values(*args).tolist() == [0, c, c, 0]
+        assert _kernels.minimum(*args) == (0, [0, 3], c)
+
+
 def test_kernel_fault_raises(monkeypatch):
     """A minimum that lost its top limb's share is not the cost of its
     cutsets: the oracle's certificate fires."""
@@ -126,6 +137,25 @@ def test_kernel_fault_raises(monkeypatch):
     monkeypatch.setattr(_kernels, "_compose", lambda digits, bits: compose(digits[1:], bits))
     with pytest.raises(InternalError):
         oracle_enumeration(net, bp)
+
+
+def test_narrow_kernel_fault_raises(monkeypatch):
+    """An int32 one-limb sweep whose offsets are off by one gives a
+    minimum that is not the cost of its cutsets: the oracle's certificate
+    fires."""
+    net, _ = random_planar_network(10, 3, seed=1)
+    bp = enumerate_bipartitions(3)[0]
+    blocks, dtypes = _kernels.blocks, set()
+
+    def shifted(*args):
+        for start, block, offset in blocks(*args):
+            dtypes.add(block.dtype)
+            yield start, block, offset + 1
+
+    monkeypatch.setattr(_kernels, "blocks", shifted)
+    with pytest.raises(InternalError):
+        oracle_enumeration(net, bp)
+    assert dtypes == {np.dtype(np.int32)}
 
 
 def test_isolated_nonterminals_leave_the_sweep():
@@ -139,8 +169,19 @@ def test_isolated_nonterminals_leave_the_sweep():
     assert kernel.call_args.args[0] == 4
 
 
+def sweep_dtypes(args):
+    """The dtypes of the digits of the first block of ``args``' sweep."""
+    bits, limbs = _kernels.split(args[1], args[4], args[7])
+    _, digits, _ = next(_kernels._digit_blocks(args[0], bits, limbs, *args[2:4], *args[5:7]))
+    return {d.dtype for d in digits}
+
+
 def check_against_full_array(args):
-    """Blocked ``cut_values`` and ``minimum`` equal the full-array reference."""
+    """Blocked ``cut_values`` and ``minimum`` equal the full-array
+    reference, and the sweep is int32 exactly when the total is below
+    ``INT32_SAFE_LIMIT`` (so with one limb only)."""
+    total = args[1] + sum(args[4]) + sum(args[7])
+    assert sweep_dtypes(args) == {np.dtype(np.int32 if total < _kernels.INT32_SAFE_LIMIT else np.int64)}
     full = full_cut_values(*args)
     values = _kernels.cut_values(*args)
     assert values.dtype == full.dtype
@@ -155,12 +196,14 @@ def columns(rows):
     return [list(col) for col in zip(*rows)] if rows else [[], [], []]
 
 
-# Cost scales, given the kernel's digit width B: one int64 limb, two
-# limbs (2**61, named by its value), 2**B - 1 (every digit sum carries
-# once the total takes two limbs), 2**2B - 1 (always three limbs, a carry
-# out of every entry) and four limbs or more.
+# Cost scales, given the kernel's digit width B: one limb on int32, one
+# limb whose total is on either side of 2**30 (int32 below eight unit
+# costs, int64 from there), two limbs (2**61, named by its value), 2**B - 1
+# (every digit sum carries once the total takes two limbs), 2**2B - 1
+# (always three limbs, a carry out of every entry) and four limbs or more.
 SCALES = {
     "1": lambda bits: 1,
+    "2^27": lambda bits: 1 << 27,
     str(1 << 61): lambda bits: 1 << 61,
     "2^B-1": lambda bits: (1 << bits) - 1,
     "2^2B-1": lambda bits: (1 << 2 * bits) - 1,
@@ -230,6 +273,19 @@ class TestBlockBoundaries:
 
     def test_no_second_value(self, scale):
         assert self.run(3, 4, [], [], scale) == (4, list(range(8)), None)
+
+
+def test_multi_limb_sweep_stays_int64():
+    """A two-limb table whose top limb sums far below ``INT32_SAFE_LIMIT``
+    still sweeps every limb on int64, and matches the reference."""
+    big = 1 << 61
+    ones = [(0, 0, big + 5), (0, 1, big + 3), (1, 0, 7), (2, 1, 2)]
+    args = (8, 1, *columns(ones), [1], [2], [4])
+    _, limbs = _kernels.split(args[1], args[4], args[7])
+    top_base, top_one, top_two = limbs[-1]
+    assert len(limbs) == 2 and top_base + sum(top_one) + sum(top_two) < _kernels.INT32_SAFE_LIMIT
+    for _ in block_widths():
+        check_against_full_array(args)
 
 
 class TestLimbBoundaries:

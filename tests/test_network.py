@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mimicknet.errors import (
+    CostSizeError,
     InvalidEdgeError,
     InvalidParameterError,
     InvalidTerminalCountError,
@@ -272,6 +273,24 @@ class TestNetworkValidation:
         net = Network(2, [(np.int64(0), np.int64(1), np.int64(3))], [0, 1])
         assert net == Network(2, [(0, 1, 3)], [0, 1])
         assert type(net.ends[0][0]) is int and type(net.scaled_costs[0]) is int
+
+    def test_scaled_costs_bounded_by_the_given_bits(self):
+        # costs 1/1 .. 1/m: the common denominator lcm(1..m) has about
+        # 1.44 m bits, so the m scaled costs take about 1.44 m**2 bits
+        def path(m, costs):
+            return Network(m + 1, [(i, i + 1, c) for i, c in enumerate(costs)], [0, m])
+
+        def harmonic(m):
+            return [Fraction(1, i + 1) for i in range(m)]
+
+        assert path(300, harmonic(300)).cost_denominator.bit_length() == 432
+        with pytest.raises(CostSizeError):
+            path(1000, harmonic(1000))
+        with pytest.raises(InvalidParameterError):
+            path(1000, [1] * 1000).with_costs(harmonic(1000))
+        # one wide denominator shared by every cost takes its own bits
+        wide = [Fraction(i + 1, 3**3000) for i in range(1000)]
+        assert path(1000, wide).cost_denominator == 3**3000
 
 
 def assert_as_public(net):
